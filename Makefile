@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race-online vet fmt bench bench-graph bench-serve bench-smoke bench-graph-smoke bench-serve-smoke bench-online-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
+.PHONY: build test test-race-online vet fmt bench-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
 
 build:
 	$(GO) build ./...
@@ -85,47 +85,6 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# bench refreshes BENCH_solver.json from the component micro-benchmarks.
-bench:
-	$(GO) run ./cmd/benchjson
-
-# bench-graph refreshes BENCH_graph.json from the large-topology scale
-# suite (10k-node SSSP heap vs dial, intra-solve parallel Frank–Wolfe).
-bench-graph:
-	$(GO) run ./cmd/benchjson -suite graph -benchtime 10x
-
-# bench-serve refreshes BENCH_serve.json from the serve-API load matrix:
-# {poisson, burst} arrivals x {open, admission-controlled} servers, each a
-# full open-loop run against a real `dcnflow serve` subprocess (benchjson
-# defaults the serve suite to -benchtime 1x — one iteration is one run).
-bench-serve:
-	$(GO) run ./cmd/benchjson -suite serve
-
 # bench-smoke runs every benchmark once — a compile-and-run sanity pass.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-graph-smoke runs just the large-topology benches once (including the
-# 100k-node jellyfish fixture), so the big fixtures cannot silently rot
-# between bench-graph refreshes, then validates that the committed
-# BENCH_graph.json still carries the 100k-node entries.
-bench-graph-smoke:
-	$(GO) test -run '^$$' -bench 'Large' -benchtime 1x .
-	$(GO) run ./cmd/benchjson -check BENCH_graph.json -bench 'jellyfish100k'
-
-# bench-online-smoke is the CI-sized delta-solve pass: the delta-vs-full
-# equivalence and determinism suites, one iteration of the smallest
-# BenchmarkOnlineDelta fleet, and a validation that the committed
-# BENCH_solver.json still carries the delta entries.
-bench-online-smoke:
-	$(GO) test -run 'Delta' ./internal/online/ ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkOnlineDelta/smoke' -benchtime 1x .
-	$(GO) run ./cmd/benchjson -check BENCH_solver.json -bench 'BenchmarkOnlineDelta'
-
-# bench-serve-smoke is the CI-sized serve-bench pass: replay the small
-# smoke spec (2 clients, open admission) against a live serve subprocess
-# with zero tolerated failures, then validate the committed
-# BENCH_serve.json still covers the full arrival x admission matrix.
-bench-serve-smoke:
-	$(GO) run ./cmd/servebench -spec examples/servebench/smoke.json -assert-no-failures
-	$(GO) run ./cmd/servebench -check BENCH_serve.json

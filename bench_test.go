@@ -163,9 +163,14 @@ func BenchmarkMostCriticalFirst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	inst, err := dcnflow.NewInstanceBuilder().
+		Graph(ft.Graph).Flows(flows).Model(model).Routing(paths).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dcnflow.SolveDCFS(ft.Graph, flows, paths, model); err != nil {
+		if _, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSMCF, inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,12 +190,14 @@ func BenchmarkRandomSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{
-			Seed: 1, Solver: dcnflow.SolverOptions{MaxIters: 25},
-		}); err != nil {
+		if _, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst,
+			dcnflow.WithSeed(1), dcnflow.WithSolverOptions(dcnflow.SolverOptions{MaxIters: 25})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,10 +275,13 @@ func BenchmarkExactSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := dcnflow.PowerModel{Sigma: 1, Mu: 1, Alpha: 2, C: 1e12}
+	inst, err := dcnflow.NewInstance(top.Graph, flows, dcnflow.PowerModel{Sigma: 1, Mu: 1, Alpha: 2, C: 1e12})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dcnflow.SolveDCFSRExact(top.Graph, flows, m, dcnflow.ExactOptions{}); err != nil {
+		if _, err := dcnflow.Solve(context.Background(), dcnflow.SolverExact, inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,10 +301,13 @@ func BenchmarkOnlineGreedy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dcnflow.SolveOnline(ft.Graph, flows, m, dcnflow.OnlineOptions{}); err != nil {
+		if _, err := dcnflow.Solve(context.Background(), dcnflow.SolverGreedyOnline, inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,8 +318,7 @@ func BenchmarkOnlineGreedy(b *testing.B) {
 // starts pay on. The recorder=off/recorder=on sub-benchmarks bound the
 // decision-tracing overhead (nil recorder vs an attached DecisionMemory);
 // recorder=off additionally reports fw-iters-warm / fw-iters-cold, the total
-// Frank–Wolfe iterations of warm-started vs cold-started epoch re-solves,
-// tracked in BENCH_solver.json by `make bench`.
+// Frank–Wolfe iterations of warm-started vs cold-started epoch re-solves.
 func BenchmarkOnlineRolling(b *testing.B) {
 	ft, err := dcnflow.FatTree(4, 1e12)
 	if err != nil {
@@ -319,32 +331,36 @@ func BenchmarkOnlineRolling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
-	runOnce := func(warm bool, rec dcnflow.DecisionRecorder) dcnflow.RollingStats {
-		res, _, err := dcnflow.SolveOnlineRolling(ft.Graph, flows, model, dcnflow.RollingOptions{
-			Policy: dcnflow.FixedPeriod{Period: 2},
-			DCFSR: dcnflow.DCFSROptions{
-				Seed:      1,
-				Solver:    dcnflow.SolverOptions{MaxIters: 30},
-				WarmStart: warm,
-			},
-			Recorder: rec,
-		})
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runOnce := func(warm bool, rec dcnflow.DecisionRecorder) map[string]float64 {
+		sol, err := dcnflow.Solve(context.Background(), dcnflow.SolverRollingOnline, inst,
+			dcnflow.WithRollingOptions(dcnflow.RollingOptions{
+				Policy: dcnflow.FixedPeriod{Period: 2},
+				DCFSR: dcnflow.DCFSROptions{
+					Seed:      1,
+					Solver:    dcnflow.SolverOptions{MaxIters: 30},
+					WarmStart: warm,
+				},
+				Recorder: rec,
+			}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Stats
+		return sol.Stats
 	}
 	b.Run("recorder=off", func(b *testing.B) {
-		var warm dcnflow.RollingStats
+		var warm map[string]float64
 		for i := 0; i < b.N; i++ {
 			warm = runOnce(true, nil)
 		}
 		b.StopTimer()
 		cold := runOnce(false, nil)
-		b.ReportMetric(float64(warm.FWIters), "fw-iters-warm")
-		b.ReportMetric(float64(cold.FWIters), "fw-iters-cold")
-		b.ReportMetric(float64(warm.Epochs), "epochs")
+		b.ReportMetric(warm["fw_iters"], "fw-iters-warm")
+		b.ReportMetric(cold["fw_iters"], "fw-iters-cold")
+		b.ReportMetric(warm["epochs"], "epochs")
 	})
 	b.Run("recorder=on", func(b *testing.B) {
 		var decisions int
@@ -372,7 +388,7 @@ type deltaMiceFixture struct {
 
 const deltaHorizonEnd = 10_000.0
 
-func newDeltaMiceFixture(b *testing.B, ft *dcnflow.Topology, elephants int, delta, warm bool) *deltaMiceFixture {
+func newDeltaMiceFixture(b *testing.B, ft *dcnflow.Topology, elephants int, delta bool) *deltaMiceFixture {
 	b.Helper()
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
 	opts := dcnflow.RollingOptions{
@@ -380,7 +396,7 @@ func newDeltaMiceFixture(b *testing.B, ft *dcnflow.Topology, elephants int, delt
 		DCFSR: dcnflow.DCFSROptions{
 			Seed:      1,
 			Solver:    dcnflow.SolverOptions{MaxIters: 30},
-			WarmStart: warm,
+			WarmStart: true,
 		},
 	}
 	if delta {
@@ -436,16 +452,16 @@ func (f *deltaMiceFixture) runMice(b *testing.B, mice int) float64 {
 
 // BenchmarkOnlineDelta measures the sensitivity-bounded delta re-solve of
 // the rolling scheduler on elephant-mice traces: a standing fleet of
-// long-lived elephants plus a stream of per-arrival mice (ISSUE: per-arrival
+// long-lived elephants plus a stream of per-arrival mice (per-arrival
 // re-plan cost must stay sublinear in the in-flight flow count).
 //
 //   - smoke: the CI-sized fleet; sanity-checks that delta epochs actually
-//     fire and intervals are reused (`make bench-online-smoke`).
+//     fire and intervals are reused.
 //   - full-vs-delta: the same small trace with delta off vs on; reports the
 //     per-arrival speedup and both solved-interval counts.
 //   - scaling: per-arrival cost at 1.5k/12k/96k in-flight elephants (the
 //     largest point is a ~96k-flow trace) and the fitted log-log slope —
-//     sublinear means slope < 1, tracked in BENCH_solver.json.
+//     sublinear means slope < 1.
 func BenchmarkOnlineDelta(b *testing.B) {
 	ft, err := dcnflow.FatTree(4, 1e12)
 	if err != nil {
@@ -456,7 +472,7 @@ func BenchmarkOnlineDelta(b *testing.B) {
 		var perArrival float64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			f := newDeltaMiceFixture(b, ft, 192, true, true)
+			f := newDeltaMiceFixture(b, ft, 192, true)
 			b.StartTimer()
 			perArrival = f.runMice(b, 64)
 			stats = f.sched.Stats()
@@ -475,8 +491,8 @@ func BenchmarkOnlineDelta(b *testing.B) {
 		var speedup, solvedFull, solvedDelta float64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			full := newDeltaMiceFixture(b, ft, elephants, false, true)
-			del := newDeltaMiceFixture(b, ft, elephants, true, true)
+			full := newDeltaMiceFixture(b, ft, elephants, false)
+			del := newDeltaMiceFixture(b, ft, elephants, true)
 			b.StartTimer()
 			usFull := full.runMice(b, mice)
 			usDelta := del.runMice(b, mice)
@@ -494,7 +510,7 @@ func BenchmarkOnlineDelta(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, n := range fleets {
 				b.StopTimer()
-				f := newDeltaMiceFixture(b, ft, n, true, true)
+				f := newDeltaMiceFixture(b, ft, n, true)
 				b.StartTimer()
 				perArrival[j] = f.runMice(b, 256)
 			}
@@ -508,36 +524,6 @@ func BenchmarkOnlineDelta(b *testing.B) {
 			math.Log(float64(fleets[len(fleets)-1])/float64(fleets[0]))
 		b.ReportMetric(slope, "scaling-slope")
 	})
-}
-
-// BenchmarkDeltaSeed measures the warm seeding of touched-interval delta
-// re-solves: the same elephant-mice trace with the per-interval Frank–Wolfe
-// solves seeded from the previous epoch's / previous interval's path
-// decomposition (WarmStart on) vs hop-count cold starts. Reports both
-// per-arrival costs plus the seeded-interval count of the warm run, tracked
-// in BENCH_solver.json by `make bench`.
-func BenchmarkDeltaSeed(b *testing.B) {
-	ft, err := dcnflow.FatTree(4, 1e12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var seededUs, coldUs float64
-	var stats dcnflow.RollingStats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		seeded := newDeltaMiceFixture(b, ft, 192, true, true)
-		cold := newDeltaMiceFixture(b, ft, 192, true, false)
-		b.StartTimer()
-		seededUs = seeded.runMice(b, 64)
-		coldUs = cold.runMice(b, 64)
-		stats = seeded.sched.Stats()
-	}
-	if stats.SeededIntervals == 0 {
-		b.Fatal("warm delta run seeded no intervals")
-	}
-	b.ReportMetric(seededUs, "per-arrival-us-seeded")
-	b.ReportMetric(coldUs, "per-arrival-us-cold")
-	b.ReportMetric(float64(stats.SeededIntervals), "seeded-intervals")
 }
 
 // BenchmarkSimulator measures the discrete-event simulator on a 100-flow
@@ -555,7 +541,11 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
-	sp, err := dcnflow.SPMCF(ft.Graph, flows, model)
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := dcnflow.Solve(context.Background(), dcnflow.SolverSPMCF, inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -567,7 +557,7 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// --- Large-topology benchmarks (BENCH_graph.json, `make bench-graph`) -------
+// --- Large-topology benchmarks ---------------------------------------------
 
 // largeFixtures are the 1k–100k-node fabrics of the scale benchmarks, built
 // once per process and shared across benchmark functions: FatTree k=16
@@ -618,8 +608,7 @@ func largeFixture(b *testing.B, name string) *dcnflow.Topology {
 // queue on the unit weights the cold-start oracle sweep uses (where the
 // dial variant is selected automatically). It runs on the compiled hot
 // view — the BFS-renumbered, cache-blocked layout the oracle itself
-// traverses — so BENCH_graph.json tracks exactly what production sweeps
-// pay per tree.
+// traverses — so it measures exactly what production sweeps pay per tree.
 func BenchmarkSSSPLarge(b *testing.B) {
 	for _, name := range []string{"fattree16", "fattree32", "vl2-9k", "jellyfish10k", "jellyfish100k"} {
 		b.Run(name, func(b *testing.B) {

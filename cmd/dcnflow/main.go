@@ -1014,8 +1014,8 @@ func runTrace(args []string) error {
 	path := fs.String("file", "", "trace file (default: stdin)")
 	kind := fs.String("topo", "fattree", "fattree | bcube | leafspine | line")
 	k := fs.Int("k", 4, "topology size parameter")
-	scheme := fs.String("scheme", "rs",
-		"rs | spmcf | online, or any registered solver: "+strings.Join(dcnflow.SolverNames(), ", "))
+	scheme := fs.String("scheme", dcnflow.SolverDCFSR,
+		"registered solver: "+strings.Join(dcnflow.SolverNames(), ", "))
 	alpha := fs.Float64("alpha", 2, "power exponent")
 	sigma := fs.Float64("sigma", 0, "idle power")
 	capacity := fs.Float64("cap", 1000, "link capacity C")
@@ -1058,20 +1058,9 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Legacy scheme aliases map onto the registry; registered solver names
-	// pass through directly.
-	name := *scheme
-	switch name {
-	case "rs":
-		name = dcnflow.SolverDCFSR
-	case "spmcf":
-		name = dcnflow.SolverSPMCF
-	case "online":
-		name = dcnflow.SolverGreedyOnline
-	}
 	r := cliEngine().Solve(context.Background(), dcnflow.Request{
 		Instance: inst,
-		Solver:   name,
+		Solver:   *scheme,
 		Options: []dcnflow.SolveOption{
 			dcnflow.WithSeed(*seed),
 			dcnflow.WithOnlineOptions(online.Options{CostFull: *sigma > 0}),

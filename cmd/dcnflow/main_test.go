@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"os"
 	"regexp"
@@ -361,17 +362,21 @@ func TestRunTraceCommand(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Legacy aliases and direct registry names both dispatch.
-	for _, scheme := range []string{"rs", "spmcf", "online", "dcfsr", "ecmp-mcf"} {
+	for _, scheme := range []string{"dcfsr", "sp-mcf", "greedy-online", "ecmp-mcf"} {
 		if err := run([]string{"trace", "-file", path, "-scheme", scheme, "-k", "4"}); err != nil {
 			t.Fatalf("trace %s: %v", scheme, err)
 		}
 	}
-	if err := run([]string{"trace", "-file", path, "-scheme", "rs", "-gantt"}); err != nil {
+	if err := run([]string{"trace", "-file", path, "-gantt"}); err != nil {
 		t.Fatalf("trace gantt: %v", err)
 	}
-	if err := run([]string{"trace", "-file", path, "-scheme", "bogus"}); err == nil {
-		t.Fatal("unknown scheme accepted")
+	// Only registered names dispatch; the rs/spmcf/online shorthands are
+	// not registered names.
+	for _, scheme := range []string{"rs", "spmcf", "online", "bogus"} {
+		err := run([]string{"trace", "-file", path, "-scheme", scheme})
+		if !errors.Is(err, dcnflow.ErrUnknownSolver) {
+			t.Fatalf("trace -scheme %s: err = %v, want ErrUnknownSolver", scheme, err)
+		}
 	}
 	if err := run([]string{"trace", "-file", path, "-topo", "bogus"}); err == nil {
 		t.Fatal("unknown topology accepted")

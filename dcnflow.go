@@ -7,20 +7,21 @@
 //
 // The library covers both problem versions from the paper:
 //
-//   - DCFS (routing given): SolveDCFS runs the optimal Most-Critical-First
-//     combinatorial algorithm (Algorithm 1 / Theorem 1 / Corollary 1).
-//   - DCFSR (joint routing + scheduling, strongly NP-hard): SolveDCFSR runs
-//     the Random-Schedule relaxation/rounding approximation (Algorithm 2 /
-//     Theorems 4, 6, 7), and LowerBound exposes the fractional bound its
-//     evaluation is normalised by.
+//   - DCFS (routing given): the "dcfs-mcf" solver runs the optimal
+//     Most-Critical-First combinatorial algorithm (Algorithm 1 / Theorem 1 /
+//     Corollary 1) on an Instance's fixed routing.
+//   - DCFSR (joint routing + scheduling, strongly NP-hard): the "dcfsr"
+//     solver runs the Random-Schedule relaxation/rounding approximation
+//     (Algorithm 2 / Theorems 4, 6, 7), and LowerBound exposes the
+//     fractional bound its evaluation is normalised by.
 //
 // Beyond the paper, the library implements the online setting its authors
 // defer to future work: flows revealed at release time, scheduled by either
-// the irrevocable marginal-cost greedy (SolveOnline) or the rolling-horizon
-// re-optimizer (SolveOnlineRolling), which re-runs the Random-Schedule
-// relaxation over the remaining horizon with frozen commitments at every
-// epoch boundary (SolveDCFSRPartial) and validates every run with the
-// discrete-event simulator (ReplayOnline).
+// the irrevocable marginal-cost greedy ("greedy-online") or the
+// rolling-horizon re-optimizer ("rolling-online"), which re-runs the
+// Random-Schedule relaxation over the remaining horizon with frozen
+// commitments at every epoch boundary (SolveDCFSRPartial) and validates
+// every run with the discrete-event simulator (ReplayOnline).
 //
 // # Scenario/Solver API
 //
@@ -73,10 +74,6 @@
 // HTTP (POST /v1/solve, POST /v1/batch, GET /healthz — see NewServeHandler
 // and Client, and DESIGN.md's "Engine & serving" chapter).
 //
-// The free functions below (SolveDCFSR, SPMCF, SolveOnline, ...) predate
-// this API; they remain as thin shims over the same engines and produce
-// bit-identical output, but new code should prefer the registry.
-//
 // The subsystems (graph, topologies, power model, workloads, YDS,
 // F-MCF solver, simulator, baselines, experiment harness) live under
 // internal/ and are surfaced here through aliases, so external users never
@@ -103,15 +100,12 @@
 //     iterations (default 60) and the relative duality-gap stop (default
 //     1e-3): Tol trades lower-bound tightness for time, with the residual
 //     gap reported per solve.
-//   - SolverOptions.ClosedFormStep swaps the bisection line search for an
-//     analytic step on exactly-quadratic costs (alpha == 2); faster, but
-//     trajectories are no longer bit-identical to the default.
 //   - DCFSROptions.WarmStart seeds Frank–Wolfe solves from earlier
 //     decompositions. Off by default: on the paper's evaluation workloads
 //     the hop-count cold start converges in fewer iterations and keeps
 //     runs bit-reproducible across releases. It pays on long chains of
 //     near-identical instances — exactly the rolling-horizon epoch
-//     re-solves, where SolveOnlineRolling seeds each epoch's per-interval
+//     re-solves, where "rolling-online" seeds each epoch's per-interval
 //     solves from the previous epoch's decompositions and measures roughly
 //     half the Frank–Wolfe iterations of cold starts on slowly varying
 //     diurnal workloads (see DESIGN.md's "Online scheduling" chapter).
@@ -182,29 +176,16 @@ type (
 
 // Solver re-exports.
 type (
-	// DCFSInput is a Deadline-Constrained Flow Scheduling instance (paths
-	// given).
-	DCFSInput = core.DCFSInput
-	// DCFSResult is the Most-Critical-First output.
-	DCFSResult = core.DCFSResult
-	// CriticalRound logs one Most-Critical-First iteration.
-	CriticalRound = core.CriticalRound
 	// DCFSROptions tunes Random-Schedule.
 	DCFSROptions = core.DCFSROptions
-	// DCFSRResult is the Random-Schedule output.
-	DCFSRResult = core.DCFSRResult
 	// ExactOptions bounds the brute-force small-instance DCFSR solver.
 	ExactOptions = core.ExactOptions
-	// ExactResult is the brute-force optimum.
-	ExactResult = core.ExactResult
 	// SimResult reports simulator measurements.
 	SimResult = sim.Result
 	// SimOptions configures the simulator.
 	SimOptions = sim.Options
 	// EDFReport is the Theorem 4 per-link EDF time-sharing check.
 	EDFReport = sim.EDFReport
-	// AlwaysOnResult is the no-energy-management baseline outcome.
-	AlwaysOnResult = baseline.AlwaysOnResult
 	// SolverOptions tunes the Frank–Wolfe F-MCF relaxation inside
 	// Random-Schedule (DCFSROptions.Solver).
 	SolverOptions = mcfsolve.Options
@@ -258,16 +239,12 @@ var (
 type (
 	// OnlineOptions tunes the greedy online scheduler.
 	OnlineOptions = online.Options
-	// OnlineResult is the outcome of a greedy online run.
-	OnlineResult = online.Result
 	// OnlineScheduler admits flows one at a time (marginal-cost greedy).
 	OnlineScheduler = online.Scheduler
 	// RollingOptions tunes the rolling-horizon online scheduler.
 	RollingOptions = online.RollingOptions
 	// RollingScheduler is the rolling-horizon online DCFSR scheduler.
 	RollingScheduler = online.RollingScheduler
-	// RollingResult is the outcome of a rolling-horizon run.
-	RollingResult = online.RollingResult
 	// RollingStats aggregates per-epoch diagnostics of a rolling run.
 	RollingStats = online.RollingStats
 	// ReplanPolicy decides when the rolling scheduler re-optimises.
@@ -311,32 +288,10 @@ type (
 	PacketLevelResult = sim.PacketLevelResult
 )
 
-// SolveOnline replays the flow set in release order through the online
-// marginal-cost greedy scheduler.
-//
-// Deprecated: run the registered "greedy-online" solver
-// (WithOnlineOptions); this shim delegates to the same engine and produces
-// bit-identical output.
-func SolveOnline(g *Graph, flows *FlowSet, m PowerModel, opts OnlineOptions) (*OnlineResult, error) {
-	return online.Run(g, flows, m, opts)
-}
-
 // NewOnlineScheduler creates an incremental online scheduler for callers
 // that admit flows as they arrive.
 func NewOnlineScheduler(g *Graph, m PowerModel, horizon Interval, opts OnlineOptions) (*OnlineScheduler, error) {
 	return online.New(g, m, horizon, opts)
-}
-
-// SolveOnlineRolling replays the flow set through the rolling-horizon
-// scheduler via the event-driven simulator and returns both the scheduler's
-// outcome and the simulator's validated replay (deadlines, capacities,
-// independently measured energy).
-//
-// Deprecated: run the registered "rolling-online" solver (WithReplanPolicy,
-// WithRollingOptions); this shim delegates to the same engine and produces
-// bit-identical output.
-func SolveOnlineRolling(g *Graph, flows *FlowSet, m PowerModel, opts RollingOptions) (*RollingResult, *OnlineReplayResult, error) {
-	return online.RunRolling(g, flows, m, opts)
 }
 
 // NewRollingScheduler creates an incremental rolling-horizon scheduler for
@@ -406,27 +361,6 @@ var (
 	SplitFlowSet = flow.SplitSet
 )
 
-// SolveDCFS schedules flows on the given routing paths with the optimal
-// Most-Critical-First algorithm.
-//
-// Deprecated: build an Instance with NewInstanceBuilder().Routing(paths)
-// and run the registered "dcfs-mcf" solver; this shim delegates to the same
-// engine and produces bit-identical output.
-func SolveDCFS(g *Graph, flows *FlowSet, paths map[FlowID]Path, m PowerModel) (*DCFSResult, error) {
-	return core.SolveDCFSCtx(context.Background(), core.DCFSInput{Graph: g, Flows: flows, Paths: paths, Model: m})
-}
-
-// SolveDCFSR jointly routes and schedules flows with the Random-Schedule
-// approximation.
-//
-// Deprecated: build an Instance and run the registered "dcfsr" solver via
-// Solve(ctx, "dcfsr", inst, WithSeed(opts.Seed), ...); this shim delegates
-// to the same engine with a background context and produces bit-identical
-// output.
-func SolveDCFSR(g *Graph, flows *FlowSet, m PowerModel, opts DCFSROptions) (*DCFSRResult, error) {
-	return core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: g, Flows: flows, Model: m, Opts: opts})
-}
-
 // LowerBound computes the fractional relaxation bound used to normalise the
 // paper's Fig. 2. It is the LowerBound field of the "dcfsr" solver's
 // Solution, computable without the rounding step.
@@ -434,48 +368,10 @@ func LowerBound(g *Graph, flows *FlowSet, m PowerModel, opts DCFSROptions) (floa
 	return core.LowerBoundCtx(context.Background(), g, flows, m, opts)
 }
 
-// SolveDCFSRExact computes the exact DCFSR optimum for small instances by
-// exhaustive path enumeration with optimal per-assignment scheduling — a
-// verification tool for the approximation algorithms.
-//
-// Deprecated: run the registered "exact" solver (WithExactOptions); this
-// shim delegates to the same engine and produces bit-identical output.
-func SolveDCFSRExact(g *Graph, flows *FlowSet, m PowerModel, opts ExactOptions) (*ExactResult, error) {
-	return core.SolveDCFSRExactCtx(context.Background(), core.DCFSRInput{Graph: g, Flows: flows, Model: m}, opts)
-}
-
 // ShortestPathRouting assigns every flow its deterministic minimum-hop
 // path — the input for the SP+MCF comparison scheme.
 func ShortestPathRouting(g *Graph, flows *FlowSet) (map[FlowID]Path, error) {
 	return baseline.ShortestPaths(g, flows)
-}
-
-// SPMCF runs the paper's comparison baseline: shortest-path routing
-// followed by the optimal Most-Critical-First schedule.
-//
-// Deprecated: run the registered "sp-mcf" solver; this shim delegates to
-// the same engine and produces bit-identical output.
-func SPMCF(g *Graph, flows *FlowSet, m PowerModel) (*DCFSResult, error) {
-	return baseline.SPMCF(g, flows, m)
-}
-
-// ECMPMCF is SPMCF with randomised equal-cost multi-path routing over up to
-// k shortest paths.
-//
-// Deprecated: run the registered "ecmp-mcf" solver (WithECMPWidth,
-// WithSeed); this shim delegates to the same engine and produces
-// bit-identical output.
-func ECMPMCF(g *Graph, flows *FlowSet, m PowerModel, k int, seed int64) (*DCFSResult, error) {
-	return baseline.ECMPMCF(g, flows, m, k, seed)
-}
-
-// AlwaysOnFullRate is the no-energy-management baseline: shortest paths,
-// full-rate transmission, every link powered for the whole horizon.
-//
-// Deprecated: run the registered "always-on" solver; this shim delegates to
-// the same engine and produces bit-identical output.
-func AlwaysOnFullRate(g *Graph, flows *FlowSet, m PowerModel) (*AlwaysOnResult, error) {
-	return baseline.AlwaysOnFullRate(g, flows, m)
 }
 
 // Simulate executes a schedule on the network with the discrete-event

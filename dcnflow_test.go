@@ -1,6 +1,7 @@
 package dcnflow_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,16 +28,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Mu:    1, Alpha: 2, C: 1e9,
 	}
 
-	rs, err := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{Seed: 1})
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := dcnflow.SPMCF(ft.Graph, flows, model)
+	ctx := context.Background()
+	rs, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsEnergy := rs.Schedule.EnergyTotal(model)
-	spEnergy := sp.Schedule.EnergyTotal(model)
+	sp, err := dcnflow.Solve(ctx, dcnflow.SolverSPMCF, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsEnergy, spEnergy := rs.Energy, sp.Energy
 	if rsEnergy < rs.LowerBound*(1-1e-6) {
 		t.Fatalf("RS energy %v below LB %v", rsEnergy, rs.LowerBound)
 	}
@@ -81,7 +86,12 @@ func TestFacadeDCFSWithExplicitRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e9}
-	res, err := dcnflow.SolveDCFS(line.Graph, flows, paths, model)
+	inst, err := dcnflow.NewInstanceBuilder().
+		Graph(line.Graph).Flows(flows).Model(model).Routing(paths).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSMCF, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +118,11 @@ func TestFacadeLowerBoundAndAlwaysOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ao, err := dcnflow.AlwaysOnFullRate(ft.Graph, flows, model)
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ao, err := dcnflow.Solve(context.Background(), dcnflow.SolverAlwaysOn, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

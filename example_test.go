@@ -1,14 +1,15 @@
 package dcnflow_test
 
 import (
+	"context"
 	"fmt"
 
 	"dcnflow"
 )
 
-// ExampleSolveDCFS reproduces the paper's Example 1: two flows on a line
-// network scheduled optimally by Most-Critical-First.
-func ExampleSolveDCFS() {
+// ExampleSolve_dcfsMCF reproduces the paper's Example 1: two flows on a
+// line network scheduled optimally by Most-Critical-First on fixed routing.
+func ExampleSolve_dcfsMCF() {
 	line, _ := dcnflow.Line(3, 1000)
 	a, b, c := line.Hosts[0], line.Hosts[1], line.Hosts[2]
 	flows, _ := dcnflow.NewFlowSet([]dcnflow.Flow{
@@ -18,16 +19,18 @@ func ExampleSolveDCFS() {
 	paths, _ := dcnflow.ShortestPathRouting(line.Graph, flows)
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000} // f(x) = x^2
 
-	res, _ := dcnflow.SolveDCFS(line.Graph, flows, paths, model)
-	fmt.Printf("energy %.4f over %d critical rounds\n",
-		res.Schedule.EnergyDynamic(model), len(res.Rounds))
+	inst, _ := dcnflow.NewInstanceBuilder().
+		Graph(line.Graph).Flows(flows).Model(model).Routing(paths).Build()
+	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSMCF, inst)
+	fmt.Printf("energy %.4f over %.0f critical rounds\n",
+		sol.Schedule.EnergyDynamic(model), sol.Stats["rounds"])
 	// Output: energy 90.5882 over 1 critical rounds
 }
 
-// ExampleSolveDCFSR jointly routes and schedules a small workload on a
-// fat-tree and reports the approximation ratio against the fractional
-// lower bound.
-func ExampleSolveDCFSR() {
+// ExampleSolve_dcfsr jointly routes and schedules a small workload on a
+// fat-tree with Random-Schedule and reports the approximation ratio against
+// the fractional lower bound.
+func ExampleSolve_dcfsr() {
 	ft, _ := dcnflow.FatTree(4, 1000)
 	flows, _ := dcnflow.UniformWorkload(dcnflow.WorkloadConfig{
 		N: 20, T0: 1, T1: 100, SizeMean: 10, SizeStddev: 3,
@@ -35,9 +38,10 @@ func ExampleSolveDCFSR() {
 	})
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000}
 
-	res, _ := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{Seed: 1})
+	inst, _ := dcnflow.NewInstance(ft.Graph, flows, model)
+	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	fmt.Printf("deadlines guaranteed, ratio %.1fx of the lower bound\n",
-		res.Schedule.EnergyTotal(model)/res.LowerBound)
+		sol.Energy/sol.LowerBound)
 	// Output: deadlines guaranteed, ratio 1.6x of the lower bound
 }
 
@@ -53,17 +57,18 @@ func ExampleLowerBound() {
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000}
 
 	lb, _ := dcnflow.LowerBound(ft.Graph, flows, model, dcnflow.DCFSROptions{})
-	res, _ := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{Seed: 1})
+	inst, _ := dcnflow.NewInstance(ft.Graph, flows, model)
+	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	fmt.Printf("no schedule can beat %.1f; Random-Schedule achieves %.1fx of it\n",
-		lb, res.Schedule.EnergyTotal(model)/lb)
+		lb, sol.Energy/lb)
 	// Output: no schedule can beat 510.4; Random-Schedule achieves 1.6x of it
 }
 
-// ExampleSolveOnlineRolling runs the rolling-horizon online scheduler on a
+// ExampleSolve_rollingOnline runs the rolling-horizon online scheduler on a
 // diurnal arrival pattern: flows are revealed at release time, every epoch
 // boundary re-runs the relaxation over the remaining horizon with frozen
 // commitments, and the simulator independently validates the outcome.
-func ExampleSolveOnlineRolling() {
+func ExampleSolve_rollingOnline() {
 	ft, _ := dcnflow.FatTree(4, 1000)
 	flows, _ := dcnflow.DiurnalWorkload(dcnflow.DiurnalConfig{
 		N: 30, T0: 0, T1: 100, PeakFactor: 5,
@@ -71,14 +76,16 @@ func ExampleSolveOnlineRolling() {
 	})
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000}
 
-	res, replay, _ := dcnflow.SolveOnlineRolling(ft.Graph, flows, model, dcnflow.RollingOptions{
-		Policy: dcnflow.ArrivalCount{N: 1}, // re-optimize at every arrival
-		DCFSR:  dcnflow.DCFSROptions{Seed: 1, WarmStart: true},
-	})
-	fmt.Printf("admitted %d/%d flows over %d epochs\n",
-		replay.Admitted, flows.Len(), res.Stats.Epochs)
-	fmt.Printf("deadline violations: %d, capacity violations: %d\n",
-		replay.DeadlineViolations, replay.CapacityViolations)
+	inst, _ := dcnflow.NewInstance(ft.Graph, flows, model)
+	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverRollingOnline, inst,
+		dcnflow.WithRollingOptions(dcnflow.RollingOptions{
+			Policy: dcnflow.ArrivalCount{N: 1}, // re-optimize at every arrival
+			DCFSR:  dcnflow.DCFSROptions{Seed: 1, WarmStart: true},
+		}))
+	fmt.Printf("admitted %.0f/%d flows over %.0f epochs\n",
+		sol.Stats["admitted"], flows.Len(), sol.Stats["epochs"])
+	fmt.Printf("deadline violations: %.0f, capacity violations: %.0f\n",
+		sol.Stats["deadline_violations"], sol.Stats["capacity_violations"])
 	// Output:
 	// admitted 30/30 flows over 30 epochs
 	// deadline violations: 0, capacity violations: 0

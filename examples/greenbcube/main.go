@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,21 +52,24 @@ func run() error {
 		Mu:    1, Alpha: 2, C: 1000,
 	}
 
-	rs, err := dcnflow.SolveDCFSR(ft(bc), flows, model, dcnflow.DCFSROptions{Seed: 3})
+	inst, err := dcnflow.NewInstanceBuilder().Topology(bc).Flows(flows).Model(model).Build()
 	if err != nil {
 		return err
 	}
-	sp, err := dcnflow.SPMCF(bc.Graph, flows, model)
+	ctx := context.Background()
+	rs, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(3))
+	if err != nil {
+		return err
+	}
+	sp, err := dcnflow.Solve(ctx, dcnflow.SolverSPMCF, inst)
 	if err != nil {
 		return err
 	}
 
-	rsE := rs.Schedule.EnergyTotal(model)
-	spE := sp.Schedule.EnergyTotal(model)
-	fmt.Printf("Random-Schedule: energy %.1f (%.2fx LB), %d links on\n",
-		rsE, rsE/rs.LowerBound, len(rs.Schedule.ActiveLinks()))
-	fmt.Printf("SP+MCF:          energy %.1f (%.2fx LB), %d links on\n",
-		spE, spE/rs.LowerBound, len(sp.Schedule.ActiveLinks()))
+	fmt.Printf("Random-Schedule: energy %.1f (%.2fx LB), %.0f links on\n",
+		rs.Energy, rs.Energy/rs.LowerBound, rs.Stats["links_on"])
+	fmt.Printf("SP+MCF:          energy %.1f (%.2fx LB), %.0f links on\n",
+		sp.Energy, sp.Energy/rs.LowerBound, sp.Stats["links_on"])
 
 	// Theorem 4: per-link EDF time sharing serialises every interval's
 	// data by the interval end — validate it explicitly.
@@ -87,7 +91,3 @@ func run() error {
 		simRes.DeadlinesMet, flows.Len(), simRes.MaxLinkRate, model.C)
 	return nil
 }
-
-// ft returns the graph of a topology (tiny helper to keep the call site
-// readable).
-func ft(t *dcnflow.Topology) *dcnflow.Graph { return t.Graph }

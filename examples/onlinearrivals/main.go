@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,46 +47,51 @@ func run() error {
 		return err
 	}
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000}
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, model)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
 
 	// Offline: the paper's Random-Schedule with full knowledge.
-	offline, err := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{Seed: 1})
+	offline, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	if err != nil {
 		return err
 	}
 	// Online, irrevocable: the marginal-cost greedy.
-	greedy, err := dcnflow.SolveOnline(ft.Graph, flows, model, dcnflow.OnlineOptions{})
+	greedy, err := dcnflow.Solve(ctx, dcnflow.SolverGreedyOnline, inst)
 	if err != nil {
 		return err
 	}
 	// Online, re-optimizing: the rolling horizon (re-plan at every
 	// arrival, warm-starting each epoch's Frank–Wolfe solves from the
-	// previous epoch's decompositions).
-	rolling, rollingReplay, err := dcnflow.SolveOnlineRolling(ft.Graph, flows, model, dcnflow.RollingOptions{
-		Policy: dcnflow.ArrivalCount{N: 1},
-		DCFSR:  dcnflow.DCFSROptions{Seed: 1, WarmStart: true},
-	})
+	// previous epoch's decompositions). The solver replays the arrivals
+	// through the simulator and reports its violation counts in Stats.
+	rolling, err := dcnflow.Solve(ctx, dcnflow.SolverRollingOnline, inst,
+		dcnflow.WithRollingOptions(dcnflow.RollingOptions{
+			Policy: dcnflow.ArrivalCount{N: 1},
+			DCFSR:  dcnflow.DCFSROptions{Seed: 1, WarmStart: true},
+		}))
 	if err != nil {
 		return err
 	}
 
 	lb := offline.LowerBound
-	offE := offline.Schedule.EnergyTotal(model)
-	grE := greedy.Schedule.EnergyTotal(model)
-	roE := rolling.Schedule.EnergyTotal(model)
+	offE, grE, roE := offline.Energy, greedy.Energy, rolling.Energy
 	fmt.Printf("workload: %d flows, diurnal arrivals over [0, 100]\n", flows.Len())
 	fmt.Printf("%-36s %12s %8s\n", "scheme", "energy", "vs LB")
 	fmt.Printf("%-36s %12.1f %8s\n", "fractional lower bound", lb, "1.00x")
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "offline Random-Schedule (paper)", offE, offE/lb)
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "online marginal-cost greedy", grE, grE/lb)
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "online rolling-horizon", roE, roE/lb)
-	fmt.Printf("rolling: %d epochs, %d Frank-Wolfe iterations, %d/%d warm-seeded interval solves\n",
-		rolling.Stats.Epochs, rolling.Stats.FWIters,
-		rolling.Stats.SeededIntervals, rolling.Stats.SolvedIntervals)
+	fmt.Printf("rolling: %.0f epochs, %.0f Frank-Wolfe iterations, %.0f/%.0f warm-seeded interval solves\n",
+		rolling.Stats["epochs"], rolling.Stats["fw_iters"],
+		rolling.Stats["seeded_intervals"], rolling.Stats["solved_intervals"])
 
 	// Every scheme must meet every deadline — verify with the simulator.
 	// (The rolling replay has already been validated the same way.)
-	if rollingReplay.DeadlineViolations > 0 {
-		return fmt.Errorf("rolling missed %d deadlines", rollingReplay.DeadlineViolations)
+	if missed := rolling.Stats["deadline_violations"]; missed > 0 {
+		return fmt.Errorf("rolling missed %.0f deadlines", missed)
 	}
 	for name, sched := range map[string]*dcnflow.Schedule{
 		"offline": offline.Schedule, "greedy": greedy.Schedule,

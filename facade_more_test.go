@@ -2,6 +2,7 @@ package dcnflow_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -59,18 +60,23 @@ func TestFacadeOnlineAndECMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e9}
-	on, err := dcnflow.SolveOnline(ft.Graph, flows, m, dcnflow.OnlineOptions{})
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Admitted != flows.Len() {
-		t.Fatalf("online admitted %d of %d", on.Admitted, flows.Len())
-	}
-	ecmp, err := dcnflow.ECMPMCF(ft.Graph, flows, m, 8, 1)
+	ctx := context.Background()
+	on, err := dcnflow.Solve(ctx, dcnflow.SolverGreedyOnline, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ecmp.Schedule.EnergyTotal(m) <= 0 {
+	if int(on.Stats["admitted"]) != flows.Len() {
+		t.Fatalf("online admitted %v of %d", on.Stats["admitted"], flows.Len())
+	}
+	ecmp, err := dcnflow.Solve(ctx, dcnflow.SolverECMPMCF, inst, dcnflow.WithECMPWidth(8), dcnflow.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ecmp.Energy <= 0 {
 		t.Fatal("ECMP energy not positive")
 	}
 	// Incremental online admission through the scheduler type.
@@ -99,7 +105,11 @@ func TestFacadePacketLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e9}
-	rs, err := dcnflow.SolveDCFSR(ft.Graph, flows, m, dcnflow.DCFSROptions{Seed: 2})
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,11 @@ func TestFacadeExactSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e9}
-	exact, err := dcnflow.SolveDCFSRExact(top.Graph, flows, m, dcnflow.ExactOptions{})
+	inst, err := dcnflow.NewInstance(top.Graph, flows, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := dcnflow.Solve(context.Background(), dcnflow.SolverExact, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +207,8 @@ func TestFacadeExactSolver(t *testing.T) {
 	if math.Abs(exact.Energy-8) > 1e-9 {
 		t.Fatalf("exact energy = %v, want 8", exact.Energy)
 	}
-	if exact.Assignments != 4 {
-		t.Fatalf("assignments = %d, want 4", exact.Assignments)
+	if got := exact.Stats["assignments"]; got != 4 {
+		t.Fatalf("assignments = %v, want 4", got)
 	}
 }
 
@@ -211,11 +225,13 @@ func TestFacadeRelaxationCostKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dcnflow.PowerModel{Sigma: 1, Mu: 1, Alpha: 2, C: 1e9}
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []dcnflow.CostKind{dcnflow.CostDynamic, dcnflow.CostEnvelope} {
-		res, err := dcnflow.SolveDCFSR(ft.Graph, flows, m, dcnflow.DCFSROptions{
-			Seed:   1,
-			Solver: dcnflow.SolverOptions{Cost: kind, MaxIters: 15},
-		})
+		res, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst,
+			dcnflow.WithSeed(1), dcnflow.WithSolverOptions(dcnflow.SolverOptions{Cost: kind, MaxIters: 15}))
 		if err != nil {
 			t.Fatalf("cost kind %v: %v", kind, err)
 		}

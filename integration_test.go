@@ -1,6 +1,7 @@
 package dcnflow_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,11 +29,16 @@ func TestIntegrationFatTreePipeline(t *testing.T) {
 		Mu:    1, Alpha: 2, C: 1e9,
 	}
 
-	rs, err := dcnflow.SolveDCFSR(ft.Graph, flows, model, dcnflow.DCFSROptions{Seed: 5})
+	inst, err := dcnflow.NewInstance(ft.Graph, flows, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic := rs.Schedule.EnergyTotal(model)
+	ctx := context.Background()
+	rs, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analytic := rs.Energy
 
 	// 1. Simulator agrees with analytic accounting.
 	simRes, err := dcnflow.Simulate(ft.Graph, flows, rs.Schedule, model, dcnflow.SimOptions{})
@@ -88,14 +94,14 @@ func TestIntegrationFatTreePipeline(t *testing.T) {
 	if analytic < rs.LowerBound*(1-1e-9) {
 		t.Fatalf("RS %v below LB %v", analytic, rs.LowerBound)
 	}
-	sp, err := dcnflow.SPMCF(ft.Graph, flows, model)
+	sp, err := dcnflow.Solve(ctx, dcnflow.SolverSPMCF, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Schedule.Verify(ft.Graph, flows, model, dcnflow.VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ao, err := dcnflow.AlwaysOnFullRate(ft.Graph, flows, model)
+	ao, err := dcnflow.Solve(ctx, dcnflow.SolverAlwaysOn, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

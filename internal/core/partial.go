@@ -126,44 +126,6 @@ func commHashOne(c mcfsolve.Commodity) uint64 {
 	return h
 }
 
-// modalResult trims a solve's decompositions to each commodity's modal
-// (highest-weight) path carrying the commodity's full demand — the chain
-// seed's starting point. Seeding from the full split was measured SLOWER
-// than a cold start: adjacent intervals' base loads differ (each earlier
-// arrival occupies its own span), and Frank–Wolfe with no away-steps drains
-// a misplaced interior split only geometrically. The modal path is a
-// vertex, so the first exact line search can leave it entirely — it keeps
-// the previous solve's congestion knowledge while starting FW from the
-// geometry it converges best from. emit() orders paths by descending
-// weight, so the modal path is entry 0.
-func modalResult(comms []mcfsolve.Commodity, r *mcfsolve.Result) *mcfsolve.Result {
-	trim := &mcfsolve.Result{PathsByCommodity: make([][]mcfsolve.WeightedPath, len(r.PathsByCommodity))}
-	for i, wps := range r.PathsByCommodity {
-		if len(wps) == 0 || i >= len(comms) {
-			continue
-		}
-		trim.PathsByCommodity[i] = []mcfsolve.WeightedPath{{Path: wps[0].Path, Weight: comms[i].Demand}}
-	}
-	return trim
-}
-
-// sameComms reports whether two commodity lists are elementwise identical
-// (IDs, endpoints, demands). The delta-solve chain seed builds both lists
-// with the same interval-coverage sweep over one batch, so an unchanged
-// multiset always presents in the same order and the elementwise test is an
-// exact multiset equality here.
-func sameComms(a, b []mcfsolve.Commodity) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || a[i].Demand != b[i].Demand {
-			return false
-		}
-	}
-	return true
-}
-
 // seedFor returns the warm start for a target interval solving the given
 // commodities: the state's solve whose interval contains the target's
 // midpoint, and only if that solve covered the exact same commodity
@@ -295,8 +257,8 @@ type DCFSRPartialResult struct {
 	FWIters int
 	// SeededIntervals counts interval solves that received a warm seed —
 	// a Prev-epoch decomposition on the full path, or (under delta-solve
-	// with Opts.WarmStart) a previous-epoch or within-epoch chain seed of
-	// a touched marginal solve.
+	// with Opts.WarmStart) a previous-epoch seed of a touched marginal
+	// solve.
 	SeededIntervals int
 	// Intervals is the number of residual decomposition intervals.
 	Intervals int
@@ -770,22 +732,10 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 		Fingerprints: make([]IntervalFingerprint, K),
 	}
 	var lower float64
-	// Warm seeding across touched intervals (delta-solve follow-on, gated
-	// behind opts.WarmStart like every other warm mechanism): a touched
-	// interval first tries the previous epoch's time-aligned decomposition
-	// (seedFor — exact commodity-multiset match required), and failing that
-	// chains from the last touched interval of THIS epoch when the batch
-	// commodity multiset is unchanged (the common case: a batch flow spans
-	// many consecutive intervals with no breakpoint between them, so their
-	// marginal instances are identical and the previous interval's converged
-	// path distribution starts the next at its optimum). Both seeds reuse
-	// the unchanged-multiset rule seedFor documents; a changed multiset
-	// always runs cold.
-	var (
-		chainComms []mcfsolve.Commodity
-		chainRes   *mcfsolve.Result
-		chainHash  uint64
-	)
+	// Warm seeding of touched intervals (gated behind opts.WarmStart like
+	// every other warm mechanism): a touched interval tries the previous
+	// epoch's time-aligned decomposition (seedFor — exact commodity-multiset
+	// match required); a changed multiset always runs cold.
 	for k, iv := range intervals {
 		if !touched[k] {
 			fp := prev.Fingerprints[matched[k]]
@@ -801,17 +751,13 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 			continue
 		}
 		state.Comms[k] = rel.comms[k]
-		h := commHash(rel.comms[k])
-		state.Fingerprints[k] = IntervalFingerprint{End: iv.End, Comm: h, Load: loads[k]}
+		state.Fingerprints[k] = IntervalFingerprint{End: iv.End, Comm: commHash(rel.comms[k]), Load: loads[k]}
 		if len(rel.comms[k]) == 0 {
 			continue
 		}
 		warm := mcfsolve.WarmStart{}
 		if opts.WarmStart {
 			warm = prev.seedFor(iv, rel.comms[k])
-			if warm.Result == nil && chainRes != nil && h == chainHash && sameComms(chainComms, rel.comms[k]) {
-				warm = mcfsolve.WarmStart{Commodities: chainComms, Result: modalResult(chainComms, chainRes)}
-			}
 		}
 		r, err := solver.SolveBaseWarmCtx(ctx, rel.comms[k], loads[k], warm)
 		if err != nil {
@@ -819,9 +765,6 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 		}
 		if warm.Result != nil {
 			res.SeededIntervals++
-		}
-		if opts.WarmStart {
-			chainComms, chainRes, chainHash = rel.comms[k], r, h
 		}
 		state.Results[k] = r
 		res.FWIters += r.Iters

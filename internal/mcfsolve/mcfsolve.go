@@ -17,8 +17,7 @@
 // indexed []float64 edge weights and epoch-reset scratch (zero allocations
 // per Dijkstra tree after warm-up), paths are deduplicated by integer
 // interning instead of string keys, the exact line search probes only the
-// edges whose flow actually changes (with a closed-form step when the cost
-// restricted to the segment is quadratic), and a Solver can be reused
+// edges whose flow actually changes, and a Solver can be reused
 // across related instances, optionally warm-starting each solve from a
 // neighbouring instance's path decomposition.
 package mcfsolve
@@ -76,14 +75,6 @@ type Options struct {
 	// MinPathWeight prunes decomposition paths lighter than this fraction
 	// of the demand; default 1e-6.
 	MinPathWeight float64
-	// ClosedFormStep replaces the 50-probe bisection line search with the
-	// closed-form optimal step whenever the cost restricted to the search
-	// segment is an exact quadratic (alpha == 2, no envelope kink, capacity
-	// penalty inactive). The step agrees with the bisection result to its
-	// 2^-50 grid but is not bit-identical, so trajectories of
-	// iteration-capped solves can drift relative to the default; leave
-	// false for bit-reproducible results across releases.
-	ClosedFormStep bool
 	// OracleWorkers fans the per-source shortest-path runs of each
 	// Frank–Wolfe iteration across this many goroutines. 0 or 1 keeps the
 	// sweep sequential; a negative value means runtime.GOMAXPROCS(0).
@@ -160,9 +151,6 @@ type costModel struct {
 	// function calls. dK = alpha*mu, gMu = mu.
 	lin     bool
 	dK, gMu float64
-	// quad additionally enables the closed-form line-search step
-	// (Options.ClosedFormStep).
-	quad bool
 }
 
 func makeCost(m power.Model, opts Options) costModel {
@@ -180,7 +168,6 @@ func makeCost(m power.Model, opts Options) costModel {
 	cm.lin = m.Alpha == 2 && !(cm.useEnv && cm.rStar > 0)
 	cm.dK = m.Alpha * m.Mu
 	cm.gMu = m.Mu
-	cm.quad = cm.lin && opts.ClosedFormStep
 	return cm
 }
 
@@ -723,9 +710,8 @@ func (s *Solver) emit(d *decomp, demand float64) []WeightedPath {
 
 // lineSearch minimises phi(gamma) = sum_e cost((1-gamma) x + gamma xHat)
 // over [0, 1]. Only edges with x != xHat contribute to phi', so the search
-// first collects that delta support and then either applies the closed-form
-// step (quadratic costs: the derivative is linear in gamma) or bisects the
-// monotone derivative over the support.
+// first collects that delta support and then bisects the monotone
+// derivative over the support.
 func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	cost := &s.cost
 	base := s.base
@@ -746,9 +732,8 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 		return 0
 	}
 	// A background load shifts the operating point, so the specialised
-	// probe loops (which assume the raw flow is the cost argument) are
+	// probe loop (which assumes the raw flow is the cost argument) is
 	// disabled; the generic offset branch evaluates the full derivative.
-	quadOK := cost.quad && !penActive && base == nil
 	// The probe loop is the line search's hot spot; specialise the common
 	// linear-derivative case (alpha == 2, penalty inactive on the whole
 	// segment: every probe point v lies between x and xHat, hence below c)
@@ -789,10 +774,6 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	phi1 := phiDeriv(1)
 	if phi1 <= 0 {
 		return 1
-	}
-	if quadOK {
-		// phi' is linear in gamma: its root is where the chord crosses zero.
-		return phi0 / (phi0 - phi1)
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 50; i++ {

@@ -150,6 +150,11 @@ func EncodeServeRequest(w io.Writer, req *ServeRequest) error {
 	return err
 }
 
+// maxServeBodyBytes bounds the body of one POST /v1/solve or /v1/batch
+// request. A larger body fails decoding as a 400 bad request, so one
+// oversized upload cannot grow the decoder's buffer without limit.
+const maxServeBodyBytes = 8 << 20
+
 // ServeOptions configures NewServeHandler. The zero value caps every
 // request at 60 seconds and batches at 64 requests, accepting every
 // registered solver with admission control off.
@@ -359,7 +364,7 @@ func (h *serveHandler) run(ctx context.Context, req *ServeRequest) (ServeRespons
 
 func (h *serveHandler) solve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	req, err := DecodeServeRequest(r.Body)
+	req, err := DecodeServeRequest(http.MaxBytesReader(w, r.Body, maxServeBodyBytes))
 	if err != nil {
 		h.metrics.record("solve", outcomeBadRequest, "", time.Since(start).Seconds())
 		writeError(w, http.StatusBadRequest, err)
@@ -404,7 +409,7 @@ func (h *serveHandler) batch(w http.ResponseWriter, r *http.Request) {
 		h.metrics.record("batch", outcomeBadRequest, "", time.Since(start).Seconds())
 		writeError(w, http.StatusBadRequest, err)
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxServeBodyBytes))
 	dec.DisallowUnknownFields()
 	var breq ServeBatchRequest
 	if err := dec.Decode(&breq); err != nil {

@@ -163,6 +163,39 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedBody: a /v1/solve or /v1/batch body past the
+// server's 8 MiB bound fails as a 400 bad request that names the size
+// limit, and /metrics counts it under bad_request.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	h := dcnflow.NewServeHandler(nil, dcnflow.ServeOptions{})
+	// A syntactically valid body whose one string field alone exceeds the
+	// bound: without it, decoding would succeed and fail only validation.
+	huge := strings.Repeat("x", 8<<20+1)
+	for path, body := range map[string]string{
+		"/v1/solve": `{"solver": "` + huge + `"}`,
+		"/v1/batch": `{"requests": [{"solver": "` + huge + `"}]}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", path, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), "too large") {
+			t.Errorf("%s: error does not name the size limit: %s", path, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		`dcnflow_requests_total{class="normal",endpoint="solve",outcome="bad_request"} 1`,
+		`dcnflow_requests_total{class="normal",endpoint="batch",outcome="bad_request"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestServeTimeout: a request whose timeout_ms cannot fit the solve
 // answers 504 and the engine returns no partial result.
 func TestServeTimeout(t *testing.T) {

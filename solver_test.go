@@ -126,94 +126,6 @@ func TestNamedSolverIsReusable(t *testing.T) {
 	}
 }
 
-// TestLegacyShimsBitIdentical pins the acceptance criterion: every legacy
-// facade function produces bit-identical output to its registered solver.
-func TestLegacyShimsBitIdentical(t *testing.T) {
-	inst := tinyInstance(t)
-	g, flows, m := inst.Graph(), inst.Flows(), inst.Model()
-	ctx := context.Background()
-
-	check := func(name string, legacyEnergy float64, opts ...dcnflow.SolveOption) {
-		t.Helper()
-		sol, err := dcnflow.Solve(ctx, name, inst, opts...)
-		if err != nil {
-			t.Fatalf("registry %s: %v", name, err)
-		}
-		if sol.Energy != legacyEnergy {
-			t.Errorf("%s: registry energy %v != legacy energy %v (must be bit-identical)", name, sol.Energy, legacyEnergy)
-		}
-	}
-
-	rs, err := dcnflow.SolveDCFSR(g, flows, m, dcnflow.DCFSROptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverDCFSR, rs.Schedule.EnergyTotal(m), dcnflow.WithSeed(1))
-	if sol, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1)); err != nil {
-		t.Fatal(err)
-	} else if sol.LowerBound != rs.LowerBound {
-		t.Errorf("dcfsr: registry LB %v != legacy LB %v", sol.LowerBound, rs.LowerBound)
-	}
-
-	sp, err := dcnflow.SPMCF(g, flows, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverSPMCF, sp.Schedule.EnergyTotal(m))
-
-	ecmp, err := dcnflow.ECMPMCF(g, flows, m, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverECMPMCF, ecmp.Schedule.EnergyTotal(m), dcnflow.WithECMPWidth(8), dcnflow.WithSeed(1))
-
-	paths, err := dcnflow.ShortestPathRouting(g, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcf, err := dcnflow.SolveDCFS(g, flows, paths, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := dcnflow.NewInstanceBuilder().Graph(g).Flows(flows).Model(m).Routing(paths).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol, err := dcnflow.Solve(ctx, dcnflow.SolverDCFSMCF, routed); err != nil {
-		t.Fatal(err)
-	} else if sol.Energy != mcf.Schedule.EnergyTotal(m) {
-		t.Errorf("dcfs-mcf: registry energy %v != legacy energy %v", sol.Energy, mcf.Schedule.EnergyTotal(m))
-	}
-
-	ao, err := dcnflow.AlwaysOnFullRate(g, flows, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverAlwaysOn, ao.Energy)
-
-	onl, err := dcnflow.SolveOnline(g, flows, m, dcnflow.OnlineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverGreedyOnline, onl.Schedule.EnergyTotal(m))
-
-	ropts := dcnflow.RollingOptions{
-		Policy: dcnflow.ArrivalCount{N: 1},
-		DCFSR:  dcnflow.DCFSROptions{Seed: 1, WarmStart: true},
-	}
-	roll, _, err := dcnflow.SolveOnlineRolling(g, flows, m, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverRollingOnline, roll.Schedule.EnergyTotal(m), dcnflow.WithRollingOptions(ropts))
-
-	exact, err := dcnflow.SolveDCFSRExact(g, flows, m, dcnflow.ExactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(dcnflow.SolverExact, exact.Energy)
-}
-
 // TestContextCancelDCFSR pins the cancellation acceptance criterion for a
 // large offline solve: a context cancelled mid-solve (from the progress
 // callback, after the first interval finishes) aborts within one
