@@ -72,12 +72,13 @@ test:
 # determinism suite and the shared-Engine concurrency tests (cache LRU,
 # pooled scratch, batch pool, serve handler — including the sharded-serve
 # determinism, drain-under-load, token-bucket admission and client-retry
-# suites); CI runs the same job.
+# suites), plus the serve subcommand end to end; CI runs the same job.
 test-race-online:
 	$(GO) test -race ./internal/online/... ./internal/decision/... ./internal/core/... ./internal/mcfsolve/... ./internal/sweep/... ./internal/graph/...
 	$(GO) test -race -run 'TestConformance|TestSweep|TestEngine|TestServe|TestIntraSolve|TestAdmission|TestClient|TestPriorityRank|TestParseRetryAfter' .
 	$(GO) test -race -run 'Delta' ./internal/online/ ./internal/core/
 	$(GO) test -race -run 'Renumber|Fingerprint' ./internal/core/ ./internal/graph/
+	$(GO) test -race -run TestServeCommand ./cmd/dcnflow
 
 vet:
 	$(GO) vet ./...

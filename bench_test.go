@@ -620,6 +620,7 @@ func BenchmarkSSSPLarge(b *testing.B) {
 			for i := range w {
 				w[i] = 1
 			}
+			scr.ScanWeights() // as the oracle does before a heap sweep
 			src := c.ToHot(top.Hosts[0])
 			b.Run("heap", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

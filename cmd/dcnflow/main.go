@@ -83,7 +83,7 @@ func commands() []command {
 		{"online", "run the online extension: greedy, rolling-horizon, or the O1 comparison", "O1", runOnline},
 		{"decisions", "record, replay and score online-scheduler decision logs (counterfactual regret, weighted fitness)", "O2", runDecisions},
 		{"run", "solve a JSON scenario spec with registered solvers (see examples/scenarios/)", "", runScenario},
-		{"serve", "serve scenario solves over HTTP from a warm engine (POST /v1/solve, /v1/batch; GET /healthz)", "", runServe},
+		{"serve", "serve scenario solves over HTTP from a warm engine (POST /v1/solve, /v1/batch; GET /healthz)", "", func(args []string) error { return runServe(args, os.Stdout) }},
 		{"sweep", "run a JSON sweep spec: a scenario grid crossed with solvers, on a worker pool (see examples/sweeps/)", "", runSweep},
 		{"workload", "generate and print a random workload as CSV", "", runWorkload},
 		{"compare", "run every registered solver (and the fractional LB) on one workload", "", runCompare},
@@ -545,11 +545,11 @@ func cliEngine() *dcnflow.Engine {
 }
 
 // runServe starts the HTTP solve server on a warm shared engine. The
-// listener address is printed once serving begins ("listening on
-// http://..."), and SIGINT/SIGTERM drain in-flight requests before exit —
-// the smoke harness (cmd/servesmoke, `make serve-smoke`) drives exactly
+// listener address is printed to stdout once serving begins ("listening
+// on http://..."), and SIGINT/SIGTERM drain in-flight requests before exit
+// — the smoke harness (cmd/servesmoke, `make serve-smoke`) drives exactly
 // this sequence.
-func runServe(args []string) error {
+func runServe(args []string, stdout io.Writer) error {
 	fs := newFlagSet("serve")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request solve ceiling (requests may ask for less via timeout_ms)")
@@ -591,7 +591,7 @@ func runServe(args []string) error {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Printf("dcnflow serve: listening on http://%s (%d solvers, cache %d, shards %d)\n",
+	fmt.Fprintf(stdout, "dcnflow serve: listening on http://%s (%d solvers, cache %d, shards %d)\n",
 		ln.Addr().String(), len(names), *cache, *shards)
 
 	select {
@@ -603,7 +603,7 @@ func runServe(args []string) error {
 	// Bounce the admission queue (503) before shutting the listener down,
 	// so queued requests answer cleanly instead of hanging into Shutdown.
 	handler.Drain()
-	fmt.Println("dcnflow serve: shutting down")
+	fmt.Fprintln(stdout, "dcnflow serve: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

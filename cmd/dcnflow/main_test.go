@@ -280,19 +280,14 @@ func TestServeUsageListsEverySolver(t *testing.T) {
 // the in-process registry solve, and shuts the server down gracefully via
 // SIGINT — the same sequence `make serve-smoke` drives as a subprocess.
 func TestServeCommandEndToEnd(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
+	r, w := io.Pipe()
+	defer w.Close() // ends the stdout drain below
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- run([]string{"serve", "-addr", "127.0.0.1:0"}) }()
+	go func() { serveDone <- runServe([]string{"-addr", "127.0.0.1:0"}, w) }()
 
 	// The listen line is printed once the listener is up.
 	buf := make([]byte, 4096)
 	n, err := r.Read(buf)
-	os.Stdout = old
 	if err != nil {
 		t.Fatalf("reading serve banner: %v", err)
 	}

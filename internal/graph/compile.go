@@ -196,6 +196,7 @@ func buildHotCSR(g *Graph, csr *CSR, perm, inv []int32) *CSR {
 		hot.EdgeFrom[i] = NodeID(perm[g.edges[i].From])
 		hot.EdgeTo[i] = NodeID(perm[g.edges[i].To])
 	}
+	hot.stub = stubFlags(hot)
 	return hot
 }
 

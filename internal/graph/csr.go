@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -46,6 +47,12 @@ type CSR struct {
 	// interleaved (eid, to) pair array.
 	slotEid []int32
 	slotTo  []int32
+
+	// stub[v] marks a stub node: exactly one in-edge u->v (u != v) and
+	// every out-edge of v leads back to u, like a host hanging off its
+	// edge switch. Tree finalises a stub when u relaxes it instead of
+	// pushing it (see stubFlags and Tree).
+	stub []bool
 }
 
 // NumNodes returns the number of nodes of the underlying graph.
@@ -100,7 +107,38 @@ func buildCSR(g *Graph) *CSR {
 		}
 	}
 	c.Start[n] = int32(len(c.AdjEdge))
+	c.stub = stubFlags(c)
 	return c
+}
+
+// stubFlags classifies the stub nodes of c (see CSR.stub) in one pass over
+// its slots. A second in-edge, parallel ones included, disqualifies a
+// node; so does an out-edge to anything but the tail of its in-edge.
+func stubFlags(c *CSR) []bool {
+	n := c.NumNodes()
+	in := make([]int8, n)    // in-degree, saturating at 2
+	from := make([]int32, n) // tail of the last in-edge seen
+	head := make([]int32, n) // common head of all out-edges: -1 none, -2 several
+	for u := 0; u < n; u++ {
+		head[u] = -1
+		for _, v := range c.slotTo[c.Start[u]:c.Start[u+1]] {
+			if in[v] < 2 {
+				in[v]++
+			}
+			from[v] = int32(u)
+			if head[u] == -1 {
+				head[u] = v
+			} else if head[u] != v {
+				head[u] = -2
+			}
+		}
+	}
+	stub := make([]bool, n)
+	for v := range stub {
+		u := from[v]
+		stub[v] = in[v] == 1 && u != int32(v) && (head[v] == -1 || head[v] == u)
+	}
+	return stub
 }
 
 // unreachedPred marks a node with no predecessor edge in an SSSP tree.
@@ -124,6 +162,11 @@ type SSSPScratch struct {
 	node      []nodeState // per-node label: one bounds check, 4 labels per cache line
 	epoch     uint32
 	remaining int // wanted destinations not yet finalised
+
+	// minW is a lower bound on the slot weights, or 0 when unknown (see
+	// Tree's no-absorption guard). SetWeights and ScanWeights record it;
+	// SlotWeights hands out the buffer for writing and resets it.
+	minW float64
 
 	heap []ssspItem
 
@@ -197,12 +240,16 @@ func NewSSSPScratch(c *CSR) *SSSPScratch {
 func (s *SSSPScratch) ShareWeightsFrom(src *SSSPScratch) {
 	if src != nil && src.csr == s.csr {
 		s.wSlot = src.wSlot
+		s.minW = src.minW
 	}
 }
 
 // UnshareWeights restores the scratch's private weight buffer after a
 // ShareWeightsFrom, severing any aliasing with other scratches.
-func (s *SSSPScratch) UnshareWeights() { s.wSlot = s.own }
+func (s *SSSPScratch) UnshareWeights() {
+	s.wSlot = s.own
+	s.minW = 0
+}
 
 // SetWeights loads the edge-indexed weights w (len NumEdges) into the
 // scratch's slot-ordered buffer so the Dijkstra inner loop reads weights
@@ -211,21 +258,41 @@ func (s *SSSPScratch) UnshareWeights() { s.wSlot = s.own }
 // always indexed by original edge id, on renumbered views too.
 func (s *SSSPScratch) SetWeights(w []float64) error {
 	eids := s.csr.slotEid
+	s.minW = 0 // unknown until every weight has validated
+	m := math.Inf(1)
 	for i := range eids {
 		wt := w[eids[i]]
 		if wt < 0 {
 			return fmt.Errorf("graph: negative weight %v on edge %d", wt, eids[i])
 		}
+		m = min(m, wt) // NaN-propagating: a NaN weight disables the fast search
 		s.wSlot[i] = wt
 	}
+	s.minW = m
 	return nil
 }
 
 // SlotWeights exposes the scratch's slot-ordered weight buffer for callers
 // that can compute weights directly in slot order (slot i corresponds to
 // edge CSR.AdjEdge[i]), skipping SetWeights' gather pass. The caller must
-// fill every entry with a nonnegative value before the next Tree call.
-func (s *SSSPScratch) SlotWeights() []float64 { return s.wSlot }
+// fill every entry with a nonnegative value before the next Tree call,
+// then call ScanWeights to let Tree use its fast search.
+func (s *SSSPScratch) SlotWeights() []float64 {
+	s.minW = 0
+	return s.wSlot
+}
+
+// ScanWeights records the lower bound of the slot weights that Tree's
+// no-absorption guard needs, after the caller filled SlotWeights directly
+// (SetWeights records it itself). Without it Tree runs only the historical
+// search, with the same results.
+func (s *SSSPScratch) ScanWeights() {
+	m := math.Inf(1)
+	for _, wt := range s.wSlot {
+		m = min(m, wt)
+	}
+	s.minW = m
+}
 
 // beginEpoch advances the stamp epoch for one Tree/TreeDial call and
 // returns it, clearing all labels on the (rare) 2^32 wrap, and stamps the
@@ -256,26 +323,58 @@ func (s *SSSPScratch) beginEpoch(dsts []NodeID) (ep uint32, remaining int) {
 }
 
 // Tree computes the Dijkstra shortest-path tree from src under the weights
-// last loaded by SetWeights. When dsts is non-empty, the search stops as
-// soon as every listed destination is finalised — predecessors of other
-// nodes are then unspecified. Ties are broken exactly like the historical
-// oracle: a node finalised once is never relabelled, and among
-// equal-distance labels the smaller predecessor edge id wins. On a
-// renumbered view the edge ids compared are still the original ids
-// (slotEid), so the traversal is isomorphic to the identity-order one and
-// every downstream output is byte-identical — see Compile.
+// last loaded by SetWeights (or written through SlotWeights and recorded
+// by ScanWeights). When dsts is non-empty, the search stops as soon as
+// every listed destination is finalised — labels of other nodes are then
+// unspecified. Ties are broken exactly like the historical oracle: a node
+// finalised once is never relabelled, and among equal-distance labels the
+// smaller predecessor edge id wins. On a renumbered view the edge ids
+// compared are still the original ids (slotEid), so the traversal is
+// isomorphic to the identity-order one and every downstream output is
+// byte-identical — see Compile.
+//
+// Stub nodes (see CSR.stub; the hosts of a fat-tree, VL2 or leaf-spine)
+// never enter the heap: a stub's only in-neighbour relaxes it exactly once,
+// so that offer is its final label, and Tree writes it as finalised on the
+// spot instead of pushing a node whose pop would relax nothing. Likewise a
+// tie-break-only update (equal distance, smaller edge id) pushes no
+// duplicate entry. Both change the order in which equal keys pop, and that
+// order can only change a label when some relaxation absorbs its weight,
+// fl(d+w) == d: otherwise every offer a node can win comes from a node
+// finalised at a strictly smaller distance, so "minimum distance, then
+// minimum edge id" is order-independent — the argument TreeDial's dropped
+// duplicate pushes rely on. A weight lower bound minW > 0 rules absorption
+// out for every distance d < minW·2^52. So when minW is unknown or zero, or
+// the largest finalised distance reaches minW·2^52, Tree reruns the search
+// in the historical order: every node pushed, every improvement pushed.
+// Only that fallback keeps the historical comparison sequence; both
+// searches produce the same labels.
+func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
+	if s.minW > 0 && s.heapTree(src, dsts, true) < s.minW*0x1p52 {
+		return
+	}
+	s.heapTree(src, dsts, false)
+}
+
+// heapTree is Tree's binary-heap search. With fast set it finalises stubs
+// at relaxation and skips tie-break-only pushes, which is exact only under
+// Tree's no-absorption guard; unset, it is the historical search. It
+// returns the largest finalised distance.
 //
 // The heap is inlined and all scratch state is hoisted into locals: the
 // compiler cannot prove the scratch's slice fields do not alias, so method
 // calls and field loads inside the loop would otherwise defeat register
 // allocation. The sift code preserves the exact comparison sequence of the
-// historical swap-based heap, keeping pop order among equal keys — and
-// with it every deterministic tie-break downstream — unchanged.
-func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
+// historical swap-based heap.
+func (s *SSSPScratch) heapTree(src NodeID, dsts []NodeID, fast bool) (maxDist float64) {
 	ep, remaining := s.beginEpoch(dsts)
 	nodes := s.node
 	wSlot := s.wSlot
 	eids, tos, starts := s.csr.slotEid, s.csr.slotTo, s.csr.Start
+	var stub []bool
+	if fast {
+		stub = s.csr.stub
+	}
 
 	keep := uint32(0)
 	if st := nodes[src].stamp; st-ep < epochStride {
@@ -284,6 +383,7 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 	nodes[src] = nodeState{dist: 0, pred: int32(unreachedPred), stamp: ep | fSeen | keep}
 
 	h := append(s.heap[:0], ssspItem{node: int32(src), dist: 0})
+search:
 	for len(h) > 0 {
 		// Inline heapPop (hole sift-down of the former last entry). Indices
 		// are uint so the prover can drop the bounds checks.
@@ -329,6 +429,9 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 			continue
 		}
 		su.stamp |= fDone
+		if d > maxDist {
+			maxDist = d
+		}
 		if su.stamp&fNeed != 0 {
 			remaining--
 			if remaining == 0 {
@@ -358,6 +461,25 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 				continue
 			}
 			nd := d + ws[k]
+			if uint(v) < uint(len(stub)) && stub[v] {
+				// This slot is v's only in-edge and u is scanned once, so
+				// this offer is v's final label (v is not src: src is
+				// finalised first). Only fNeed can be set on a current stamp.
+				if sv >= epochStride {
+					sv = 0
+				}
+				*st = nodeState{dist: nd, pred: base + int32(k), stamp: ep | sv | fSeen | fDone}
+				if nd > maxDist {
+					maxDist = nd
+				}
+				if sv&fNeed != 0 {
+					remaining--
+					if remaining == 0 {
+						break search
+					}
+				}
+				continue
+			}
 			if sv >= epochStride {
 				st.stamp = ep | fSeen
 				st.dist = nd
@@ -366,9 +488,16 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 				st.stamp |= fSeen
 				st.dist = nd
 				st.pred = base + int32(k)
-			} else if nd < st.dist || (nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred]) {
+			} else if nd < st.dist {
 				st.dist = nd
 				st.pred = base + int32(k)
+			} else if nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred] {
+				st.pred = base + int32(k)
+				if fast {
+					// v's entry with key nd is still valid; the historical
+					// search pushes a duplicate that pops as stale.
+					continue
+				}
 			} else {
 				continue
 			}
@@ -389,6 +518,7 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 	}
 	s.heap = h
 	s.remaining = remaining
+	return maxDist
 }
 
 // Reached reports whether dst was finalised by the last Tree call.

@@ -175,6 +175,48 @@ func TestPathInterner(t *testing.T) {
 	}
 }
 
+// TestPathInternerReset: Reset empties the table, handles restart at 0, a
+// colliding-hash chain still resolves, and refilling within the previous
+// size allocates nothing.
+func TestPathInternerReset(t *testing.T) {
+	it := NewPathInterner()
+	paths := [][]EdgeID{{1, 2, 3}, {4}, {5, 6}, {}, {1, 2}}
+	fill := func() {
+		for i, p := range paths {
+			if h := it.Intern(p); h != PathHandle(i) {
+				t.Fatalf("path %v: handle %d, want %d", p, h, i)
+			}
+		}
+	}
+	fill()
+	it.Reset()
+	if it.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", it.Len())
+	}
+	fill()
+	for i, p := range paths {
+		if got := it.Intern(p); got != PathHandle(i) || !edgesEqual(it.Edges(got), p) {
+			t.Fatalf("re-intern of %v: handle %d edges %v", p, got, it.Edges(got))
+		}
+	}
+	// Force two sequences into one hash chain: both must stay distinct.
+	a, b := []EdgeID{7, 7}, []EdgeID{8, 8}
+	it.Reset()
+	ha := it.Intern(a)
+	it.head[hashEdges(b)] = ha // b's bucket now starts at a's handle
+	hb := it.Intern(b)
+	if ha == hb || it.Intern(a) != ha || it.Intern(b) != hb {
+		t.Fatalf("colliding chain: handles %d and %d", ha, hb)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		it.Reset()
+		fill()
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset table allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestCompareEdges(t *testing.T) {
 	cases := []struct {
 		a, b []EdgeID

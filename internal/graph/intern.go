@@ -7,33 +7,50 @@ package graph
 type PathHandle int32
 
 // PathInterner deduplicates paths (edge-id sequences) into dense integer
-// handles. Interned edge sequences live in one flat arena, so interning N
-// distinct paths costs O(1) allocations amortised rather than one per
-// path. The zero value is not ready for use; call NewPathInterner. A
-// PathInterner is not safe for concurrent use.
+// handles. Interned edge sequences live in one flat arena and equal-hash
+// handles chain through a flat slice, so interning N distinct paths costs
+// O(1) allocations amortised rather than one per path, and none at all
+// once a Reset table refills within its previous size. The zero value is
+// not ready for use; call NewPathInterner. A PathInterner is not safe for
+// concurrent use.
 type PathInterner struct {
-	byHash map[uint64][]PathHandle
-	offs   []int32  // len = Len()+1; path h occupies edges[offs[h]:offs[h+1]]
-	edges  []EdgeID // flat arena of all interned sequences
+	head  map[uint64]PathHandle // newest handle per hash
+	next  []PathHandle          // next[h]: the next older handle with h's hash, or -1
+	offs  []int32               // len = Len()+1; path h occupies edges[offs[h]:offs[h+1]]
+	edges []EdgeID              // flat arena of all interned sequences
 }
 
 // NewPathInterner returns an empty interner.
 func NewPathInterner() *PathInterner {
 	return &PathInterner{
-		byHash: make(map[uint64][]PathHandle, 64),
-		offs:   []int32{0},
+		head: make(map[uint64]PathHandle, 64),
+		offs: []int32{0},
 	}
 }
 
 // Len returns the number of distinct paths interned.
 func (t *PathInterner) Len() int { return len(t.offs) - 1 }
 
+// Reset empties the table but keeps its storage, so a long-lived owner can
+// bound the table to one unit of work (a solve) without reallocating it.
+// Handles issued before the reset are invalid afterwards.
+func (t *PathInterner) Reset() {
+	clear(t.head)
+	t.next = t.next[:0]
+	t.offs = t.offs[:1]
+	t.edges = t.edges[:0]
+}
+
 // Intern returns the handle of the given edge sequence, adding it to the
 // table when new. The input slice is copied on first insertion and may be
 // reused by the caller.
 func (t *PathInterner) Intern(edges []EdgeID) PathHandle {
 	h := hashEdges(edges)
-	for _, cand := range t.byHash[h] {
+	first, ok := t.head[h]
+	if !ok {
+		first = -1
+	}
+	for cand := first; cand >= 0; cand = t.next[cand] {
 		if edgesEqual(t.Edges(cand), edges) {
 			return cand
 		}
@@ -41,7 +58,8 @@ func (t *PathInterner) Intern(edges []EdgeID) PathHandle {
 	handle := PathHandle(t.Len())
 	t.edges = append(t.edges, edges...)
 	t.offs = append(t.offs, int32(len(t.edges)))
-	t.byHash[h] = append(t.byHash[h], handle)
+	t.next = append(t.next, first)
+	t.head[h] = handle
 	return handle
 }
 

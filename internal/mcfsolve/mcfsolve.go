@@ -432,6 +432,11 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		return res, nil
 	}
 
+	// Handles live for one solve, so the table holds this solve's paths
+	// only: a pooled Solver's memory stays bounded however many solves it
+	// serves. Handles are pure identities, so renumbering them each solve
+	// changes no output.
+	s.intern.Reset()
 	s.orc.bind(commodities)
 	if cap(s.handles) < len(commodities) {
 		s.handles = make([]graph.PathHandle, len(commodities))

@@ -169,8 +169,12 @@ func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64, span int, d
 func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
 	// Probe the frozen weights once per sweep: hop-count cold starts (all
 	// ones) select the O(E) dial queue, the marginal-cost weights of warm
-	// Frank–Wolfe iterations fall back to the heap.
+	// Frank–Wolfe iterations fall back to the heap, whose fast search needs
+	// the weights' lower bound (shared with the parallel workers).
 	quantum, span, dial := graph.QuantizeWeights(o.sssp.SlotWeights(), graph.MaxDialSpan)
+	if !dial {
+		o.sssp.ScanWeights()
+	}
 	if o.workers <= 1 || len(o.srcs) < 2 {
 		return o.shortestPathsSeq(commodities, out, quantum, span, dial)
 	}

@@ -1,12 +1,15 @@
 package mcfsolve
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"dcnflow/internal/graph"
 	"dcnflow/internal/power"
+	"dcnflow/internal/topology"
 )
 
 // poolTestGraph builds a small diamond with two equal-hop routes.
@@ -145,5 +148,61 @@ func TestPoolConcurrentSolves(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("concurrent pooled solve failed: %v", err)
+	}
+}
+
+// TestPooledSolverInternBounded: a pooled Solver's path intern table holds
+// one solve's paths, not every path it has ever seen. Over 50 pooled solves
+// of distinct commodity sets, the table after each solve is exactly as
+// large as a fresh Solver's after the same solve, and the objectives match
+// bit for bit.
+func TestPooledSolverInternBounded(t *testing.T) {
+	ft, err := topology.FatTree(4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := power.Model{Mu: 1, Alpha: 2, C: 100}
+	opts := Options{MaxIters: 15}
+	p, err := NewPool(ft.Graph, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	hosts := ft.Hosts
+	for solve := 0; solve < 50; solve++ {
+		comms := make([]Commodity, 3+rng.Intn(6))
+		for i := range comms {
+			src := hosts[rng.Intn(len(hosts))]
+			dst := hosts[rng.Intn(len(hosts))]
+			for dst == src {
+				dst = hosts[rng.Intn(len(hosts))]
+			}
+			comms[i] = Commodity{ID: 0, Src: src, Dst: dst, Demand: 1 + 10*rng.Float64()}
+		}
+		s, err := p.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(comms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooledLen := s.intern.Len()
+		p.Release(s)
+
+		fresh, err := NewSolver(ft.Graph, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Solve(comms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooledLen != fresh.intern.Len() {
+			t.Fatalf("solve %d: pooled intern table has %d paths, a fresh solver's %d", solve, pooledLen, fresh.intern.Len())
+		}
+		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("solve %d: pooled objective %v, fresh %v", solve, got.Objective, want.Objective)
+		}
 	}
 }
