@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race-online vet fmt bench-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
+.PHONY: build test test-race-online vet fmt bench-smoke dcnbench-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
 
 build:
 	$(GO) build ./...
@@ -89,3 +89,12 @@ fmt:
 # bench-smoke runs every benchmark once — a compile-and-run sanity pass.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# dcnbench-smoke runs the repository benchmark (bench/, see BENCHMARK.json)
+# briefly: all four workloads for 3 s each, exiting non-zero unless every
+# output check passes, then a traced paper-k8 run, whose layer replays
+# call the graph and solver layers directly. large-k32 is not traced here:
+# one of its solves takes about 2 s, too long for a short traced run.
+dcnbench-smoke:
+	bash bench/run.sh -seed 1 -seconds 3
+	bash bench/run.sh -workload paper-k8 -seed 1 -seconds 2 -trace 1

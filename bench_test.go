@@ -604,7 +604,7 @@ func largeFixture(b *testing.B, name string) *dcnflow.Topology {
 }
 
 // BenchmarkSSSPLarge measures one full shortest-path tree build on each
-// large fabric, comparing the binary-heap Dijkstra against the dial bucket
+// large fabric, comparing the binary-heap Dijkstra against the dial level
 // queue on the unit weights the cold-start oracle sweep uses (where the
 // dial variant is selected automatically). It runs on the compiled hot
 // view — the BFS-renumbered, cache-blocked layout the oracle itself

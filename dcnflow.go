@@ -100,15 +100,13 @@
 //     iterations (default 60) and the relative duality-gap stop (default
 //     1e-3): Tol trades lower-bound tightness for time, with the residual
 //     gap reported per solve.
-//   - DCFSROptions.WarmStart seeds Frank–Wolfe solves from earlier
-//     decompositions. Off by default: on the paper's evaluation workloads
-//     the hop-count cold start converges in fewer iterations and keeps
-//     runs bit-reproducible across releases. It pays on long chains of
-//     near-identical instances — exactly the rolling-horizon epoch
-//     re-solves, where "rolling-online" seeds each epoch's per-interval
-//     solves from the previous epoch's decompositions and measures roughly
-//     half the Frank–Wolfe iterations of cold starts on slowly varying
-//     diurnal workloads (see DESIGN.md's "Online scheduling" chapter).
+//   - DCFSROptions.WarmStart makes "rolling-online" seed each epoch's
+//     per-interval Frank–Wolfe solves from the previous epoch's
+//     decompositions, which measures roughly half the Frank–Wolfe
+//     iterations of cold starts on slowly varying diurnal workloads (see
+//     DESIGN.md's "Online scheduling" chapter). Offline solves always start
+//     cold, which on the paper's evaluation workloads converges in fewer
+//     iterations. Off by default.
 package dcnflow
 
 import (

@@ -173,10 +173,10 @@ type ceEntry struct {
 }
 
 // CompiledInstance is one cached compilation of a topology+model pair: the
-// generated topology, the compiled graph artifact bundle (flat CSR and
-// reverse adjacency, structural fingerprint, pooled shortest-path scratch)
-// and the instances of workloads generated on it. Instances are immutable
-// and shared by every solve that hits the cache.
+// generated topology, the compiled graph artifact bundle (flat CSR view,
+// structural fingerprint, pooled shortest-path scratch) and the instances
+// of workloads generated on it. Instances are immutable and shared by
+// every solve that hits the cache.
 type CompiledInstance struct {
 	topo  *Topology
 	model PowerModel
@@ -205,15 +205,10 @@ type instEntry struct {
 	err  error
 
 	lmu sync.Mutex
-	lbs map[lbKey]*lbMemo
-}
-
-// lbKey identifies a lower-bound computation by the option fields that can
-// change its value (solver options and the warm-start toggle; seeds,
-// rounding budgets and parallelism never reach the relaxation).
-type lbKey struct {
-	solver SolverOptions
-	warm   bool
+	// lbs keys each lower bound by the only options that can change its
+	// value, the solver options (seeds, rounding budgets, parallelism and
+	// warm starts never reach the offline relaxation).
+	lbs map[SolverOptions]*lbMemo
 }
 
 // lbMemo memoises one lower bound. Unlike a sync.Once it does not memoise
@@ -313,7 +308,7 @@ func (ci *CompiledInstance) instance(spec *ScenarioSpec) (*Instance, *instEntry,
 	ci.imu.Lock()
 	ent, ok := ci.insts[key]
 	if !ok {
-		ent = &instEntry{lbs: make(map[lbKey]*lbMemo)}
+		ent = &instEntry{lbs: make(map[SolverOptions]*lbMemo)}
 		ci.insts[key] = ent
 		ci.iorder = append(ci.iorder, key)
 		if len(ci.iorder) > ci.icap {
@@ -453,12 +448,11 @@ func (e *Engine) LowerBound(ctx context.Context, spec *ScenarioSpec, opts ...Sol
 	}
 	d := cfg.DCFSR
 	d.Progress = nil
-	key := lbKey{solver: d.Solver, warm: d.WarmStart}
 	ent.lmu.Lock()
-	memo, ok := ent.lbs[key]
+	memo, ok := ent.lbs[d.Solver]
 	if !ok {
 		memo = &lbMemo{}
-		ent.lbs[key] = memo
+		ent.lbs[d.Solver] = memo
 	}
 	ent.lmu.Unlock()
 

@@ -56,18 +56,16 @@ type DCFSROptions struct {
 	// Parallelism; both are deterministic at any setting.
 	Solver mcfsolve.Options
 	// Parallelism bounds concurrent per-interval solves; default NumCPU.
-	// It never affects results: intervals are partitioned into fixed-size
-	// blocks, so the warm-start chaining below is machine-independent.
+	// It never affects results: the interval solves are independent.
 	Parallelism int
-	// WarmStart seeds each interval's Frank–Wolfe solve from the
-	// neighbouring interval's path decomposition instead of hop-count
-	// shortest paths. Off by default: measurements on the paper's
-	// evaluation workloads show the hop-count cold start converges in
-	// fewer iterations (Frank–Wolfe has no away-steps, so carried-over
-	// mass on stale paths drains only geometrically), and the cold start
-	// keeps solver trajectories bit-identical across releases. The knob
-	// exists for workloads with long chains of near-identical intervals,
-	// where reusing the neighbour's routing does pay.
+	// WarmStart seeds each rolling-horizon re-plan's per-interval
+	// Frank–Wolfe solves from the previous epoch's time-aligned path
+	// decompositions (see DCFSRPartialInput.Prev) instead of hop-count
+	// shortest paths. It does not change an offline solve, whose intervals
+	// always start cold: on the paper's evaluation workloads the hop-count
+	// start converges in fewer iterations than seeding from a neighbouring
+	// interval (Frank–Wolfe has no away-steps, so carried-over mass on
+	// stale paths drains only geometrically).
 	WarmStart bool
 	// Progress, when non-nil, receives one event per finished interval solve
 	// (and, under the rolling-horizon scheduler, one per epoch re-plan). It
@@ -152,11 +150,9 @@ type candidate struct {
 	weight float64
 }
 
-// warmBlockSize is the number of consecutive intervals one worker solves
-// with a shared, warm-start-chained Solver. A fixed constant (rather than a
-// Parallelism-derived split) keeps the warm-start structure — and therefore
-// the solver output — identical on any machine.
-const warmBlockSize = 8
+// maxBlockSize caps the number of consecutive intervals one worker solves
+// with one reusable Solver.
+const maxBlockSize = 8
 
 // relaxation holds the solved multi-step F-MCF.
 type relaxation struct {
@@ -203,25 +199,17 @@ func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m 
 // and fills rel.results and rel.lowerBound. rel.intervals and rel.comms must
 // already be populated.
 //
-// Fan-out: the intervals run in contiguous blocks. Each worker owns one
-// reusable Solver per block, so shortest-path scratch, intern table and
-// edge buffers amortise across the block's solves. With opts.WarmStart
-// set, every interval additionally seeds from its left neighbour within
-// the block (adjacent intervals share most commodities); blocks are
-// then a fixed constant — never derived from Parallelism — so results
-// do not depend on the worker count or scheduling. Without warm starts
-// the intervals are fully independent and blocking is purely a
-// scheduling choice, so blocks shrink as needed to keep every worker
-// busy on short horizons.
+// Fan-out: the intervals run in contiguous blocks of at most maxBlockSize,
+// shrunk as needed to keep every worker busy on short horizons. Each
+// worker owns one reusable Solver per block, so shortest-path scratch,
+// intern table and edge buffers amortise across the block's solves. The
+// interval solves are independent, so blocking is purely a scheduling
+// choice and results do not depend on the worker count.
 //
-// seeds, when non-nil, supplies an external warm start for interval k (the
+// seeds, when non-nil, supplies a warm start for interval k (the
 // rolling-horizon re-optimizer passes the previous epoch's time-aligned
-// decompositions) and REPLACES the left-neighbour chain entirely: unseeded
-// intervals run cold. The two warm mechanisms must not mix — a seed from a
-// fully converged previous-epoch solve is near-optimal, while chaining on
-// top of it would drag unconverged neighbour mass back in (Frank–Wolfe has
-// no away-steps, so a bad start drains only geometrically). A zero-valued
-// seed means "no seed for this interval".
+// decompositions); a zero-valued seed, like a nil slice, means a cold
+// start.
 //
 // Workers draw their per-block Solvers from opts.Solvers when the pool is
 // bound to this exact (graph, model, Solver options) triple, constructing
@@ -236,16 +224,7 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 		pool = nil
 	}
 	intervals := rel.intervals
-	chain := opts.WarmStart && seeds == nil
-	blockSize := warmBlockSize
-	if !chain {
-		if per := (len(intervals) + opts.Parallelism - 1) / opts.Parallelism; per < blockSize {
-			blockSize = per
-		}
-		if blockSize < 1 {
-			blockSize = 1
-		}
-	}
+	blockSize := max(1, min(maxBlockSize, (len(intervals)+opts.Parallelism-1)/opts.Parallelism))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -283,10 +262,8 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 				mu.Unlock()
 				return
 			}
-			var warm mcfsolve.WarmStart
 			for k := lo; k < hi; k++ {
 				if len(rel.comms[k]) == 0 {
-					warm = mcfsolve.WarmStart{}
 					continue
 				}
 				// Cancellation boundary for the fan-out: a worker abandons
@@ -301,11 +278,11 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 					mu.Unlock()
 					return
 				}
-				use := warm
+				var warm mcfsolve.WarmStart
 				if seeds != nil {
-					use = seeds[k]
+					warm = seeds[k]
 				}
-				res, err := solver.SolveWarmCtx(ctx, rel.comms[k], use)
+				res, err := solver.SolveWarmCtx(ctx, rel.comms[k], warm)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -315,9 +292,6 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 					return
 				}
 				rel.results[k] = res
-				if chain {
-					warm = mcfsolve.WarmStart{Commodities: rel.comms[k], Result: res}
-				}
 				if opts.Progress != nil {
 					progMu.Lock()
 					opts.Progress(ProgressEvent{

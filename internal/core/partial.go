@@ -440,13 +440,9 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 	}
 
 	// Cross-epoch warm seeds, resolved serially up front so the concurrent
-	// fan-out only reads them. With Opts.WarmStart the seeds slice is
-	// always non-nil — even on the first epoch, when every entry is zero —
-	// because a non-nil slice also disables the offline left-neighbour
-	// chain inside solveIntervalRelaxation: partial solves must keep every
-	// interval fully converged so the NEXT epoch inherits good seeds.
+	// fan-out only reads them.
 	var seeds []mcfsolve.WarmStart
-	if opts.WarmStart {
+	if opts.WarmStart && in.Prev != nil {
 		seeds = make([]mcfsolve.WarmStart, len(intervals))
 		for k, iv := range intervals {
 			if len(rel.comms[k]) == 0 {

@@ -74,7 +74,7 @@ type Record struct {
 	// Flow names the decided flow; NoFlow (-1) for replan records.
 	Flow flow.ID `json:"flow"`
 	// Reason names the rule that produced the decision ("marginal-cost",
-	// "relaxation", "over-capacity", "forced", "boundary", ...).
+	// "over-capacity", "forced", "boundary", ...).
 	Reason string `json:"reason,omitempty"`
 	// Path is the chosen path's edge sequence (admits only).
 	Path []graph.EdgeID `json:"path,omitempty"`

@@ -8,14 +8,13 @@ import (
 )
 
 // Compiled bundles every immutable artifact the hot paths derive from one
-// Graph — the flat CSR adjacency, a flat reverse adjacency, a BFS-renumbered
-// cache-blocked "hot" CSR with its permutation, the structural fingerprint
-// and a pool of reusable shortest-path scratch — built exactly once per
-// graph and shared by all consumers. It is the explicit compile-once entry
-// point of the compile-once/solve-many architecture: solvers and baselines
-// accept a *Compiled instead of rebuilding per-call views, and the
-// root-level Engine keys its instance cache by Fingerprint-compatible
-// identities.
+// Graph — a BFS-renumbered, cache-blocked CSR with its permutation, the
+// structural fingerprint and a pool of reusable shortest-path scratch —
+// built exactly once per graph and shared by all consumers. It is the
+// explicit compile-once entry point of the compile-once/solve-many
+// architecture: solvers and baselines accept a *Compiled instead of
+// rebuilding per-call views, and the root-level Engine keys its instance
+// cache by Fingerprint-compatible identities.
 //
 // Renumbering contract: Hot() is the graph re-indexed by a BFS visitation
 // order (ToHot/FromHot translate node ids), chosen so that the
@@ -32,26 +31,15 @@ import (
 // A Compiled is safe for concurrent use. It must not outlive mutations of
 // the underlying graph: AddNode/AddEdge invalidate it (the next Compile
 // call rebuilds), and holding a stale Compiled across mutations is a
-// caller bug, exactly as for Graph.CSR.
+// caller bug.
 type Compiled struct {
 	g   *Graph
-	csr *CSR // identity-order view (g.CSR())
-	hot *CSR // renumbered, structure-of-arrays, cache-aligned view
+	hot *CSR // the one adjacency view; BFS-renumbered unless CompileIdentity
 	fp  uint64
 
 	// perm maps original node id -> hot id; inv is its inverse. For
-	// CompileIdentity both are the identity and hot == csr.
+	// CompileIdentity both are the identity.
 	perm, inv []int32
-
-	// Flat reverse adjacency, the mirror of CSR's forward slot arrays:
-	// node v's in-slots are RAdjEdge[RStart[v]:RStart[v+1]] in ascending
-	// edge-id order (the order Graph.InEdges reports), and RAdjFrom[i] is
-	// the tail node of edge RAdjEdge[i]. Original node space. Algorithms
-	// that sweep predecessors (reverse SSSP, backward reachability) read
-	// three contiguous arrays instead of chasing per-node slices.
-	RStart   []int32
-	RAdjEdge []EdgeID
-	RAdjFrom []NodeID
 
 	// scratch pools per-topology SSSP state bound to the hot view: a
 	// Dijkstra run borrows a *SSSPScratch and returns it, so concurrent
@@ -68,8 +56,7 @@ type compiledCache struct {
 
 // Compile returns the compiled artifact bundle of g, building and caching
 // it on first use (subsequent calls return the same *Compiled until the
-// graph mutates). Compiling also builds and caches g.CSR, so Compile
-// subsumes the implicit per-call view builds it replaces.
+// graph mutates).
 func Compile(g *Graph) *Compiled {
 	g.compiled.mu.Lock()
 	defer g.compiled.mu.Unlock()
@@ -81,47 +68,28 @@ func Compile(g *Graph) *Compiled {
 	return c
 }
 
-// CompileIdentity builds a compiled bundle whose hot view IS the
-// identity-order CSR — no renumbering, no repacking. It is never cached on
-// the graph (Compile keeps returning the renumbered bundle) and exists so
-// tests can pin the byte-identity of renumbered and identity layouts
-// end to end. Production callers want Compile.
+// CompileIdentity builds a compiled bundle whose hot view keeps the
+// graph's own node order — no renumbering. It is never cached on the graph
+// (Compile keeps returning the renumbered bundle) and exists so tests can
+// pin the byte-identity of renumbered and identity layouts end to end.
+// Production callers want Compile.
 func CompileIdentity(g *Graph) *Compiled {
 	return buildCompiled(g, false)
 }
 
 func buildCompiled(g *Graph, renumber bool) *Compiled {
-	csr := g.CSR()
-	n, e := g.NumNodes(), g.NumEdges()
-	c := &Compiled{
-		g:        g,
-		csr:      csr,
-		fp:       g.Fingerprint(),
-		RStart:   make([]int32, n+1),
-		RAdjEdge: make([]EdgeID, 0, e),
-		RAdjFrom: make([]NodeID, 0, e),
-	}
-	for v := 0; v < n; v++ {
-		c.RStart[v] = int32(len(c.RAdjEdge))
-		for _, eid := range g.in[v] {
-			c.RAdjEdge = append(c.RAdjEdge, eid)
-			c.RAdjFrom = append(c.RAdjFrom, g.edges[eid].From)
-		}
-	}
-	c.RStart[n] = int32(len(c.RAdjEdge))
+	c := &Compiled{g: g, fp: g.Fingerprint()}
 	if renumber {
-		c.perm, c.inv = bfsOrder(csr)
-		c.hot = buildHotCSR(g, csr, c.perm, c.inv)
+		c.perm, c.inv = bfsOrder(g)
 	} else {
-		c.perm = make([]int32, n)
-		c.inv = make([]int32, n)
+		c.perm = make([]int32, g.NumNodes())
 		for i := range c.perm {
 			c.perm[i] = int32(i)
-			c.inv[i] = int32(i)
 		}
-		c.hot = csr
+		c.inv = c.perm
 	}
-	hot := c.hot
+	hot := buildCSR(g, c.perm, c.inv)
+	c.hot = hot
 	c.scratch.New = func() any { return NewSSSPScratch(hot) }
 	return c
 }
@@ -132,8 +100,8 @@ func buildCompiled(g *Graph, renumber bool) *Compiled {
 // order. The order is a pure function of the graph, so compiles are
 // deterministic. inv doubles as the BFS queue — nodes are appended in
 // visitation order and expanded FIFO.
-func bfsOrder(csr *CSR) (perm, inv []int32) {
-	n := csr.NumNodes()
+func bfsOrder(g *Graph) (perm, inv []int32) {
+	n := g.NumNodes()
 	perm = make([]int32, n)
 	inv = make([]int32, 0, n)
 	for i := range perm {
@@ -149,10 +117,10 @@ func bfsOrder(csr *CSR) (perm, inv []int32) {
 		for head < len(inv) {
 			u := inv[head]
 			head++
-			for _, v := range csr.slotTo[csr.Start[u]:csr.Start[u+1]] {
-				if perm[v] < 0 {
+			for _, eid := range g.out[u] {
+				if v := g.edges[eid].To; perm[v] < 0 {
 					perm[v] = int32(len(inv))
-					inv = append(inv, v)
+					inv = append(inv, int32(v))
 				}
 			}
 		}
@@ -160,57 +128,13 @@ func bfsOrder(csr *CSR) (perm, inv []int32) {
 	return perm, inv
 }
 
-// buildHotCSR repacks the adjacency into the renumbered node space on
-// cache-aligned structure-of-arrays slabs. Node indices (Start, AdjTo,
-// slotTo, the values of EdgeFrom/EdgeTo) are hot ids; edge ids
-// (AdjEdge, slotEid, the indexing of EdgeFrom/EdgeTo/Cap) stay original,
-// which is what lets predecessor chains and path extraction emit original
-// edge ids with zero translation. Per-node slot rows keep ascending
-// original-edge-id order — the node permutation permutes rows, never the
-// slots within a row — preserving every tie-break downstream.
-func buildHotCSR(g *Graph, csr *CSR, perm, inv []int32) *CSR {
-	n, e := g.NumNodes(), g.NumEdges()
-	hot := &CSR{
-		Start:    alignedSlab[int32](n + 1),
-		AdjEdge:  make([]EdgeID, 0, e),
-		AdjTo:    make([]NodeID, 0, e),
-		EdgeFrom: make([]NodeID, e),
-		EdgeTo:   make([]NodeID, e),
-		Cap:      csr.Cap, // original-edge-indexed; values are layout-free
-		slotEid:  alignedSlab[int32](e)[:0],
-		slotTo:   alignedSlab[int32](e)[:0],
-	}
-	for h := 0; h < n; h++ {
-		u := inv[h]
-		hot.Start[h] = int32(len(hot.AdjEdge))
-		for _, eid := range g.out[u] {
-			to := perm[g.edges[eid].To]
-			hot.AdjEdge = append(hot.AdjEdge, eid)
-			hot.AdjTo = append(hot.AdjTo, NodeID(to))
-			hot.slotEid = append(hot.slotEid, int32(eid))
-			hot.slotTo = append(hot.slotTo, to)
-		}
-	}
-	hot.Start[n] = int32(len(hot.AdjEdge))
-	for i := range g.edges {
-		hot.EdgeFrom[i] = NodeID(perm[g.edges[i].From])
-		hot.EdgeTo[i] = NodeID(perm[g.edges[i].To])
-	}
-	hot.stub = stubFlags(hot)
-	return hot
-}
-
 // Graph returns the compiled graph.
 func (c *Compiled) Graph() *Graph { return c.g }
 
-// CSR returns the flat forward adjacency view in original node order (the
-// graph's own CSR). Hot paths that can run in renumbered space should use
-// Hot instead.
-func (c *Compiled) CSR() *CSR { return c.csr }
-
-// Hot returns the BFS-renumbered cache-blocked adjacency view. Its node
-// indices are hot ids (translate with ToHot/FromHot); its edge ids are
-// original. Scratch from AcquireScratch is bound to this view.
+// Hot returns the compiled adjacency view: BFS-renumbered for Compile,
+// in the graph's own node order for CompileIdentity. Its node indices are
+// hot ids (translate with ToHot/FromHot); its edge ids are original.
+// Scratch from AcquireScratch is bound to this view.
 func (c *Compiled) Hot() *CSR { return c.hot }
 
 // ToHot translates an original node id into the hot (renumbered) space.
@@ -264,8 +188,8 @@ func (c *Compiled) ShortestPath(src, dst NodeID) (Path, error) {
 	for i := range w {
 		w[i] = 1
 	}
-	// Unit weights quantize trivially (quantum 1, span 1), so the dial
-	// bucket queue applies; it is bit-identical to Tree by contract.
+	// Unit weights quantize trivially (quantum 1, span 1), so the dial's
+	// level queue applies; it is bit-identical to Tree by contract.
 	hd := c.ToHot(dst)
 	s.TreeDial(c.ToHot(src), []NodeID{hd}, 1, 1)
 	edges, ok := s.AppendPathTo(hd, nil)

@@ -3,48 +3,33 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
-// CSR is an immutable flat (compressed-sparse-row) adjacency view of a
-// Graph, built once and shared by hot-path shortest-path code. Relative to
-// walking Graph.OutEdges + MustEdge, a CSR traversal touches a few
-// contiguous arrays and copies no Edge structs, which is what lets the
-// Frank–Wolfe oracle relax edges allocation- and indirection-free.
+// CSR is the immutable compressed-sparse-row adjacency view of a Graph that
+// the shortest-path code runs on, built once per compile (see Compile) on
+// cache-aligned structure-of-arrays slabs. Relative to walking
+// Graph.OutEdges + MustEdge, a CSR traversal touches a few contiguous
+// arrays and copies no Edge structs, which is what lets the Frank–Wolfe
+// oracle relax edges allocation- and indirection-free.
 //
-// The slot arrays (AdjEdge, AdjTo and their int32 structure-of-arrays twins
-// slotEid/slotTo) are grouped by source node: the out-edges of node u occupy
-// slots Start[u]..Start[u+1], in ascending edge-id order — the same order
-// Graph.OutEdges reports, so tie-breaking behaviour of algorithms ported to
-// the CSR is unchanged. The edge-indexed arrays (EdgeFrom, EdgeTo, Cap) are
-// addressed by EdgeID.
-//
-// A CSR may be a *renumbered* view (see Compile): node indices of Start,
-// AdjTo, slotTo, EdgeFrom and EdgeTo then live in a permuted "hot" node
-// space, while AdjEdge/slotEid and the indexing of EdgeFrom/EdgeTo/Cap stay
-// in original edge-id space. Graph.CSR always returns the identity-order
-// view.
+// The slot arrays are grouped by source node: the out-edges of node u
+// occupy slots Start[u]..Start[u+1], in ascending edge-id order — the same
+// order Graph.OutEdges reports, so tie-breaking behaviour of algorithms
+// ported to the CSR is unchanged. Node indices (Start, slotTo and the
+// values of EdgeFrom) live in the view's node space, which Compile permutes
+// into BFS order; edge ids (slotEid, the indexing of EdgeFrom) are always
+// the graph's original ones.
 type CSR struct {
 	// Start has length NumNodes()+1; node u's out-slots are
-	// AdjEdge[Start[u]:Start[u+1]].
+	// Start[u]..Start[u+1].
 	Start []int32
-	// AdjEdge holds the edge id of each slot (always the original edge id,
-	// even in renumbered views).
-	AdjEdge []EdgeID
-	// AdjTo holds the head node of each slot (AdjTo[i] is the To of edge
-	// AdjEdge[i], in this view's node space).
-	AdjTo []NodeID
-	// EdgeFrom, EdgeTo and Cap are indexed by (original) EdgeID. The node
-	// ids they hold are in this view's node space.
+	// EdgeFrom is indexed by (original) EdgeID and holds the edge's tail in
+	// this view's node space; path extraction walks it.
 	EdgeFrom []NodeID
-	EdgeTo   []NodeID
-	Cap      []float64
 
-	// slotEid / slotTo are the int32 structure-of-arrays twin of
-	// (AdjEdge, AdjTo) used by the Dijkstra inner loop: splitting the two
-	// streams halves the bytes pulled per relaxation that only needs the
-	// head node, and packs twice as many slots per cache line as the old
-	// interleaved (eid, to) pair array.
+	// slotEid / slotTo hold each slot's original edge id and head node.
+	// Splitting the two streams lets the Dijkstra inner loop, which needs
+	// only the head, pull half the bytes per relaxation.
 	slotEid []int32
 	slotTo  []int32
 
@@ -59,54 +44,37 @@ type CSR struct {
 func (c *CSR) NumNodes() int { return len(c.Start) - 1 }
 
 // NumEdges returns the number of directed edges.
-func (c *CSR) NumEdges() int { return len(c.AdjEdge) }
+func (c *CSR) NumEdges() int { return len(c.slotEid) }
 
-// csrCache holds the lazily-built CSR; Graph mutations reset it.
-type csrCache struct {
-	ptr atomic.Pointer[CSR]
-}
+// SlotEdges returns the original edge id of each slot, in slot order — the
+// order of SSSPScratch.SlotWeights. The slice must not be modified.
+func (c *CSR) SlotEdges() []int32 { return c.slotEid }
 
-// CSR returns the flat adjacency view of g, building and caching it on
-// first use. The cache is invalidated by AddNode/AddEdge; concurrent
-// readers of an unchanging graph share one CSR. The returned CSR and its
-// arrays must not be modified.
-func (g *Graph) CSR() *CSR {
-	if c := g.csr.ptr.Load(); c != nil {
-		return c
-	}
-	c := buildCSR(g)
-	g.csr.ptr.Store(c)
-	return c
-}
-
-func buildCSR(g *Graph) *CSR {
-	n, e := len(g.nodes), len(g.edges)
+// buildCSR packs g's adjacency into the node order inv (inv[h] is the
+// original id of view node h; perm is its inverse) on cache-aligned slabs.
+// Edge ids stay original, which is what lets predecessor chains and path
+// extraction emit original edge ids with zero translation. Per-node slot
+// rows keep ascending original-edge-id order — the permutation moves rows,
+// never the slots within a row — preserving every tie-break downstream.
+func buildCSR(g *Graph, perm, inv []int32) *CSR {
+	n, e := g.NumNodes(), g.NumEdges()
 	c := &CSR{
-		Start:    make([]int32, n+1),
-		AdjEdge:  make([]EdgeID, 0, e),
-		AdjTo:    make([]NodeID, 0, e),
+		Start:    alignedSlab[int32](n + 1),
 		EdgeFrom: make([]NodeID, e),
-		EdgeTo:   make([]NodeID, e),
-		Cap:      make([]float64, e),
-		slotEid:  make([]int32, 0, e),
-		slotTo:   make([]int32, 0, e),
+		slotEid:  alignedSlab[int32](e)[:0],
+		slotTo:   alignedSlab[int32](e)[:0],
 	}
-	for i := range g.edges {
-		ed := &g.edges[i]
-		c.EdgeFrom[i] = ed.From
-		c.EdgeTo[i] = ed.To
-		c.Cap[i] = ed.Capacity
-	}
-	for u := 0; u < n; u++ {
-		c.Start[u] = int32(len(c.AdjEdge))
-		for _, eid := range g.out[u] {
-			c.AdjEdge = append(c.AdjEdge, eid)
-			c.AdjTo = append(c.AdjTo, g.edges[eid].To)
+	for h := 0; h < n; h++ {
+		c.Start[h] = int32(len(c.slotEid))
+		for _, eid := range g.out[inv[h]] {
 			c.slotEid = append(c.slotEid, int32(eid))
-			c.slotTo = append(c.slotTo, int32(g.edges[eid].To))
+			c.slotTo = append(c.slotTo, perm[g.edges[eid].To])
 		}
 	}
-	c.Start[n] = int32(len(c.AdjEdge))
+	c.Start[n] = int32(len(c.slotEid))
+	for i := range g.edges {
+		c.EdgeFrom[i] = NodeID(perm[g.edges[i].From])
+	}
 	c.stub = stubFlags(c)
 	return c
 }
@@ -170,11 +138,9 @@ type SSSPScratch struct {
 
 	heap []ssspItem
 
-	buckets [][]ssspItem // circular Dial bucket queue (see TreeDial)
-
-	// frontier/nextFrontier are the two-level queue of TreeDial's uniform
-	// (span == 1) mode: with no duplicate entries and one distance per
-	// level, a bucket entry is just the node id.
+	// frontier/nextFrontier are TreeDial's two-level queue: with no
+	// duplicate entries and one distance per level, an entry is just the
+	// node id.
 	frontier, nextFrontier []int32
 
 	pathBuf []EdgeID // reversal scratch for AppendPathTo
@@ -274,9 +240,9 @@ func (s *SSSPScratch) SetWeights(w []float64) error {
 
 // SlotWeights exposes the scratch's slot-ordered weight buffer for callers
 // that can compute weights directly in slot order (slot i corresponds to
-// edge CSR.AdjEdge[i]), skipping SetWeights' gather pass. The caller must
-// fill every entry with a nonnegative value before the next Tree call,
-// then call ScanWeights to let Tree use its fast search.
+// edge CSR.SlotEdges()[i]), skipping SetWeights' gather pass. The caller
+// must fill every entry with a nonnegative value before the next Tree
+// call, then call ScanWeights to let Tree use its fast search.
 func (s *SSSPScratch) SlotWeights() []float64 {
 	s.minW = 0
 	return s.wSlot

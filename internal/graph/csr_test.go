@@ -25,50 +25,33 @@ func randomGraph(t *testing.T, seed int64, nodes, edges int) *Graph {
 	return g
 }
 
+// TestCSRMatchesAdjacency: the identity-order view's slot rows, heads and
+// edge tails agree with the Graph's own adjacency, slot for slot.
 func TestCSRMatchesAdjacency(t *testing.T) {
 	g := randomGraph(t, 7, 30, 120)
-	c := g.CSR()
+	c := CompileIdentity(g).Hot()
 	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
 		t.Fatalf("CSR size mismatch: %d/%d nodes, %d/%d edges",
 			c.NumNodes(), g.NumNodes(), c.NumEdges(), g.NumEdges())
 	}
 	for u := 0; u < g.NumNodes(); u++ {
 		out := g.OutEdges(NodeID(u))
-		row := c.AdjEdge[c.Start[u]:c.Start[u+1]]
+		row := c.SlotEdges()[c.Start[u]:c.Start[u+1]]
 		if len(out) != len(row) {
 			t.Fatalf("node %d: out-degree %d vs CSR row %d", u, len(out), len(row))
 		}
 		for k, eid := range out {
-			if row[k] != eid {
+			if EdgeID(row[k]) != eid {
 				t.Fatalf("node %d slot %d: edge %d vs %d (order must match OutEdges)", u, k, row[k], eid)
 			}
 			e := g.MustEdge(eid)
-			if c.EdgeFrom[eid] != e.From || c.EdgeTo[eid] != e.To || c.Cap[eid] != e.Capacity {
-				t.Fatalf("edge %d: CSR arrays disagree with Edge", eid)
+			if c.EdgeFrom[eid] != e.From {
+				t.Fatalf("edge %d: EdgeFrom %d, want %d", eid, c.EdgeFrom[eid], e.From)
 			}
-			if c.AdjTo[c.Start[u]+int32(k)] != e.To {
-				t.Fatalf("edge %d: AdjTo mismatch", eid)
+			if NodeID(c.slotTo[c.Start[u]+int32(k)]) != e.To {
+				t.Fatalf("edge %d: slot head mismatch", eid)
 			}
 		}
-	}
-}
-
-func TestCSRCacheInvalidation(t *testing.T) {
-	g := randomGraph(t, 8, 10, 20)
-	c1 := g.CSR()
-	if c2 := g.CSR(); c2 != c1 {
-		t.Fatal("CSR not cached across calls on an unchanged graph")
-	}
-	n := g.AddNode("x", KindHost)
-	if _, err := g.AddEdge(n, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	c3 := g.CSR()
-	if c3 == c1 {
-		t.Fatal("CSR cache not invalidated by mutation")
-	}
-	if c3.NumNodes() != g.NumNodes() || c3.NumEdges() != g.NumEdges() {
-		t.Fatal("rebuilt CSR stale")
 	}
 }
 
@@ -79,7 +62,7 @@ func TestSSSPTreeMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(t, 9, 40, 160)
 	w := make([]float64, g.NumEdges())
-	scr := NewSSSPScratch(g.CSR())
+	scr := NewSSSPScratch(CompileIdentity(g).Hot())
 	var buf []EdgeID
 	for trial := 0; trial < 200; trial++ {
 		for i := range w {
@@ -125,7 +108,7 @@ func TestSSSPTreeZeroAllocs(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i%7) + 1
 	}
-	scr := NewSSSPScratch(g.CSR())
+	scr := NewSSSPScratch(CompileIdentity(g).Hot())
 	if err := scr.SetWeights(w); err != nil {
 		t.Fatal(err)
 	}

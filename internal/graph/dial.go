@@ -2,15 +2,14 @@ package graph
 
 import "math"
 
-// MaxDialSpan bounds the weight span (largest weight divided by the
-// quantum) TreeDial accepts. The bound serves two purposes: it caps the
-// bucket array at MaxDialSpan+1 entries, and it keeps the accumulated
-// floating-point drift of path distances far below half a quantum, which
-// is what makes bucket classification — and therefore the whole dial
-// traversal — provably identical to the binary-heap Dijkstra (see the
-// TreeDial contract). With span <= 256 and up to ~10^6-node graphs, the
-// worst-case drift is below 2^-4 of a bucket.
-const MaxDialSpan = 256
+// MaxDialSpan is the weight span (largest weight divided by the quantum)
+// TreeDial's level queue handles: 1, every slot weight equal. The hop-count
+// cold start and unit-weight shortest paths produce such weights, and on
+// fat-trees the level queue beats the heap on them. Warm Frank–Wolfe
+// weights never quantize with a larger span in practice (an idle link
+// weighs 1e-12, a loaded one far more than 256 of those), so no general
+// bucket queue is kept.
+const MaxDialSpan = 1
 
 // QuantizeWeights reports whether the slot-ordered weights w are exact
 // positive integer multiples of their minimum — w[i] == k_i * q for
@@ -20,7 +19,7 @@ const MaxDialSpan = 256
 // shortest paths quantize with span 1, while the Frank–Wolfe oracle's
 // marginal-cost weights (arbitrary floats) are rejected and fall back to
 // the heap. The multiples must hold under exact float64 equality, so a
-// positive answer certifies that bucket arithmetic reproduces heap
+// positive answer certifies that level arithmetic reproduces heap
 // arithmetic bit for bit.
 func QuantizeWeights(w []float64, maxSpan int) (q float64, span int, ok bool) {
 	if len(w) == 0 {
@@ -52,30 +51,33 @@ func QuantizeWeights(w []float64, maxSpan int) (q float64, span int, ok bool) {
 	return q, span, true
 }
 
-// TreeDial is Tree on a circular Dial bucket queue instead of the binary
-// heap: nodes are filed into span+1 distance buckets of width quantum and
-// drained in ascending bucket order, so a full tree build costs O(E +
-// B) with no per-node log factor — the win that makes unit-weight sweeps
-// over 10k-node fabrics cheap. It requires the weight contract certified
-// by QuantizeWeights: every slot weight is exactly k*quantum for an
-// integer k in [1, span]. Callers that cannot certify it must use Tree.
+// TreeDial is Tree on a level queue instead of the binary heap, for the
+// uniform weights QuantizeWeights certifies with span 1: every slot weight
+// is exactly quantum. Nodes are then settled level by level — distance
+// d, d+quantum, d+2·quantum, … — so a full tree build costs O(E) with no
+// per-node log factor, the win that makes hop-count sweeps over 10k-node
+// fabrics cheap. Any other span runs Tree.
 //
 // The result is bit-identical to Tree on the same weights: distances are
-// accumulated with the same float64 additions, labels use the same
-// epoch-stamped nodeState updates and the same tie-break (a finalised
-// node is never relabelled; among exactly-equal distances the smaller
-// predecessor edge id wins). Identity does not depend on within-bucket
-// ordering: every offer a node receives comes from a strictly smaller
-// bucket (weights are >= quantum), so all offers land before the node
-// finalises, and "minimum distance, then minimum edge id" is
-// order-independent. Offers arriving after finalisation are strictly
-// worse under both traversals and rejected by the same comparisons.
-// TestTreeDialMatchesTree cross-checks the equivalence on randomized
-// weights.
+// accumulated with the same float64 additions (nd = levelDist + quantum is
+// the addition relaxation would perform, so the weight stream is never
+// read), labels use the same epoch-stamped nodeState updates and the same
+// tie-break (a finalised node is never relabelled; among exactly-equal
+// distances the smaller predecessor edge id wins). Identity does not
+// depend on the order within a level: every offer a node receives comes
+// from the previous level, so all offers land before the node finalises,
+// and "minimum distance, then minimum edge id" is order-independent.
+// A live node's distance never improves, so a tie-break-only update leaves
+// its queue entry valid and pushes no duplicate; an entry is just the node
+// id, and pops need no staleness check. TestTreeDialMatchesTree
+// cross-checks the equivalence.
 func (s *SSSPScratch) TreeDial(src NodeID, dsts []NodeID, quantum float64, span int) {
+	if span != 1 {
+		s.Tree(src, dsts)
+		return
+	}
 	ep, remaining := s.beginEpoch(dsts)
 	nodes := s.node
-	wSlot := s.wSlot
 	eids, tos, starts := s.csr.slotEid, s.csr.slotTo, s.csr.Start
 
 	keep := uint32(0)
@@ -84,158 +86,54 @@ func (s *SSSPScratch) TreeDial(src NodeID, dsts []NodeID, quantum float64, span 
 	}
 	nodes[src] = nodeState{dist: 0, pred: int32(unreachedPred), stamp: ep | fSeen | keep}
 
-	if span == 1 {
-		// Uniform fast path: span == 1 certifies every slot weight IS the
-		// quantum, so the weight stream never needs reading (nd = levelDist
-		// + quantum is the same float64 addition relaxation would perform —
-		// every node pushed into one level carries the same distance), and
-		// the two live buckets degenerate into a pair of level frontiers.
-		// With no duplicate entries (a live node's distance never improves
-		// under uniform weights, so a tie-break-only update leaves its
-		// entry valid), an entry is just the node id — 4 bytes instead of
-		// 16 — and the pop-side staleness checks of the general drain
-		// (finalised-already, distance-improved) can never fire. Pops stay
-		// LIFO from the end, the same order the bucket stack produced.
-		// This is the path for cold-start hop-count sweeps and unit-weight
-		// batch queries, which touch only the adjacency heads and labels.
-		cur := append(s.frontier[:0], int32(src))
-		next := s.nextFrontier[:0]
-		d := 0.0
-	levels:
+	cur := append(s.frontier[:0], int32(src))
+	next := s.nextFrontier[:0]
+	d := 0.0
+levels:
+	for len(cur) > 0 {
+		nd := d + quantum
 		for len(cur) > 0 {
-			nd := d + quantum
-			for len(cur) > 0 {
-				u := cur[len(cur)-1]
-				cur = cur[:len(cur)-1]
-				su := &nodes[u]
-				su.stamp |= fDone
-				if su.stamp&fNeed != 0 {
-					remaining--
-					if remaining == 0 {
-						break levels
-					}
-				}
-				base := starts[u]
-				row := tos[base:starts[u+1]]
-				for k := range row {
-					v := row[k]
-					st := &nodes[v]
-					sv := st.stamp - ep
-					if sv&^uint32(fSeen|fNeed) == fDone {
-						continue
-					}
-					if sv >= epochStride {
-						st.stamp = ep | fSeen
-					} else if sv&fSeen == 0 {
-						st.stamp |= fSeen
-					} else {
-						// Already offered: only the min-edge-id tie-break
-						// can apply (a same-level offer is equal, a
-						// same-frontier offer is one level higher and
-						// fails the equality), and no re-push is needed.
-						if nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred] {
-							st.pred = base + int32(k)
-						}
-						continue
-					}
-					st.dist = nd
-					st.pred = base + int32(k)
-					next = append(next, v)
+			u := cur[len(cur)-1]
+			cur = cur[:len(cur)-1]
+			su := &nodes[u]
+			su.stamp |= fDone
+			if su.stamp&fNeed != 0 {
+				remaining--
+				if remaining == 0 {
+					break levels
 				}
 			}
-			cur, next = next, cur[:0]
-			d = nd
-		}
-		s.frontier, s.nextFrontier = cur[:0], next[:0]
-		s.remaining = remaining
-		return
-	}
-
-	nb := span + 1
-	if len(s.buckets) < nb {
-		s.buckets = append(s.buckets, make([][]ssspItem, nb-len(s.buckets))...)
-	}
-	buckets := s.buckets[:nb]
-	// An early-exited previous call may have left entries behind; O(span)
-	// clearing here keeps the traversal itself reset-free.
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-
-	buckets[0] = append(buckets[0], ssspItem{node: int32(src), dist: 0})
-	pending := 1
-	inv := 1 / quantum
-	bi := 0 // circular index of the bucket being drained
-	for pending > 0 {
-		for len(buckets[bi]) == 0 {
-			bi++
-			if bi == nb {
-				bi = 0
-			}
-		}
-		bkt := buckets[bi]
-		top := bkt[len(bkt)-1]
-		buckets[bi] = bkt[:len(bkt)-1]
-		pending--
-
-		u, d := top.node, top.dist
-		su := &nodes[u]
-		// Bucket entries are all pushed this call, so su's stamp is current.
-		if su.stamp&fDone != 0 || d > su.dist {
-			continue // stale lazy entry: the node improved or finalised already
-		}
-		su.stamp |= fDone
-		if su.stamp&fNeed != 0 {
-			remaining--
-			if remaining == 0 {
-				break
-			}
-		}
-		base := starts[u]
-		row := tos[base:starts[u+1]]
-		ws := wSlot[base : base+int32(len(row))]
-		for k := range row {
-			v := row[k]
-			st := &nodes[v]
-			sv := st.stamp - ep
-			if sv&^uint32(fSeen|fNeed) == fDone {
-				// Current and finalised: never rewrite a finalised node's
-				// predecessor — same invariant as Tree.
-				continue
-			}
-			nd := d + ws[k]
-			if sv >= epochStride {
-				st.stamp = ep | fSeen
+			base := starts[u]
+			row := tos[base:starts[u+1]]
+			for k := range row {
+				v := row[k]
+				st := &nodes[v]
+				sv := st.stamp - ep
+				if sv&^uint32(fSeen|fNeed) == fDone {
+					continue
+				}
+				if sv >= epochStride {
+					st.stamp = ep | fSeen
+				} else if sv&fSeen == 0 {
+					st.stamp |= fSeen
+				} else {
+					// Already offered: only the min-edge-id tie-break can
+					// apply (a same-level offer is equal, a same-frontier
+					// offer is one level higher and fails the equality), and
+					// no re-push is needed.
+					if nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred] {
+						st.pred = base + int32(k)
+					}
+					continue
+				}
 				st.dist = nd
 				st.pred = base + int32(k)
-			} else if sv&fSeen == 0 {
-				st.stamp |= fSeen
-				st.dist = nd
-				st.pred = base + int32(k)
-			} else if nd < st.dist {
-				st.dist = nd
-				st.pred = base + int32(k)
-			} else if nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred] {
-				// Tie-break-only update: the distance is unchanged, so the
-				// node's existing bucket entry is still in the right bucket
-				// and a duplicate push would only add a stale pop. (Safe for
-				// the dial, where weights >= quantum > 0 mean every offer
-				// lands before the node finalises; the heap keeps its
-				// historical push sequence.)
-				st.pred = base + int32(k)
-				continue
-			} else {
-				continue
+				next = append(next, v)
 			}
-			// Bucket index: nd is (up to sub-half-quantum drift) an exact
-			// multiple of the quantum, so nearest-integer rounding
-			// recovers the unit distance; weights >= quantum guarantee the
-			// target bucket is strictly ahead of bi, within the window of
-			// span buckets the circular array covers.
-			idx := int(uint64(nd*inv+0.5) % uint64(nb))
-			buckets[idx] = append(buckets[idx], ssspItem{node: v, dist: nd})
-			pending++
 		}
+		cur, next = next, cur[:0]
+		d = nd
 	}
+	s.frontier, s.nextFrontier = cur[:0], next[:0]
 	s.remaining = remaining
 }

@@ -52,7 +52,7 @@ func TestQuantizeWeights(t *testing.T) {
 // full-tree builds and early-exit destination subsets.
 func TestTreeDialMatchesTree(t *testing.T) {
 	g := randomGraph(t, 21, 50, 260)
-	csr := g.CSR()
+	csr := CompileIdentity(g).Hot()
 	heap := NewSSSPScratch(csr)
 	dial := NewSSSPScratch(csr)
 	rng := rand.New(rand.NewSource(2))
@@ -116,21 +116,27 @@ func TestTreeDialMatchesTree(t *testing.T) {
 	}
 }
 
-// TestTreeDialInterleaved runs Tree and TreeDial alternately on one scratch
-// to confirm the epoch reset and bucket clearing compose: state left by
-// either traversal (including early-exited bucket entries) must not leak
-// into the next.
+// TestTreeDialInterleaved alternates TreeDial's level queue on uniform
+// weights with the heap Tree on non-uniform ones, all early-exiting, on one
+// scratch: labels and queue state left by either search must not leak into
+// the next. Every third trial passes TreeDial a span above 1, which must
+// run Tree.
 func TestTreeDialInterleaved(t *testing.T) {
 	g := randomGraph(t, 22, 30, 150)
-	csr := g.CSR()
+	csr := CompileIdentity(g).Hot()
 	scr := NewSSSPScratch(csr)
 	ref := NewSSSPScratch(csr)
 	w := make([]float64, g.NumEdges())
 	rng := rand.New(rand.NewSource(3))
 	var bufA, bufB []EdgeID
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
+		mode := trial % 3 // 0: uniform TreeDial, 1: Tree, 2: TreeDial span 9
 		for i := range w {
-			w[i] = float64(1 + rng.Intn(9))
+			if mode == 0 {
+				w[i] = 0.5
+			} else {
+				w[i] = float64(1 + rng.Intn(9))
+			}
 		}
 		if err := scr.SetWeights(w); err != nil {
 			t.Fatal(err)
@@ -139,23 +145,36 @@ func TestTreeDialInterleaved(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := NodeID(rng.Intn(g.NumNodes()))
-		dst := NodeID(rng.Intn(g.NumNodes()))
-		if src == dst {
-			continue
+		var dsts []NodeID
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			if d := NodeID(rng.Intn(g.NumNodes())); d != src {
+				dsts = append(dsts, d)
+			}
 		}
-		dsts := []NodeID{dst}
-		if trial%2 == 0 {
-			scr.TreeDial(src, dsts, 1, 9)
-		} else {
+		switch mode {
+		case 0:
+			q, span, ok := QuantizeWeights(w, MaxDialSpan)
+			if !ok || q != 0.5 || span != 1 {
+				t.Fatalf("trial %d: uniform weights quantize to (%v, %d, %v)", trial, q, span, ok)
+			}
+			scr.TreeDial(src, dsts, q, span)
+		case 1:
 			scr.Tree(src, dsts)
+		default:
+			scr.TreeDial(src, dsts, 1, 9)
 		}
 		ref.Tree(src, dsts)
-		bufA = bufA[:0]
-		bufB = bufB[:0]
-		pa, okA := scr.AppendPathTo(dst, bufA)
-		pb, okB := ref.AppendPathTo(dst, bufB)
-		if okA != okB || !edgesEqual(pa, pb) {
-			t.Fatalf("trial %d %d->%d: interleaved %v (%v) vs reference %v (%v)", trial, src, dst, pa, okA, pb, okB)
+		for _, dst := range dsts {
+			bufA = bufA[:0]
+			bufB = bufB[:0]
+			pa, okA := scr.AppendPathTo(dst, bufA)
+			pb, okB := ref.AppendPathTo(dst, bufB)
+			if okA != okB || !edgesEqual(pa, pb) {
+				t.Fatalf("trial %d %d->%d: interleaved %v (%v) vs reference %v (%v)", trial, src, dst, pa, okA, pb, okB)
+			}
+			if okA && math.Float64bits(scr.Dist(dst)) != math.Float64bits(ref.Dist(dst)) {
+				t.Fatalf("trial %d %d->%d: interleaved dist %v vs reference %v", trial, src, dst, scr.Dist(dst), ref.Dist(dst))
+			}
 		}
 	}
 }

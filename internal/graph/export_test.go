@@ -17,3 +17,6 @@ func (s *SSSPScratch) MinWeight() float64 { return s.minW }
 
 // IsStub reports whether node v (in c's node space) is a stub.
 func (c *CSR) IsStub(v NodeID) bool { return c.stub[v] }
+
+// SlotTo returns the head node of each slot, in c's node space.
+func (c *CSR) SlotTo() []int32 { return c.slotTo }

@@ -74,7 +74,6 @@ type Graph struct {
 	edges    []Edge
 	out      [][]EdgeID    // adjacency: outgoing edge ids per node
 	in       [][]EdgeID    // reverse adjacency
-	csr      csrCache      // lazily-built flat adjacency (see CSR)
 	compiled compiledCache // lazily-built compiled artifact bundle (see Compile)
 }
 
@@ -100,9 +99,8 @@ func (g *Graph) AddNode(name string, kind NodeKind) NodeID {
 	return id
 }
 
-// invalidate drops the cached derived views after a mutation.
+// invalidate drops the cached compiled bundle after a mutation.
 func (g *Graph) invalidate() {
-	g.csr.ptr.Store(nil)
 	g.compiled.mu.Lock()
 	g.compiled.ptr = nil
 	g.compiled.mu.Unlock()

@@ -25,9 +25,6 @@ func TestFingerprintRenumberStability(t *testing.T) {
 		if ci.Fingerprint() != want {
 			t.Fatalf("%s: identity compile fingerprint %x, graph %x", name, ci.Fingerprint(), want)
 		}
-		if ci.CSR() != ci.Hot() {
-			t.Fatalf("%s: identity compile's hot view is not the graph CSR", name)
-		}
 		for v := 0; v < g.NumNodes(); v++ {
 			id := graph.NodeID(v)
 			if c.FromHot(c.ToHot(id)) != id {
@@ -47,43 +44,39 @@ func TestFingerprintRenumberStability(t *testing.T) {
 }
 
 // TestRenumberHotViewStructure pins the hot view's layout contract: node
-// indices in hot space, edge ids original, per-node slot rows in ascending
-// original-edge-id order (the tie-break substrate), and capacities carried
-// through untouched.
+// indices in hot space, edge ids original, and per-node slot rows in
+// ascending original-edge-id order (the tie-break substrate).
 func TestRenumberHotViewStructure(t *testing.T) {
 	for name, g := range compileCorpus(t) {
 		c := graph.Compile(g)
-		hot, orig := c.Hot(), g.CSR()
-		if hot.NumNodes() != orig.NumNodes() || hot.NumEdges() != orig.NumEdges() {
+		hot := c.Hot()
+		if hot.NumNodes() != g.NumNodes() || hot.NumEdges() != g.NumEdges() {
 			t.Fatalf("%s: hot view dims %dx%d, want %dx%d",
-				name, hot.NumNodes(), hot.NumEdges(), orig.NumNodes(), orig.NumEdges())
+				name, hot.NumNodes(), hot.NumEdges(), g.NumNodes(), g.NumEdges())
 		}
 		for h := 0; h < hot.NumNodes(); h++ {
 			u := c.FromHot(graph.NodeID(h))
-			row := hot.AdjEdge[hot.Start[h]:hot.Start[h+1]]
+			row := hot.SlotEdges()[hot.Start[h]:hot.Start[h+1]]
 			want := g.OutEdges(u)
 			if len(row) != len(want) {
 				t.Fatalf("%s: hot node %d has %d slots, original node %d has %d",
 					name, h, len(row), u, len(want))
 			}
 			for k, eid := range row {
-				if eid != want[k] {
+				if graph.EdgeID(eid) != want[k] {
 					t.Fatalf("%s: hot node %d slot %d holds edge %d, want %d (ascending original ids)",
 						name, h, k, eid, want[k])
 				}
-				e := g.MustEdge(eid)
-				if hot.AdjTo[hot.Start[h]+int32(k)] != c.ToHot(e.To) {
+				e := g.MustEdge(want[k])
+				if hot.SlotTo()[hot.Start[h]+int32(k)] != int32(c.ToHot(e.To)) {
 					t.Fatalf("%s: hot slot head of edge %d is not the hot id of its To", name, eid)
 				}
 			}
 		}
 		for i := 0; i < g.NumEdges(); i++ {
 			e := g.MustEdge(graph.EdgeID(i))
-			if hot.EdgeFrom[i] != c.ToHot(e.From) || hot.EdgeTo[i] != c.ToHot(e.To) {
-				t.Fatalf("%s: hot EdgeFrom/EdgeTo[%d] disagree with the permuted endpoints", name, i)
-			}
-			if hot.Cap[i] != e.Capacity {
-				t.Fatalf("%s: hot Cap[%d] = %v, want %v", name, i, hot.Cap[i], e.Capacity)
+			if hot.EdgeFrom[i] != c.ToHot(e.From) {
+				t.Fatalf("%s: hot EdgeFrom[%d] disagrees with the permuted tail", name, i)
 			}
 		}
 	}

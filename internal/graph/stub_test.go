@@ -105,7 +105,7 @@ func TestStubClassificationEdgeCases(t *testing.T) {
 	loop := n("self-loop") // its only in-edge is a self-loop: not a stub
 	edge(loop, loop)
 	want := map[graph.NodeID]bool{leaf: true, twice: true, sink: true}
-	csr := g.CSR()
+	csr := graph.CompileIdentity(g).Hot()
 	for v := 0; v < g.NumNodes(); v++ {
 		id := graph.NodeID(v)
 		if got := csr.IsStub(id); got != want[id] {

@@ -11,7 +11,9 @@ import (
 // TestOracleSweepZeroAllocsAfterWarmup is the allocation-regression ceiling
 // for the solver's linear oracle: once every optimal path has been interned
 // (first sweep), a full sweep — Dijkstra tree per distinct source plus path
-// extraction and interning for every commodity — must not allocate.
+// extraction and interning for every commodity — must not allocate. Both
+// search branches are covered: uniform weights run the dial level queue,
+// non-uniform ones run ScanWeights and the heap Tree.
 func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 	ft, err := topology.FatTree(4, 100)
 	if err != nil {
@@ -27,25 +29,39 @@ func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 		}
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	s, err := NewSolver(ft.Graph, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.orc.bind(comms)
-	out := make([]graph.PathHandle, len(comms))
-	w := s.orc.slotWeights()
-	for i := range w {
-		w[i] = float64(i%5) + 1
-	}
-	if err := s.orc.shortestPaths(comms, out); err != nil {
-		t.Fatal(err) // warm-up: interns every path, sizes buffers
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.orc.shortestPaths(comms, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("oracle sweep allocates %.1f times per run after warm-up, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		weight func(i int) float64
+		dial   bool
+	}{
+		{"uniform", func(int) float64 { return 1 }, true},
+		{"non-uniform", func(i int) float64 { return float64(i%5) + 1 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSolver(ft.Graph, m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.orc.bind(comms)
+			out := make([]graph.PathHandle, len(comms))
+			w := s.orc.slotWeights()
+			for i := range w {
+				w[i] = tc.weight(i)
+			}
+			if _, _, dial := graph.QuantizeWeights(w, graph.MaxDialSpan); dial != tc.dial {
+				t.Fatalf("weights select the dial = %v, want %v", dial, tc.dial)
+			}
+			if err := s.orc.shortestPaths(comms, out); err != nil {
+				t.Fatal(err) // warm-up: interns every path, sizes buffers
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := s.orc.shortestPaths(comms, out); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("oracle sweep allocates %.1f times per run after warm-up, want 0", allocs)
+			}
+		})
 	}
 }

@@ -274,7 +274,6 @@ func (d *decomp) add(h graph.PathHandle, w float64) {
 type Solver struct {
 	g        *graph.Graph
 	compiled *graph.Compiled
-	csr      *graph.CSR
 	m        power.Model
 	opts     Options
 	cost     costModel
@@ -309,7 +308,7 @@ func NewSolver(g *graph.Graph, m power.Model, opts Options) (*Solver, error) {
 
 // NewSolverCompiled is NewSolver on an explicitly compiled graph view —
 // the compile-once/solve-many entry point. The Solver borrows the compiled
-// CSR; only its own scratch (edge-flow buffers, path intern table,
+// view; only its own scratch (edge-flow buffers, path intern table,
 // shortest-path state) is allocated here, and a pooled Solver (see Pool)
 // amortises even that across solves.
 func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver, error) {
@@ -320,9 +319,8 @@ func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver,
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	opts = opts.withDefaults(m)
-	csr := c.CSR()
 	intern := graph.NewPathInterner()
-	nE := csr.NumEdges()
+	nE := c.Graph().NumEdges()
 	// A negative worker count is resolved here rather than in withDefaults
 	// so Options stays a stable comparable key for Pool.Matches regardless
 	// of the machine's CPU count.
@@ -333,7 +331,6 @@ func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver,
 	return &Solver{
 		g:        c.Graph(),
 		compiled: c,
-		csr:      csr,
 		m:        m,
 		opts:     opts,
 		cost:     makeCost(m, opts),
@@ -398,8 +395,8 @@ func (s *Solver) SolveWarm(commodities []Commodity, warm WarmStart) (*Result, er
 // SolveWarmCtx exactly (the base-free hot loops run untouched, keeping
 // default results bit-identical).
 func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart) (*Result, error) {
-	if base != nil && len(base) != s.csr.NumEdges() {
-		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.csr.NumEdges())
+	if base != nil && len(base) != s.g.NumEdges() {
+		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
 	}
 	s.base = base
 	defer func() { s.base = nil }()
@@ -423,7 +420,7 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 			return nil, fmt.Errorf("%w: commodity %d endpoints unknown", ErrBadInput, i)
 		}
 	}
-	nE := s.csr.NumEdges()
+	nE := s.g.NumEdges()
 	res := &Result{
 		EdgeFlow:         make([]float64, nE),
 		PathsByCommodity: make([][]WeightedPath, len(commodities)),
@@ -632,7 +629,7 @@ func (s *Solver) seedWarm(commodities []Commodity, warm WarmStart) (cold bool) {
 			prevByID[c.ID] = i
 		}
 	}
-	x := s.x[:s.csr.NumEdges()]
+	x := s.x[:s.g.NumEdges()]
 	for i, c := range commodities {
 		pi, ok := prevByID[c.ID]
 		if !ok {
@@ -677,10 +674,11 @@ func (s *Solver) validPath(edges []graph.EdgeID, src, dst graph.NodeID) bool {
 	}
 	cur := src
 	for _, eid := range edges {
-		if eid < 0 || int(eid) >= s.csr.NumEdges() || s.csr.EdgeFrom[eid] != cur {
+		e, err := s.g.Edge(eid)
+		if err != nil || e.From != cur {
 			return false
 		}
-		cur = s.csr.EdgeTo[eid]
+		cur = e.To
 	}
 	return cur == dst
 }

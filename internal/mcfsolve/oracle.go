@@ -148,15 +148,15 @@ func (o *oracle) slotWeights() []float64 { return o.sssp.SlotWeights() }
 // slotEdges returns the (original) edge id carried by each weight slot, in
 // the hot view's slot order. The Frank–Wolfe weight fill iterates this in
 // lockstep with slotWeights.
-func (o *oracle) slotEdges() []graph.EdgeID { return o.hot.AdjEdge }
+func (o *oracle) slotEdges() []int32 { return o.hot.SlotEdges() }
 
-// tree runs one source group's shortest-path tree on s, via the dial bucket
-// queue when the current weights quantize and the binary heap otherwise.
-// Both produce bit-identical trees (the TreeDial contract), so the choice
-// is invisible to everything downstream.
-func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64, span int, dial bool) {
-	if dial {
-		s.TreeDial(o.hsrcs[gi], o.hdsts[gi], quantum, span)
+// tree runs one source group's shortest-path tree on s: on the dial level
+// queue when quantum, the uniform weight QuantizeWeights found, is set, and
+// on the binary heap when it is 0. Both produce bit-identical trees (the
+// TreeDial contract), so the choice is invisible to everything downstream.
+func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64) {
+	if quantum > 0 {
+		s.TreeDial(o.hsrcs[gi], o.hdsts[gi], quantum, graph.MaxDialSpan)
 	} else {
 		s.Tree(o.hsrcs[gi], o.hdsts[gi])
 	}
@@ -168,22 +168,22 @@ func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64, span int, d
 // len(commodities).
 func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
 	// Probe the frozen weights once per sweep: hop-count cold starts (all
-	// ones) select the O(E) dial queue, the marginal-cost weights of warm
-	// Frank–Wolfe iterations fall back to the heap, whose fast search needs
-	// the weights' lower bound (shared with the parallel workers).
-	quantum, span, dial := graph.QuantizeWeights(o.sssp.SlotWeights(), graph.MaxDialSpan)
+	// ones) select the O(E) dial level queue, the marginal-cost weights of
+	// warm Frank–Wolfe iterations fall back to the heap, whose fast search
+	// needs the weights' lower bound (shared with the parallel workers).
+	quantum, _, dial := graph.QuantizeWeights(o.sssp.SlotWeights(), graph.MaxDialSpan)
 	if !dial {
 		o.sssp.ScanWeights()
 	}
 	if o.workers <= 1 || len(o.srcs) < 2 {
-		return o.shortestPathsSeq(commodities, out, quantum, span, dial)
+		return o.shortestPathsSeq(commodities, out, quantum)
 	}
-	return o.shortestPathsPar(commodities, out, quantum, span, dial)
+	return o.shortestPathsPar(commodities, out, quantum)
 }
 
-func (o *oracle) shortestPathsSeq(commodities []Commodity, out []graph.PathHandle, quantum float64, span int, dial bool) error {
+func (o *oracle) shortestPathsSeq(commodities []Commodity, out []graph.PathHandle, quantum float64) error {
 	for gi, src := range o.srcs {
-		o.tree(o.sssp, gi, quantum, span, dial)
+		o.tree(o.sssp, gi, quantum)
 		for _, ci := range o.members[gi] {
 			o.pathBuf = o.pathBuf[:0]
 			buf, ok := o.sssp.AppendPathTo(o.cdst[ci], o.pathBuf)
@@ -201,7 +201,7 @@ func (o *oracle) shortestPathsSeq(commodities []Commodity, out []graph.PathHandl
 // source groups via a shared atomic cursor, then a sequential
 // ascending-source merge interns every path. The merge is where determinism
 // lives — see the type comment.
-func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandle, quantum float64, span int, dial bool) error {
+func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandle, quantum float64) error {
 	ng := len(o.srcs)
 	for len(o.groups) < ng {
 		o.groups = append(o.groups, groupArena{})
@@ -224,7 +224,7 @@ func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandl
 				if gi >= ng {
 					return
 				}
-				o.extractGroup(s, gi, commodities, quantum, span, dial)
+				o.extractGroup(s, gi, commodities, quantum)
 			}
 		}()
 	}
@@ -234,7 +234,7 @@ func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandl
 		if gi >= ng {
 			break
 		}
-		o.extractGroup(o.sssp, gi, commodities, quantum, span, dial)
+		o.extractGroup(o.sssp, gi, commodities, quantum)
 	}
 	wg.Wait()
 
@@ -259,12 +259,12 @@ func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandl
 // path into the group's arena. Arena slices are reused across sweeps, so a
 // warm parallel sweep's only recurring allocations are the worker
 // goroutines themselves.
-func (o *oracle) extractGroup(s *graph.SSSPScratch, gi int, commodities []Commodity, quantum float64, span int, dial bool) {
+func (o *oracle) extractGroup(s *graph.SSSPScratch, gi int, commodities []Commodity, quantum float64) {
 	g := &o.groups[gi]
 	g.edges = g.edges[:0]
 	g.offs = append(g.offs[:0], 0)
 	g.err = nil
-	o.tree(s, gi, quantum, span, dial)
+	o.tree(s, gi, quantum)
 	src := o.srcs[gi]
 	for _, ci := range o.members[gi] {
 		buf, ok := s.AppendPathTo(o.cdst[ci], g.edges)

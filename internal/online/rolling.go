@@ -98,28 +98,11 @@ type RollingOptions struct {
 	// DCFSR configures the epoch re-solves (seed, solver options,
 	// WarmStart for cross-epoch Frank–Wolfe seeding, parallelism).
 	DCFSR core.DCFSROptions
-	// SampleRounding reverts the epoch admission to Random-Schedule's pure
-	// randomized rounding: each new flow samples one path from its
-	// aggregated candidate distribution. By default the scheduler instead
-	// scores every candidate (plus the marginal-cost shortest path as a
-	// safety net) by the exact marginal energy of reserving the flow's
-	// rate over its span against the current commitments, and picks the
-	// cheapest — the deterministic, locally optimal member of the
-	// relaxation's globally load-aware candidate set.
-	SampleRounding bool
 	// RejectOverCapacity enables admission control: a new flow whose
 	// density does not fit under the link capacity C on its planned path
 	// (given everything already committed) is rejected instead of admitted
 	// over capacity.
 	RejectOverCapacity bool
-	// DensityRates disables temporal load shaping: every admitted flow
-	// then transmits at its constant residual density, exactly like the
-	// greedy scheduler. By default admission water-fills the flow's rate
-	// profile against the committed load already reserved on its path —
-	// transmitting harder through troughs and backing off under peaks —
-	// which is where knowing the future committed profile beats the
-	// greedy's flat-rate placement on time-varying workloads.
-	DensityRates bool
 	// Recorder, when non-nil, receives a typed decision.Record at every
 	// epoch boundary and per-flow admission decision, in decision order
 	// (epoch order, then deadline-sorted batch order) with deterministic
@@ -615,7 +598,7 @@ func (s *RollingScheduler) replan(tau float64) error {
 		Intervals: intervals,
 		Prev:      s.prev,
 		Delta:     s.opts.Delta,
-		Argmax:    !s.opts.SampleRounding,
+		Argmax:    true,
 		Opts:      s.opts.DCFSR,
 	})
 	if err != nil {
@@ -639,9 +622,7 @@ func (s *RollingScheduler) replan(tau float64) error {
 		return err
 	}
 	// With every arrival placed, re-level the future of the whole system.
-	if !s.opts.DensityRates {
-		s.rebalance(tau)
-	}
+	s.rebalance(tau)
 	// A full epoch resets the delta streak and re-anchors the drift
 	// baselines at the post-rebalance reservations.
 	s.sinceFull = 0
@@ -683,15 +664,11 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 			continue
 		}
 		rate := res.Rates[f.ID]
-		p, ok := res.Paths[f.ID]
-		if !ok || rate <= 0 {
+		if _, ok := res.Paths[f.ID]; !ok || rate <= 0 {
 			return fmt.Errorf("%w: epoch at %v produced no plan for flow %d", ErrBadInput, tau, f.ID)
 		}
-		reason := "relaxation"
-		if !s.opts.SampleRounding {
-			p = s.bestPath(f, rate, res.Candidates[f.ID], tau)
-			reason = "marginal-cost"
-		}
+		p := s.bestPath(f, rate, res.Candidates[f.ID], tau)
+		reason := "marginal-cost"
 		if forced, fok := s.opts.Overrides.ForcedPath(f.ID); fok {
 			if err := forced.Validate(s.g, f.Src, f.Dst); err != nil {
 				return fmt.Errorf("%w: forced path for flow %d: %v", ErrBadInput, f.ID, err)
@@ -701,11 +678,7 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 		}
 		// The frozen rate profile: load-shaped against the committed
 		// reservations on the chosen path, or the flat residual density.
-		w := rate * (f.Deadline - tau)
-		var segs []schedule.RateSegment
-		if !s.opts.DensityRates {
-			segs = s.shapeRates(p, tau, f.Deadline, w)
-		}
+		segs := s.shapeRates(p, tau, f.Deadline, rate*(f.Deadline-tau))
 		if segs == nil {
 			if s.opts.RejectOverCapacity && s.model.Capped() && !s.fits(p, rate, tau, f.Deadline) {
 				if s.opts.Recorder != nil {
@@ -765,7 +738,7 @@ func (s *RollingScheduler) replanDelta(tau float64) (bool, error) {
 		Prev:      s.prev,
 		BaseLoad:  s.baseLoadDuring,
 		Delta:     s.opts.Delta,
-		Argmax:    !s.opts.SampleRounding,
+		Argmax:    true,
 		Opts:      s.opts.DCFSR,
 	})
 	if err != nil {
