@@ -28,10 +28,11 @@ scenarios:
 sweep-smoke:
 	$(GO) run ./cmd/dcnflow sweep examples/sweeps/smoke.json -workers 4
 
-# serve-smoke boots `dcnflow serve` as a real subprocess, fires a
-# 3-request batch through the Go client, asserts every energy is
-# bit-identical to the engine solve `dcnflow run` prints, and requires a
-# graceful SIGTERM shutdown. CI runs the same command.
+# serve-smoke boots `dcnflow serve` as a real subprocess, requires an
+# oversized topology spec to be refused with a 400, fires a 3-request
+# batch through the Go client, asserts every energy is bit-identical to
+# the engine solve `dcnflow run` prints, and requires a graceful SIGTERM
+# shutdown. CI runs the same command.
 serve-smoke:
 	$(GO) run ./cmd/servesmoke
 

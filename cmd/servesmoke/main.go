@@ -2,12 +2,14 @@
 // wired into CI as `make serve-smoke`:
 //
 //  1. build the dcnflow binary and start `dcnflow serve` on a free port;
-//  2. fire a 3-request batch (three solver families on one example
+//  2. send a hostile request — a BCube with l=40, whose generator would
+//     need 2^41 servers — and require a 400, then a healthy /healthz;
+//  3. fire a 3-request batch (three solver families on one example
 //     scenario) through the Go client (dcnflow.Client);
-//  3. assert every returned energy is bit-identical to the in-process
+//  4. assert every returned energy is bit-identical to the in-process
 //     engine solve of the same spec — the exact code path `dcnflow run`
 //     prints — and that /healthz answers with warm cache counters;
-//  4. SIGTERM the server and require a graceful zero-status exit.
+//  5. SIGTERM the server and require a graceful zero-status exit.
 //
 // Any divergence, refusal or hang (a 60s watchdog) exits non-zero.
 package main
@@ -15,7 +17,9 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -90,8 +94,24 @@ func run() error {
 	}()
 	fmt.Println("servesmoke: server up at", base)
 
-	// The 3-request batch: three solver families on one scenario.
 	client := &dcnflow.Client{BaseURL: base}
+
+	// Hostile input: a request of a few dozen bytes whose topology would
+	// exhaust memory if generated. It must be refused as a bad request,
+	// and the server must keep serving.
+	hostile := *spec
+	hostile.Topology = dcnflow.TopologySpec{Kind: "bcube", K: 2, L: 40, Capacity: spec.Topology.Capacity}
+	_, err = client.Solve(ctx, dcnflow.ServeRequest{Scenario: hostile, Solver: dcnflow.SolverSPMCF})
+	var serr *dcnflow.ServeError
+	if !errors.As(err, &serr) || serr.Status != http.StatusBadRequest {
+		return fmt.Errorf("oversized bcube spec: got %v, want status 400", err)
+	}
+	if health, err := client.Health(ctx); err != nil || health.Status != "ok" {
+		return fmt.Errorf("healthz after the oversized spec: %+v, %v", health, err)
+	}
+	fmt.Println("servesmoke: oversized bcube spec refused with 400, server healthy")
+
+	// The 3-request batch: three solver families on one scenario.
 	reqs := make([]dcnflow.ServeRequest, len(smokeSolvers))
 	for i, solver := range smokeSolvers {
 		reqs[i] = dcnflow.ServeRequest{Scenario: *spec, Solver: solver}

@@ -287,7 +287,8 @@ type (
 )
 
 // NewOnlineScheduler creates an incremental online scheduler for callers
-// that admit flows as they arrive.
+// that admit flows as they arrive. The scheduler binds g (it routes on
+// g's compiled view), so g must not be mutated while it is in use.
 func NewOnlineScheduler(g *Graph, m PowerModel, horizon Interval, opts OnlineOptions) (*OnlineScheduler, error) {
 	return online.New(g, m, horizon, opts)
 }

@@ -128,18 +128,12 @@ func SolveDCFSCtx(ctx context.Context, in DCFSInput) (*DCFSResult, error) {
 	}
 
 	flows := in.Flows.Flows()
-	// Per-link pending flow lists.
-	linkFlows := make(map[graph.EdgeID][]flow.ID)
-	for _, f := range flows {
-		for _, eid := range in.Paths[f.ID].Edges {
-			linkFlows[eid] = append(linkFlows[eid], f.ID)
-		}
-	}
 	// Virtual weights w'_i = w_i * |P_i|^(1/alpha).
 	vweight := make(map[flow.ID]float64, len(flows))
 	for _, f := range flows {
 		vweight[f.ID] = in.Model.VirtualWeight(f.Size, in.Paths[f.ID].Len())
 	}
+	search := newCritSearch(in, flows, vweight)
 
 	pending := make(map[flow.ID]flow.Flow, len(flows))
 	for _, f := range flows {
@@ -159,7 +153,7 @@ func SolveDCFSCtx(ctx context.Context, in DCFSInput) (*DCFSResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: MCF interrupted with %d flows pending: %w", len(pending), err)
 		}
-		round, err := findCritical(pending, linkFlows, vweight, blockedOn)
+		round, err := search.next(pending, blockedOn)
 		if errors.Is(err, errNoCandidate) {
 			// Every remaining flow's span is fully blocked on all its
 			// links by earlier virtual circuits. Exclusive occupancy is
@@ -214,8 +208,11 @@ func SolveDCFSCtx(ctx context.Context, in DCFSInput) (*DCFSResult, error) {
 				return nil, fmt.Errorf("core: installing flow %d: %w", fid, err)
 			}
 			// Block the slots on every link of the path (virtual circuit).
+			// Only these links lose a pending flow or gain blocked time, so
+			// only their candidate windows need recomputing.
 			for _, eid := range in.Paths[fid].Edges {
 				blockedOn(eid).AddAll(slots[fid])
+				search.touch(eid)
 			}
 			delete(pending, fid)
 		}
@@ -225,91 +222,188 @@ func SolveDCFSCtx(ctx context.Context, in DCFSInput) (*DCFSResult, error) {
 	return res, nil
 }
 
-// findCritical scans all (link, window) candidates and returns the most
-// critical one. Windows start at a pending release and end at a pending
-// deadline of flows on the link.
-func findCritical(
+// critSearch is Most-Critical-First's candidate search (Definitions 1-2),
+// kept across rounds. A round changes the pending set and the blocked slots
+// only on the links of the flows it schedules, so every other link's
+// candidate windows and intensities carry over unchanged; touch marks the
+// changed links and next recomputes just those before the global scan.
+type critSearch struct {
+	links []linkCands // every path link, in ascending edge id
+	at    []int32     // edge id -> index into links, -1 for unused edges
+
+	// Scratch reused by recompute.
+	active, later       []linkFlow
+	releases, deadlines []float64
+}
+
+// linkCands is one link's share of the search: its flows and its cached
+// candidate windows.
+type linkCands struct {
+	eid graph.EdgeID
+	// flows lists the flows routed over the link in flow-id order (a flow
+	// appears once per occurrence of the link on its path).
+	flows []linkFlow
+	// cands are the link's candidates in scan order: release a ascending,
+	// then deadline b ascending. A candidate contains at least one pending
+	// flow and has availability above timeline.Eps.
+	cands []critWindow
+	// max is the largest candidate intensity, -Inf when there is none.
+	max   float64
+	dirty bool
+}
+
+// linkFlow is a flow's window and virtual weight w'_i, copied out of the
+// flow set and the weight map so the window scan reads one slice.
+type linkFlow struct {
+	id                flow.ID
+	release, deadline float64
+	w                 float64
+}
+
+// critWindow is one candidate (window, intensity) pair of a link.
+type critWindow struct {
+	a, b, delta float64
+}
+
+// newCritSearch indexes every flow under the links of its path. All links
+// start dirty.
+func newCritSearch(in DCFSInput, flows []flow.Flow, vweight map[flow.ID]float64) *critSearch {
+	at := make([]int32, in.Graph.NumEdges())
+	for i := range at {
+		at[i] = -1
+	}
+	var links []linkCands
+	for _, f := range flows {
+		lf := linkFlow{id: f.ID, release: f.Release, deadline: f.Deadline, w: vweight[f.ID]}
+		for _, eid := range in.Paths[f.ID].Edges {
+			if at[eid] < 0 {
+				at[eid] = int32(len(links))
+				links = append(links, linkCands{eid: eid, dirty: true})
+			}
+			l := &links[at[eid]]
+			l.flows = append(l.flows, lf)
+		}
+	}
+	sort.Slice(links, func(a, b int) bool { return links[a].eid < links[b].eid })
+	for i := range links {
+		at[links[i].eid] = int32(i)
+	}
+	return &critSearch{links: links, at: at}
+}
+
+// touch marks a link whose pending flows or blocked slots changed.
+func (s *critSearch) touch(eid graph.EdgeID) {
+	s.links[s.at[eid]].dirty = true
+}
+
+// next returns the most critical (link, window) pair: windows start at a
+// pending release and end at a pending deadline of flows on the link, and
+// the first candidate in (link, a, b) order that beats the running best by
+// more than timeline.Eps wins. A link whose cached maximum does not beat
+// the running best is skipped whole: none of its candidates could pass
+// that test, and the best only grows.
+func (s *critSearch) next(
 	pending map[flow.ID]flow.Flow,
-	linkFlows map[graph.EdgeID][]flow.ID,
-	vweight map[flow.ID]float64,
 	blockedOn func(graph.EdgeID) *timeline.SlotSet,
 ) (CriticalRound, error) {
 	best := CriticalRound{Intensity: -1}
-	found := false
-
-	// Deterministic link order.
-	links := make([]graph.EdgeID, 0, len(linkFlows))
-	for eid := range linkFlows {
-		links = append(links, eid)
-	}
-	sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
-
-	for _, eid := range links {
-		var active []flow.Flow
-		for _, fid := range linkFlows[eid] {
-			if f, ok := pending[fid]; ok {
-				active = append(active, f)
-			}
+	var bestLink *linkCands
+	for i := range s.links {
+		l := &s.links[i]
+		if l.dirty {
+			s.recompute(l, pending, blockedOn)
 		}
-		if len(active) == 0 {
+		if l.max <= best.Intensity+timeline.Eps {
 			continue
 		}
-		releases := make([]float64, 0, len(active))
-		deadlines := make([]float64, 0, len(active))
-		for _, f := range active {
-			releases = append(releases, f.Release)
-			deadlines = append(deadlines, f.Deadline)
-		}
-		releases = timeline.Breakpoints(releases)
-		deadlines = timeline.Breakpoints(deadlines)
-		blk := blockedOn(eid)
-
-		for _, a := range releases {
-			for _, b := range deadlines {
-				if b <= a {
-					continue
-				}
-				var sumW float64
-				contained := false
-				for _, f := range active {
-					if f.Release >= a-timeline.Eps && f.Deadline <= b+timeline.Eps {
-						sumW += vweight[f.ID]
-						contained = true
-					}
-				}
-				if !contained {
-					continue
-				}
-				avail := blk.AvailableWithin(a, b)
-				if avail <= timeline.Eps {
-					// Fully blocked window: a larger window may still
-					// cover the contained flows; if none does, the caller
-					// falls back to link sharing.
-					continue
-				}
-				delta := sumW / avail
-				if delta > best.Intensity+timeline.Eps {
-					best = CriticalRound{Link: eid, Window: timeline.Interval{Start: a, End: b}, Intensity: delta}
-					found = true
-				}
+		for _, c := range l.cands {
+			if c.delta > best.Intensity+timeline.Eps {
+				best = CriticalRound{Link: l.eid, Window: timeline.Interval{Start: c.a, End: c.b}, Intensity: c.delta}
+				bestLink = l
 			}
 		}
 	}
-	if !found {
+	if bestLink == nil {
 		return CriticalRound{}, errNoCandidate
 	}
 	// Collect the flow set of the winning candidate.
-	for _, fid := range linkFlows[best.Link] {
-		f, ok := pending[fid]
-		if !ok {
+	for _, f := range bestLink.flows {
+		if _, ok := pending[f.id]; !ok {
 			continue
 		}
-		if f.Release >= best.Window.Start-timeline.Eps && f.Deadline <= best.Window.End+timeline.Eps {
-			best.FlowIDs = append(best.FlowIDs, fid)
+		if f.release >= best.Window.Start-timeline.Eps && f.deadline <= best.Window.End+timeline.Eps {
+			best.FlowIDs = append(best.FlowIDs, f.id)
 		}
+	}
+	if len(best.FlowIDs) == 0 {
+		// Only a stale cache can get here; scheduling nothing would repeat
+		// the round forever.
+		return CriticalRound{}, fmt.Errorf("core: critical window %v on link %d holds no pending flow", best.Window, best.Link)
 	}
 	sort.Slice(best.FlowIDs, func(a, b int) bool { return best.FlowIDs[a] < best.FlowIDs[b] })
 	return best, nil
+}
+
+// recompute rebuilds l's candidates from its pending flows and blocked
+// slots. The contained weights are summed in the link's flow order, so an
+// intensity has the same bits however often it is recomputed; dropping the
+// flows released before a first only skips terms that would not be added.
+func (s *critSearch) recompute(l *linkCands, pending map[flow.ID]flow.Flow, blockedOn func(graph.EdgeID) *timeline.SlotSet) {
+	l.dirty = false
+	l.cands = l.cands[:0]
+	l.max = math.Inf(-1)
+	active, releases, deadlines := s.active[:0], s.releases[:0], s.deadlines[:0]
+	for _, f := range l.flows {
+		if _, ok := pending[f.id]; ok {
+			active = append(active, f)
+			releases = append(releases, f.release)
+			deadlines = append(deadlines, f.deadline)
+		}
+	}
+	s.active, s.releases, s.deadlines = active, releases, deadlines
+	if len(active) == 0 {
+		return
+	}
+	releases = timeline.Breakpoints(releases)
+	deadlines = timeline.Breakpoints(deadlines)
+	blk := blockedOn(l.eid)
+	for _, a := range releases {
+		later := s.later[:0]
+		for _, f := range active {
+			if f.release >= a-timeline.Eps {
+				later = append(later, f)
+			}
+		}
+		s.later = later
+		for _, b := range deadlines {
+			if b <= a {
+				continue
+			}
+			var sumW float64
+			contained := false
+			for _, f := range later {
+				if f.deadline <= b+timeline.Eps {
+					sumW += f.w
+					contained = true
+				}
+			}
+			if !contained {
+				continue
+			}
+			avail := blk.AvailableWithin(a, b)
+			if avail <= timeline.Eps {
+				// Fully blocked window: a larger window may still cover
+				// the contained flows; if none does, the caller falls back
+				// to link sharing.
+				continue
+			}
+			delta := sumW / avail
+			l.cands = append(l.cands, critWindow{a: a, b: b, delta: delta})
+			if delta > l.max {
+				l.max = delta
+			}
+		}
+	}
 }
 
 // packCritical places the critical flows' execution slots. It first runs a

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dcnflow/internal/decision"
@@ -249,17 +250,25 @@ func (r *reservation) maxDuring(a, b float64) float64 {
 // New. It implements sim.OnlineEngine (Arrive/AdvanceTo/Finish), so it can
 // be driven by sim.ReplayOnline interchangeably with RollingScheduler.
 type Scheduler struct {
-	g        *graph.Graph
-	model    power.Model
-	opts     Options
-	res      map[graph.EdgeID]*reservation
+	g     *graph.Graph
+	c     *graph.Compiled
+	scr   *graph.SSSPScratch // routes every admission on c's hot view
+	model power.Model
+	opts  Options
+	// res is indexed by edge id; nil means nothing reserved on the link.
+	res      []*reservation
 	sched    *schedule.Schedule
 	peak     float64
 	rejected int
 	recSeq   int
+
+	pathBuf []graph.EdgeID // AppendPathTo's buffer, reused
 }
 
-// New creates an online scheduler over the given horizon.
+// New creates an online scheduler over the given horizon. It binds g the
+// way mcfsolve.Solver does: it routes on graph.Compile(g), which is cached
+// on the graph, and sizes its per-link state and shortest-path scratch for
+// g as it is now, so g must not be mutated while the scheduler is in use.
 func New(g *graph.Graph, model power.Model, horizon timeline.Interval, opts Options) (*Scheduler, error) {
 	if g == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrBadInput)
@@ -267,11 +276,14 @@ func New(g *graph.Graph, model power.Model, horizon timeline.Interval, opts Opti
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
+	c := graph.Compile(g)
 	return &Scheduler{
 		g:     g,
+		c:     c,
+		scr:   graph.NewSSSPScratch(c.Hot()),
 		model: model,
 		opts:  opts,
-		res:   make(map[graph.EdgeID]*reservation),
+		res:   make([]*reservation, g.NumEdges()),
 		sched: schedule.New(horizon),
 	}, nil
 }
@@ -302,6 +314,65 @@ func (s *Scheduler) record(rec decision.Record) {
 	s.opts.Recorder.Record(rec)
 }
 
+// route returns the minimum-weight path for flow f, whose density is d.
+// The weight of a link is the marginal cost of adding rate d to it during
+// the flow's span, evaluated at the span-maximum reserved rate cur =
+// maxDuring(release, deadline): cost(cur+d) - cost(cur) + 1e-9, a
+// conservative estimate that is exact for the common case of constant
+// reservation over the span.
+//
+// The search is the stub-aware heap Tree on the compiled hot view with an
+// early exit at the destination. It yields the path Graph.ShortestPathWeighted
+// yields under the same weights: both finalise labels by minimum distance,
+// then minimum original edge id, and never rewrite a finalised label, and
+// Tree falls back to the historical search order whenever absorption could
+// make the order matter (every weight here is at least 1e-9, so its guard
+// is well defined). The historical search also dropped every offer of
+// 1e308 or more as unreachable. Every offer made before the destination
+// is finalised is at most its distance plus the largest weight, so when
+// that sum stays below 1e308 no offer was dropped and the paths agree;
+// otherwise, and for a weight that is not finite, the marginal costs have
+// left the range the search can order and route reports an error.
+func (s *Scheduler) route(f flow.Flow, d float64) (graph.Path, error) {
+	if !s.g.HasNode(f.Src) || !s.g.HasNode(f.Dst) {
+		return graph.Path{}, fmt.Errorf("shortest path %d->%d: %w", f.Src, f.Dst, graph.ErrNodeNotFound)
+	}
+	hot := s.c.Hot()
+	// Every link without a reservation has cur = 0; cost(0+d) is cost(d)
+	// bit for bit, so one evaluation serves them all.
+	idle := s.cost(d) - s.cost(0) + 1e-9
+	var maxW float64
+	w := s.scr.SlotWeights()
+	for i, eid := range hot.SlotEdges() {
+		wt := idle
+		if r := s.res[eid]; r != nil {
+			cur := r.maxDuring(f.Release, f.Deadline)
+			wt = s.cost(cur+d) - s.cost(cur) + 1e-9
+		}
+		if wt > maxW {
+			maxW = wt
+		} else if !(wt >= 0) {
+			if wt < 0 {
+				return graph.Path{}, fmt.Errorf("shortest path: negative weight %v on edge %d", wt, eid)
+			}
+			return graph.Path{}, fmt.Errorf("marginal cost on edge %d is NaN", eid)
+		}
+		w[i] = wt
+	}
+	s.scr.ScanWeights()
+	src, dst := s.c.ToHot(f.Src), s.c.ToHot(f.Dst)
+	s.scr.Tree(src, []graph.NodeID{dst})
+	buf, ok := s.scr.AppendPathTo(dst, s.pathBuf[:0])
+	s.pathBuf = buf
+	if !ok {
+		return graph.Path{}, fmt.Errorf("shortest path %d->%d: %w", f.Src, f.Dst, graph.ErrNoPath)
+	}
+	if dist := s.scr.Dist(dst); !(dist+maxW < 1e308) {
+		return graph.Path{}, fmt.Errorf("shortest path %d->%d: distance %v is too close to the float range", f.Src, f.Dst, dist)
+	}
+	return graph.Path{Edges: slices.Clone(buf)}, nil
+}
+
 // Admit routes and schedules one newly released flow. The decision is
 // irrevocable: the flow's density is reserved on the chosen path across
 // its span.
@@ -319,19 +390,7 @@ func (s *Scheduler) Admit(f flow.Flow) error {
 		}
 		return fmt.Errorf("%w: flow %d force-rejected by override", ErrOverCapacity, f.ID)
 	}
-	// Marginal cost of adding rate d to link e during the flow's span:
-	// evaluate the cost delta at the span-maximum reserved rate
-	// (maxDuring), a conservative estimate that is exact for the common
-	// case of constant reservation over the span.
-	weight := func(e graph.Edge) float64 {
-		r := s.res[e.ID]
-		var cur float64
-		if r != nil {
-			cur = r.maxDuring(f.Release, f.Deadline)
-		}
-		return s.cost(cur+d) - s.cost(cur) + 1e-9
-	}
-	p, err := s.g.ShortestPathWeighted(f.Src, f.Dst, weight)
+	p, err := s.route(f, d)
 	if err != nil {
 		return fmt.Errorf("%w: flow %d: %v", ErrNoRouteOnline, f.ID, err)
 	}
@@ -370,7 +429,7 @@ func (s *Scheduler) Admit(f flow.Flow) error {
 			MarginalEnergy: s.pathMarginalEnergy(p, f.Release, f.Deadline, d),
 			Slack:          f.Deadline - f.Release,
 		}
-		if alt, err := s.g.ShortestPath(f.Src, f.Dst); err == nil && alt.Key() != p.Key() {
+		if alt, err := s.c.ShortestPath(f.Src, f.Dst); err == nil && alt.Key() != p.Key() {
 			rec.Alternatives = []decision.Alternative{{
 				Path:           alt.Edges,
 				MarginalEnergy: s.pathMarginalEnergy(alt, f.Release, f.Deadline, d),

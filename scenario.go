@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -62,8 +63,9 @@ type TopologySpec struct {
 }
 
 // Validate checks the cheap, generator-independent invariants: the kind is
-// known and the shared capacity is positive. (Kind-specific dimension
-// errors surface from Build, wrapped in ErrBadScenario.) Shared by
+// known, the shared capacity is positive, and the topology stays within
+// 2^20 nodes and 2^22 directed edges. (Kind-specific dimension errors
+// surface from Build, wrapped in ErrBadScenario.) Shared by
 // ScenarioSpec.Validate and SweepSpec.Validate.
 func (t TopologySpec) Validate() error {
 	known := false
@@ -76,6 +78,75 @@ func (t TopologySpec) Validate() error {
 	}
 	if t.Capacity <= 0 {
 		return fmt.Errorf("%w: topology capacity must be positive, got %v", ErrBadScenario, t.Capacity)
+	}
+	return t.checkSize()
+}
+
+// Bounds on what one spec may generate. They are checked before anything
+// is allocated, so a single request cannot exhaust memory; the largest spec
+// the repository builds (a fat-tree with k=32: 9,472 nodes, 49,152 directed
+// edges) is far below them.
+const (
+	maxSpecNodes = 1 << 20
+	maxSpecEdges = 1 << 22 // directed
+	maxSpecFlows = 1 << 20
+)
+
+// size returns the number of nodes and directed edges the spec generates
+// (for jellyfish, an upper bound on the edges). It counts in float64, which
+// is exact far beyond the limits and grows to +Inf instead of wrapping
+// around, so no dimension can slip an overflowed count past the check. A
+// negative dimension counts as zero; the generator rejects it.
+func (t TopologySpec) size() (nodes, edges float64) {
+	d := func(x int) float64 { return max(float64(x), 0) }
+	var links float64 // physical links; each is two directed edges
+	switch t.Kind {
+	case "fattree":
+		// k^2/4 core switches; k pods of k/2 aggregation switches, k/2
+		// edge switches and k^2/4 hosts, with k^2/4 agg-edge, core-agg
+		// and edge-host links each.
+		k := d(t.K)
+		half := math.Floor(k / 2)
+		nodes = half*half + k*2*half + k*half*half
+		links = 3 * k * half * half
+	case "bcube":
+		// n^(l+1) servers; l+1 levels of n^l switches with n ports each.
+		n, l := d(t.K), d(t.L)
+		perLevel := math.Pow(n, l)
+		nodes = perLevel*n + (l+1)*perLevel
+		links = (l + 1) * perLevel * n
+	case "leafspine":
+		sp, lv, h := d(t.Spines), d(t.Leaves), d(t.HostsPerLeaf)
+		nodes = sp + lv + lv*h
+		links = sp*lv + lv*h
+	case "vl2":
+		di, da, tors, h := d(t.Di), d(t.Da), d(t.Tors), d(t.HostsPerTor)
+		nodes = di + da + tors*(1+h)
+		links = di*da + tors*(2+h)
+	case "jellyfish":
+		sw, deg, h := d(t.Switches), d(t.Degree), d(t.HostsPerSwitch)
+		nodes = sw * (1 + h)
+		links = math.Floor(sw*deg/2) + sw*h
+	case "line":
+		nodes = d(t.K)
+		links = max(nodes-1, 0)
+	case "star":
+		nodes = d(t.K) + 1
+		links = d(t.K)
+	}
+	return nodes, 2 * links
+}
+
+// checkSize rejects a topology above maxSpecNodes or maxSpecEdges.
+func (t TopologySpec) checkSize() error {
+	nodes, edges := t.size()
+	if nodes > maxSpecNodes {
+		return fmt.Errorf("%w: topology %s would have %.6g nodes, above the limit of %d",
+			ErrBadScenario, t.Kind, nodes, maxSpecNodes)
+	}
+	if edges > maxSpecEdges {
+		return fmt.Errorf("%w: topology %s would have %.6g directed edges, above the limit of %d",
+			ErrBadScenario, t.Kind, edges, maxSpecEdges)
 	}
 	return nil
 }
@@ -98,10 +169,14 @@ func (t TopologySpec) Label() string {
 	return t.Kind
 }
 
-// Build generates the declared topology.
+// Build generates the declared topology. Like Validate, it refuses a
+// topology above the node or edge limit before generating anything.
 func (t TopologySpec) Build() (*Topology, error) {
 	if t.Capacity <= 0 {
 		return nil, fmt.Errorf("%w: topology capacity must be positive, got %v", ErrBadScenario, t.Capacity)
+	}
+	if err := t.checkSize(); err != nil {
+		return nil, err
 	}
 	var (
 		top *Topology
@@ -183,8 +258,9 @@ type WorkloadSpec struct {
 }
 
 // Validate checks the generator-independent invariants: the kind is known,
-// the kind's mandatory parameters are present, and the tightness override
-// is non-negative. Shared by ScenarioSpec.Validate and SweepSpec.Validate.
+// the kind's mandatory parameters are present, the tightness override is
+// non-negative, and the workload stays within 2^20 flows. Shared by
+// ScenarioSpec.Validate and SweepSpec.Validate.
 func (w WorkloadSpec) Validate() error {
 	known := false
 	for _, k := range WorkloadKinds {
@@ -219,6 +295,32 @@ func (w WorkloadSpec) Validate() error {
 			return fmt.Errorf("%w: workload size must be positive, got %v", ErrBadScenario, w.Size)
 		}
 	}
+	return w.checkSize()
+}
+
+// flowCount returns the number of flows the workload generates: N for the
+// random generators, one per sender for incast and partition-aggregate,
+// one per ordered host pair for shuffle. Like TopologySpec.size it counts
+// in float64, so it cannot overflow.
+func (w WorkloadSpec) flowCount() float64 {
+	senders := max(float64(w.Hosts)-1, 0)
+	switch w.Kind {
+	case "uniform", "diurnal":
+		return max(float64(w.N), 0)
+	case "incast", "partition-aggregate":
+		return senders
+	case "shuffle":
+		return (senders + 1) * senders
+	}
+	return 0
+}
+
+// checkSize rejects a workload above maxSpecFlows.
+func (w WorkloadSpec) checkSize() error {
+	if n := w.flowCount(); n > maxSpecFlows {
+		return fmt.Errorf("%w: workload %s would have %.6g flows, above the limit of %d",
+			ErrBadScenario, w.Kind, n, maxSpecFlows)
+	}
 	return nil
 }
 
@@ -239,6 +341,9 @@ func (w WorkloadSpec) Build(top *Topology) (*FlowSet, error) {
 	}
 	if w.Tightness < 0 {
 		return nil, fmt.Errorf("%w: workload tightness must be positive, got %v", ErrBadScenario, w.Tightness)
+	}
+	if err := w.checkSize(); err != nil {
+		return nil, err
 	}
 	var (
 		fs  *FlowSet
