@@ -87,9 +87,11 @@
 // the architecture. The levers exposed here:
 //
 //   - DCFSROptions.Parallelism bounds concurrent per-interval relaxation
-//     solves (default NumCPU). Intervals are fanned out in fixed-size
-//     blocks, so results never depend on the worker count — parallelism is
-//     purely a wall-clock lever.
+//     solves (default NumCPU), in offline solves and in the re-solved
+//     intervals of rolling delta epochs. Workers claim intervals in any
+//     order but results are reduced in interval order, so they never
+//     depend on the worker count — parallelism is purely a wall-clock
+//     lever.
 //   - SolverOptions.OracleWorkers fans the per-source shortest-path runs
 //     inside each Frank–Wolfe iteration across a bounded worker pool
 //     (default sequential; negative means all cores). The parallel sweep

@@ -83,8 +83,9 @@ var goldenOutputSolvers = []string{
 	dcnflow.SolverSPMCF, dcnflow.SolverECMPMCF, dcnflow.SolverDCFSMCF, dcnflow.SolverGreedyOnline,
 }
 
-// goldenOutputRowOf summarises one solution as a fixture row.
-func goldenOutputRowOf(scenario, solver string, sol *dcnflow.Solution) goldenOutputRow {
+// scheduleHash is FNV-1a over every flow's id, path edges, priority and
+// rate segments (start, end and rate bits), in flow-id order.
+func scheduleHash(sched *dcnflow.Schedule) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -93,8 +94,8 @@ func goldenOutputRowOf(scenario, solver string, sol *dcnflow.Solution) goldenOut
 		}
 		h.Write(buf[:])
 	}
-	for _, id := range sol.Schedule.FlowIDs() {
-		fs := sol.Schedule.FlowSchedule(id)
+	for _, id := range sched.FlowIDs() {
+		fs := sched.FlowSchedule(id)
 		put(uint64(id))
 		put(uint64(len(fs.Path.Edges)))
 		for _, e := range fs.Path.Edges {
@@ -108,14 +109,61 @@ func goldenOutputRowOf(scenario, solver string, sol *dcnflow.Solution) goldenOut
 			put(math.Float64bits(s.Rate))
 		}
 	}
+	return fmt.Sprintf("%#016x", h.Sum64())
+}
+
+// floatBits formats a float as its IEEE-754 bits, the fixtures' exact form.
+func floatBits(v float64) string { return fmt.Sprintf("%#016x", math.Float64bits(v)) }
+
+// goldenOutputRowOf summarises one solution as a fixture row.
+func goldenOutputRowOf(scenario, solver string, sol *dcnflow.Solution) goldenOutputRow {
 	return goldenOutputRow{
 		Scenario:     scenario,
 		Solver:       solver,
-		EnergyBits:   fmt.Sprintf("%#016x", math.Float64bits(sol.Energy)),
+		EnergyBits:   floatBits(sol.Energy),
 		Rounds:       int(sol.Stats["rounds"]),
 		Conflicts:    int(sol.Stats["conflicts"]),
-		ScheduleHash: fmt.Sprintf("%#016x", h.Sum64()),
+		ScheduleHash: scheduleHash(sol.Schedule),
 	}
+}
+
+// writeGoldenRows rewrites a JSONL fixture, one row per line.
+func writeGoldenRows[T any](t *testing.T, path string, rows []T) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, r := range rows {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d rows to %s", len(rows), path)
+}
+
+// readGoldenRows loads a JSONL fixture.
+func readGoldenRows[T any](t *testing.T, path string) []T {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var rows []T
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var r T
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rows = append(rows, r)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // TestGoldenSolverOutputs pins the exact outputs of Most-Critical-First
@@ -145,37 +193,10 @@ func TestGoldenSolverOutputs(t *testing.T) {
 	}
 
 	if *updateGoldenOutputs {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, r := range got {
-			if err := enc.Encode(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(goldenOutputsFile, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d rows to %s", len(got), goldenOutputsFile)
+		writeGoldenRows(t, goldenOutputsFile, got)
 		return
 	}
-
-	f, err := os.Open(goldenOutputsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []goldenOutputRow
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var r goldenOutputRow
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("%s: %v", goldenOutputsFile, err)
-		}
-		want = append(want, r)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := readGoldenRows[goldenOutputRow](t, goldenOutputsFile)
 	if len(got) != len(want) {
 		t.Fatalf("%d rows, fixture has %d", len(got), len(want))
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dcnflow/internal/flow"
 	"dcnflow/internal/graph"
@@ -55,8 +56,11 @@ type DCFSROptions struct {
 	// prefer OracleWorkers, and on many-interval instances prefer
 	// Parallelism; both are deterministic at any setting.
 	Solver mcfsolve.Options
-	// Parallelism bounds concurrent per-interval solves; default NumCPU.
-	// It never affects results: the interval solves are independent.
+	// Parallelism bounds concurrent per-interval solves — a full solve's
+	// intervals, and the touched intervals of a rolling delta epoch;
+	// default NumCPU. It never affects results: the interval solves are
+	// independent, and bounds, counters and the error returned are
+	// reduced in interval order.
 	Parallelism int
 	// WarmStart seeds each rolling-horizon re-plan's per-interval
 	// Frank–Wolfe solves from the previous epoch's time-aligned path
@@ -72,7 +76,7 @@ type DCFSROptions struct {
 	// never affects results.
 	Progress ProgressFunc
 	// Solvers, when non-nil, supplies pooled reusable F-MCF solvers to the
-	// per-interval fan-out instead of constructing one per block — the
+	// per-interval fan-out instead of constructing one per worker — the
 	// pooled per-solver scratch of the compile-once/solve-many Engine. The
 	// pool must be bound to the same (graph, model, Solver options) triple
 	// as the solve; a mismatched pool is ignored and the fan-out constructs
@@ -124,11 +128,14 @@ type DCFSRResult struct {
 	// EDF time-sharing at rate sum D_j; link rates and energy coincide).
 	Schedule *schedule.Schedule
 	// LowerBound is the fractional relaxation value: sum over intervals of
-	// |I_k| times the envelope-cost F-MCF optimum. It is the LB series the
-	// paper's Fig. 2 normalises by.
+	// |I_k| times the envelope-cost F-MCF Frank–Wolfe primal value at the
+	// last iterate. It is the LB series the paper's Fig. 2 normalises by,
+	// but not a certified bound: a primal value bounds the relaxation
+	// optimum from above, and with the iteration cap binding it sits
+	// slightly above that optimum.
 	LowerBound float64
 	// FractionalObjective equals LowerBound (kept for clarity when callers
-	// log both).
+	// log both): the Frank–Wolfe primal value, not a certified bound.
 	FractionalObjective float64
 	// Attempts is the number of rounding attempts consumed.
 	Attempts int
@@ -149,10 +156,6 @@ type candidate struct {
 	handle graph.PathHandle
 	weight float64
 }
-
-// maxBlockSize caps the number of consecutive intervals one worker solves
-// with one reusable Solver.
-const maxBlockSize = 8
 
 // relaxation holds the solved multi-step F-MCF.
 type relaxation struct {
@@ -195,27 +198,72 @@ func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m 
 	return rel, nil
 }
 
-// solveIntervalRelaxation runs one F-MCF per interval of rel (concurrently)
-// and fills rel.results and rel.lowerBound. rel.intervals and rel.comms must
-// already be populated.
-//
-// Fan-out: the intervals run in contiguous blocks of at most maxBlockSize,
-// shrunk as needed to keep every worker busy on short horizons. Each
-// worker owns one reusable Solver per block, so shortest-path scratch,
-// intern table and edge buffers amortise across the block's solves. The
-// interval solves are independent, so blocking is purely a scheduling
-// choice and results do not depend on the worker count.
+// solveIntervalRelaxation runs one F-MCF per interval of rel (concurrently,
+// see solveIntervals) and fills rel.results and rel.lowerBound.
+// rel.intervals and rel.comms must already be populated.
 //
 // seeds, when non-nil, supplies a warm start for interval k (the
 // rolling-horizon re-optimizer passes the previous epoch's time-aligned
 // decompositions); a zero-valued seed, like a nil slice, means a cold
 // start.
-//
-// Workers draw their per-block Solvers from opts.Solvers when the pool is
-// bound to this exact (graph, model, Solver options) triple, constructing
-// them from the compiled view otherwise. Either way each Solver is owned
-// by one worker for one block, so reuse is pure scratch recycling.
 func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Model, opts DCFSROptions, rel *relaxation, seeds []mcfsolve.WarmStart) error {
+	var todo []int
+	for k, comms := range rel.comms {
+		if len(comms) > 0 {
+			todo = append(todo, k)
+		}
+	}
+	var progMu sync.Mutex
+	err := solveIntervals(ctx, c, m, opts, len(todo), func(s *mcfsolve.Solver, i int) error {
+		k := todo[i]
+		var warm mcfsolve.WarmStart
+		if seeds != nil {
+			warm = seeds[k]
+		}
+		res, err := s.SolveWarmCtx(ctx, rel.comms[k], warm)
+		if err != nil {
+			return fmt.Errorf("interval %d: %w", k, err)
+		}
+		rel.results[k] = res
+		if opts.Progress != nil {
+			progMu.Lock()
+			opts.Progress(ProgressEvent{
+				Stage: "interval", Index: k, Total: len(rel.intervals), FWIters: res.Iters,
+			})
+			progMu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for k, res := range rel.results {
+		if res != nil {
+			rel.lowerBound += res.Objective * rel.intervals[k].Length()
+		}
+	}
+	return nil
+}
+
+// solveIntervals runs n independent interval solves, solve(s, 0) through
+// solve(s, n-1), on min(opts.Parallelism, n) workers. Each worker holds one
+// Solver — drawn from opts.Solvers when the pool is bound to this exact
+// (graph, model, Solver options) triple, constructed from the compiled view
+// otherwise — and pulls the next index from a shared atomic cursor, so a
+// long interval never leaves the other workers idle. solve stores its own
+// result; every caller reduces them in interval order afterwards.
+//
+// Once a solve fails no worker starts another, and the error returned is
+// the lowest-index one: the cursor hands out indices in ascending order, so
+// every index below a failed one was claimed, and finished, before it. That
+// is the error a serial loop would stop at, whatever the worker count. A
+// context that ends stops the fan-out within one Frank–Wolfe iteration
+// (SolveWarmCtx checks it at every iteration boundary) and surfaces the
+// wrapped context error; callers return no partial result.
+func solveIntervals(ctx context.Context, c *graph.Compiled, m power.Model, opts DCFSROptions, n int, solve func(s *mcfsolve.Solver, i int) error) error {
+	if n == 0 {
+		return nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -223,92 +271,56 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 	if pool != nil && !pool.Matches(c.Graph(), m, opts.Solver) {
 		pool = nil
 	}
-	intervals := rel.intervals
-	blockSize := max(1, min(maxBlockSize, (len(intervals)+opts.Parallelism-1)/opts.Parallelism))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		progMu   sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, opts.Parallelism)
-	for lo := 0; lo < len(intervals); lo += blockSize {
-		hi := lo + blockSize
-		if hi > len(intervals) {
-			hi = len(intervals)
+	solvers := make([]*mcfsolve.Solver, max(1, min(opts.Parallelism, n)))
+	if pool != nil {
+		defer func() {
+			for _, s := range solvers {
+				pool.Release(s)
+			}
+		}()
+	}
+	for w := range solvers {
+		var err error
+		if pool != nil {
+			solvers[w], err = pool.Acquire()
+		} else {
+			solvers[w], err = mcfsolve.NewSolverCompiled(c, m, opts.Solver)
 		}
+		if err != nil {
+			return err
+		}
+	}
+
+	errs := make([]error, n)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for _, s := range solvers {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var (
-				solver *mcfsolve.Solver
-				err    error
-			)
-			if pool != nil {
-				solver, err = pool.Acquire()
-				if err == nil {
-					defer pool.Release(solver)
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-			} else {
-				solver, err = mcfsolve.NewSolverCompiled(c, m, opts.Solver)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for k := lo; k < hi; k++ {
-				if len(rel.comms[k]) == 0 {
-					continue
-				}
-				// Cancellation boundary for the fan-out: a worker abandons
-				// its remaining intervals as soon as the context ends; the
-				// per-iteration check inside SolveWarmCtx bounds the latency
-				// of the solve already in flight.
 				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: relaxation interrupted: %w", err)
-					}
-					mu.Unlock()
-					return
+					errs[i] = fmt.Errorf("core: relaxation interrupted: %w", err)
+				} else {
+					errs[i] = solve(s, i)
 				}
-				var warm mcfsolve.WarmStart
-				if seeds != nil {
-					warm = seeds[k]
-				}
-				res, err := solver.SolveWarmCtx(ctx, rel.comms[k], warm)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("interval %d: %w", k, err)
-					}
-					mu.Unlock()
-					return
-				}
-				rel.results[k] = res
-				if opts.Progress != nil {
-					progMu.Lock()
-					opts.Progress(ProgressEvent{
-						Stage: "interval", Index: k, Total: len(intervals), FWIters: res.Iters,
-					})
-					progMu.Unlock()
+				if errs[i] != nil {
+					failed.Store(true)
 				}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	for k, res := range rel.results {
-		if res != nil {
-			rel.lowerBound += res.Objective * intervals[k].Length()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

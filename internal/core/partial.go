@@ -698,28 +698,6 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 		}
 	}
 
-	// Solve the touched intervals serially against their background loads;
-	// the touched set is exactly what the delta bounds, so fan-out would
-	// buy little here.
-	pool := opts.Solvers
-	if pool != nil && !pool.Matches(compiled.Graph(), in.Model, opts.Solver) {
-		pool = nil
-	}
-	var solver *mcfsolve.Solver
-	if pool != nil {
-		sv, err := pool.Acquire()
-		if err != nil {
-			return nil, false, err
-		}
-		defer pool.Release(sv)
-		solver = sv
-	} else {
-		sv, err := mcfsolve.NewSolverCompiled(compiled, in.Model, opts.Solver)
-		if err != nil {
-			return nil, false, err
-		}
-		solver = sv
-	}
 	state := &RelaxationState{
 		Now:          in.Now,
 		Intervals:    intervals,
@@ -727,11 +705,15 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 		Results:      make([]*mcfsolve.Result, K),
 		Fingerprints: make([]IntervalFingerprint, K),
 	}
-	var lower float64
 	// Warm seeding of touched intervals (gated behind opts.WarmStart like
 	// every other warm mechanism): a touched interval tries the previous
 	// epoch's time-aligned decomposition (seedFor — exact commodity-multiset
-	// match required); a changed multiset always runs cold.
+	// match required); a changed multiset always runs cold. Seeds are
+	// resolved serially up front so the concurrent fan-out only reads them.
+	var (
+		todo  []int
+		seeds []mcfsolve.WarmStart
+	)
 	for k, iv := range intervals {
 		if !touched[k] {
 			fp := prev.Fingerprints[matched[k]]
@@ -740,9 +722,6 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 			// Load is carried over verbatim — NOT restamped — so drift keeps
 			// accumulating against the last fully-solved snapshot.
 			state.Fingerprints[k] = IntervalFingerprint{End: iv.End, Comm: fp.Comm, Load: fp.Load, Stale: fp.Stale + 1}
-			if state.Results[k] != nil {
-				lower += state.Results[k].Objective * iv.Length()
-			}
 			res.ReusedIntervals++
 			continue
 		}
@@ -751,23 +730,42 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 		if len(rel.comms[k]) == 0 {
 			continue
 		}
-		warm := mcfsolve.WarmStart{}
+		var warm mcfsolve.WarmStart
 		if opts.WarmStart {
 			warm = prev.seedFor(iv, rel.comms[k])
-		}
-		r, err := solver.SolveBaseWarmCtx(ctx, rel.comms[k], loads[k], warm)
-		if err != nil {
-			return nil, false, fmt.Errorf("delta interval %d: %w", k, err)
 		}
 		if warm.Result != nil {
 			res.SeededIntervals++
 		}
+		todo = append(todo, k)
+		seeds = append(seeds, warm)
+	}
+	// Solve the touched intervals against their background loads, fanned
+	// out across workers like a full solve's intervals.
+	err := solveIntervals(ctx, compiled, in.Model, opts, len(todo), func(s *mcfsolve.Solver, i int) error {
+		k := todo[i]
+		r, err := s.SolveBaseWarmCtx(ctx, rel.comms[k], loads[k], seeds[i])
+		if err != nil {
+			return fmt.Errorf("delta interval %d: %w", k, err)
+		}
 		state.Results[k] = r
-		res.FWIters += r.Iters
-		// Touched intervals contribute the batch's MARGINAL objective on
-		// top of the background, reused intervals their stored absolute
-		// objective — the sum is a progress diagnostic, not a valid bound.
-		lower += r.Objective * iv.Length()
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	for _, k := range todo {
+		res.FWIters += state.Results[k].Iters
+	}
+	// Touched intervals contribute the batch's MARGINAL objective on top of
+	// the background, reused intervals their stored absolute objective — the
+	// sum is a progress diagnostic, not a valid bound. It is summed in
+	// interval order.
+	var lower float64
+	for k, iv := range intervals {
+		if r := state.Results[k]; r != nil {
+			lower += r.Objective * iv.Length()
+		}
 	}
 	res.State = state
 	res.ResidualLowerBound = lower

@@ -29,7 +29,7 @@ func warmInstance(t *testing.T) (*topology.Topology, *flow.Set, power.Model) {
 	return ft, fs, power.Model{Mu: 1, Alpha: 2, C: 1e12}
 }
 
-// TestWarmStartDeterministicAcrossParallelism: the block fan-out must make
+// TestWarmStartDeterministicAcrossParallelism: the interval fan-out must make
 // relaxation results independent of the worker count.
 func TestWarmStartDeterministicAcrossParallelism(t *testing.T) {
 	ft, fs, m := warmInstance(t)

@@ -121,7 +121,10 @@ type Result struct {
 	PathsByCommodity [][]WeightedPath
 	// Objective is the final cost value (per unit time).
 	Objective float64
-	// Gap is the final relative duality gap estimate.
+	// Gap is the absolute duality gap grad f(x) . (x - xHat) at the last
+	// iterate the oracle ran on: the final iterate when the solve stopped
+	// on Tol, the one before the last step when MaxIters cut it off. It is
+	// not relative; the Tol test divides it by the objective.
 	Gap float64
 	// Iters is the number of Frank–Wolfe iterations performed.
 	Iters int
@@ -480,13 +483,37 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 	// cost evaluates inline; arithmetic and term order match the generic
 	// cost.val/cost.deriv calls exactly, keeping the sums bit-identical.
 	// With a background load (SolveBaseWarmCtx) every loop instead takes a
-	// dedicated offset branch, leaving the base-free paths byte-for-byte
-	// untouched; the objective is then the marginal cost over the base.
+	// dedicated offset branch, specialised the same way, that evaluates the
+	// cost at base + x; the base-free paths stay byte-for-byte untouched,
+	// and the objective is then the marginal cost over the base.
 	cost := &s.cost
 	base := s.base
 	lin, dK, gMu, pen, capC := cost.lin, cost.dK, cost.gMu, cost.pen, cost.c
 	objective := func(v []float64) float64 {
 		var sum float64
+		if base != nil && lin {
+			for eid, xv := range v {
+				b := base[eid]
+				w := b + xv
+				var cw, cb float64
+				if w > 0 {
+					cw = gMu * (w * w)
+				}
+				if pen > 0 && w > capC {
+					d := w - capC
+					cw += pen * d * d
+				}
+				if b > 0 {
+					cb = gMu * (b * b)
+				}
+				if pen > 0 && b > capC {
+					d := b - capC
+					cb += pen * d * d
+				}
+				sum += cw - cb
+			}
+			return sum
+		}
 		if base != nil {
 			for eid, xv := range v {
 				sum += cost.val(base[eid]+xv) - cost.val(base[eid])
@@ -530,7 +557,19 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		// bit-for-bit.
 		slotW := s.orc.slotWeights()
 		slotEdges := s.orc.slotEdges()
-		if base != nil {
+		if base != nil && lin {
+			for i, eid := range slotEdges {
+				w := base[eid] + x[eid]
+				var d float64
+				if w > 0 {
+					d = dK * w
+				}
+				if pen > 0 && w > capC {
+					d += 2 * pen * (w - capC)
+				}
+				slotW[i] = d + 1e-12
+			}
+		} else if base != nil {
 			for i, eid := range slotEdges {
 				slotW[i] = cost.deriv(base[eid]+x[eid]) + 1e-12
 			}
@@ -565,7 +604,19 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		}
 		// Duality gap: grad(x) . (x - xHat).
 		gap = 0
-		if base != nil {
+		if base != nil && lin {
+			for eid, xv := range x {
+				w := base[eid] + xv
+				var d float64
+				if w > 0 {
+					d = dK * w
+				}
+				if pen > 0 && w > capC {
+					d += 2 * pen * (w - capC)
+				}
+				gap += d * (xv - xNew[eid])
+			}
+		} else if base != nil {
 			for eid := range x {
 				gap += cost.deriv(base[eid]+x[eid]) * (x[eid] - xNew[eid])
 			}
@@ -721,11 +772,17 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	support := s.support[:0]
 	// penActive: the capacity penalty kicks in somewhere on the segment
 	// for some support edge, so the restriction picks up extra kinks.
+	// With a background load the cost is evaluated at base + v, so the
+	// test looks at base + x and base + xHat.
 	penActive := false
 	for eid := range x {
 		if x[eid] != xHat[eid] {
 			support = append(support, int32(eid))
-			if cost.pen > 0 && (x[eid] > cost.c || xHat[eid] > cost.c) {
+			lo, hi := x[eid], xHat[eid]
+			if base != nil {
+				lo, hi = base[eid]+lo, base[eid]+hi
+			}
+			if cost.pen > 0 && (lo > cost.c || hi > cost.c) {
 				penActive = true
 			}
 		}
@@ -734,17 +791,27 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	if len(support) == 0 {
 		return 0
 	}
-	// A background load shifts the operating point, so the specialised
-	// probe loop (which assumes the raw flow is the cost argument) is
-	// disabled; the generic offset branch evaluates the full derivative.
 	// The probe loop is the line search's hot spot; specialise the common
 	// linear-derivative case (alpha == 2, penalty inactive on the whole
-	// segment: every probe point v lies between x and xHat, hence below c)
-	// so the derivative evaluates inline. Term order and arithmetic match
-	// the generic loop exactly, so both produce bit-identical sums.
-	linProbe := cost.lin && !penActive && base == nil
+	// segment: every probe point v lies between x and xHat, hence below c,
+	// and likewise base + v) so the derivative evaluates inline. Term order
+	// and arithmetic match the generic loops exactly, so both produce
+	// bit-identical sums.
+	linProbe := cost.lin && !penActive
 	phiDeriv := func(gamma float64) float64 {
 		var d float64
+		if linProbe && base != nil {
+			dK := cost.dK
+			for _, ei := range support {
+				w := base[ei] + ((1-gamma)*x[ei] + gamma*xHat[ei])
+				var dv float64
+				if w > 0 {
+					dv = dK * w
+				}
+				d += dv * (xHat[ei] - x[ei])
+			}
+			return d
+		}
 		if base != nil {
 			for _, ei := range support {
 				v := (1-gamma)*x[ei] + gamma*xHat[ei]

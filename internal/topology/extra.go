@@ -123,19 +123,16 @@ func Jellyfish(switches, degree, hostsPerSwitch int, capacity float64, seed int6
 			remaining[j]--
 		}
 	}
-	// Random pairing for the rest, with a bounded retry budget.
+	// Random pairing for the rest, with a bounded retry budget. Each try
+	// draws two switches uniformly from those with free stubs, in ascending
+	// index order; the live set finds the i-th such switch in O(log n).
+	live := newLiveSet(remaining)
 	for tries := 0; tries < 50*switches*degree; tries++ {
-		var stubs []int
-		for i, r := range remaining {
-			if r > 0 {
-				stubs = append(stubs, i)
-			}
-		}
-		if len(stubs) < 2 {
+		if live.n < 2 {
 			break
 		}
-		a := stubs[rng.Intn(len(stubs))]
-		b := stubs[rng.Intn(len(stubs))]
+		a := live.find(rng.Intn(live.n))
+		b := live.find(rng.Intn(live.n))
 		if a == b || hasEdge(a, b) {
 			continue
 		}
@@ -145,6 +142,12 @@ func Jellyfish(switches, degree, hostsPerSwitch int, capacity float64, seed int6
 		markEdge(a, b)
 		remaining[a]--
 		remaining[b]--
+		if remaining[a] == 0 {
+			live.remove(a)
+		}
+		if remaining[b] == 0 {
+			live.remove(b)
+		}
 	}
 
 	var hosts []graph.NodeID
@@ -163,4 +166,51 @@ func Jellyfish(switches, degree, hostsPerSwitch int, capacity float64, seed int6
 		Hosts:    hosts,
 		Switches: sw,
 	}, nil
+}
+
+// liveSet is a Fenwick (binary indexed) tree over the switches that still
+// have free stubs: it removes a switch and finds the i-th live one, in
+// ascending index order, in O(log n) each.
+type liveSet struct {
+	tree []int // 1-based partial counts: tree[j] covers (j - j&-j, j]
+	n    int   // live switches
+	top  int   // highest power of two <= len(tree)-1
+}
+
+// newLiveSet builds the set of indices i with remaining[i] > 0 in O(n).
+func newLiveSet(remaining []int) *liveSet {
+	s := &liveSet{tree: make([]int, len(remaining)+1), top: 1}
+	for i, r := range remaining {
+		if r > 0 {
+			s.tree[i+1]++
+			s.n++
+		}
+		if j := (i + 1) + (i+1)&-(i+1); j < len(s.tree) {
+			s.tree[j] += s.tree[i+1]
+		}
+	}
+	for s.top*2 < len(s.tree) {
+		s.top *= 2
+	}
+	return s
+}
+
+// remove drops live index i.
+func (s *liveSet) remove(i int) {
+	for j := i + 1; j < len(s.tree); j += j & -j {
+		s.tree[j]--
+	}
+	s.n--
+}
+
+// find returns the k-th live index (0-based), for 0 <= k < s.n.
+func (s *liveSet) find(k int) int {
+	pos := 0
+	for step := s.top; step > 0; step >>= 1 {
+		if next := pos + step; next < len(s.tree) && s.tree[next] <= k {
+			pos = next
+			k -= s.tree[next]
+		}
+	}
+	return pos
 }

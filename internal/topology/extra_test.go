@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dcnflow/internal/graph"
@@ -101,5 +104,162 @@ func TestJellyfishInvalid(t *testing.T) {
 	}
 	if _, err := Jellyfish(4, 2, -1, 1, 0); err == nil {
 		t.Error("negative hosts accepted")
+	}
+}
+
+// jellyfishStubScan is Jellyfish as it was before the live-set pairing:
+// every try rebuilds the list of switches with free stubs, O(switches) per
+// try. Kept verbatim as the differential reference for the rng call
+// sequence and the wiring.
+func jellyfishStubScan(switches, degree, hostsPerSwitch int, capacity float64, seed int64) (*Topology, error) {
+	if switches < 2 || degree < 1 || hostsPerSwitch < 0 {
+		return nil, fmt.Errorf("jellyfish: invalid dimensions switches=%d degree=%d hosts=%d", switches, degree, hostsPerSwitch)
+	}
+	if degree >= switches {
+		return nil, fmt.Errorf("jellyfish: degree %d must be below switch count %d", degree, switches)
+	}
+	if capacity <= 0 {
+		return nil, fmt.Errorf("jellyfish: capacity must be positive, got %v", capacity)
+	}
+	g := graph.New()
+	sw := make([]graph.NodeID, switches)
+	for i := range sw {
+		sw[i] = g.AddNode(fmt.Sprintf("sw-%d", i), graph.KindSwitch)
+	}
+	rng := rand.New(rand.NewSource(seed))
+
+	// Stub matching: every switch contributes `degree` stubs; repeatedly
+	// pair random distinct stubs avoiding duplicates.
+	remaining := make([]int, switches)
+	for i := range remaining {
+		remaining[i] = degree
+	}
+	connected := make(map[[2]int]bool)
+	hasEdge := func(a, b int) bool {
+		if a > b {
+			a, b = b, a
+		}
+		return connected[[2]int{a, b}]
+	}
+	markEdge := func(a, b int) {
+		if a > b {
+			a, b = b, a
+		}
+		connected[[2]int{a, b}] = true
+	}
+	// A spanning ring first guarantees connectivity.
+	for i := 0; i < switches; i++ {
+		j := (i + 1) % switches
+		if remaining[i] > 0 && remaining[j] > 0 && !hasEdge(i, j) {
+			if _, _, err := g.AddBiEdge(sw[i], sw[j], capacity); err != nil {
+				return nil, fmt.Errorf("jellyfish ring: %w", err)
+			}
+			markEdge(i, j)
+			remaining[i]--
+			remaining[j]--
+		}
+	}
+	// Random pairing for the rest, with a bounded retry budget.
+	for tries := 0; tries < 50*switches*degree; tries++ {
+		var stubs []int
+		for i, r := range remaining {
+			if r > 0 {
+				stubs = append(stubs, i)
+			}
+		}
+		if len(stubs) < 2 {
+			break
+		}
+		a := stubs[rng.Intn(len(stubs))]
+		b := stubs[rng.Intn(len(stubs))]
+		if a == b || hasEdge(a, b) {
+			continue
+		}
+		if _, _, err := g.AddBiEdge(sw[a], sw[b], capacity); err != nil {
+			return nil, fmt.Errorf("jellyfish pair: %w", err)
+		}
+		markEdge(a, b)
+		remaining[a]--
+		remaining[b]--
+	}
+
+	var hosts []graph.NodeID
+	for i := 0; i < switches; i++ {
+		for h := 0; h < hostsPerSwitch; h++ {
+			host := g.AddNode(fmt.Sprintf("host-%d-%d", i, h), graph.KindHost)
+			hosts = append(hosts, host)
+			if _, _, err := g.AddBiEdge(sw[i], host, capacity); err != nil {
+				return nil, fmt.Errorf("jellyfish host: %w", err)
+			}
+		}
+	}
+	return &Topology{
+		Name:     fmt.Sprintf("jellyfish(%d,%d,%d)", switches, degree, hostsPerSwitch),
+		Graph:    g,
+		Hosts:    hosts,
+		Switches: sw,
+	}, nil
+}
+
+// shortSwitches counts the switches left with free stubs: two or more mean
+// the pairing spent its whole retry budget without finding a legal pair.
+func shortSwitches(t *testing.T, top *Topology, degree int) int {
+	t.Helper()
+	short := 0
+	for _, sw := range top.Switches {
+		links := 0
+		for _, eid := range top.Graph.OutEdges(sw) {
+			node, err := top.Graph.Node(top.Graph.MustEdge(eid).To)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node.Kind != graph.KindHost {
+				links++
+			}
+		}
+		if links < degree {
+			short++
+		}
+	}
+	return short
+}
+
+// TestJellyfishMatchesStubScan: the live-set pairing draws the same rng
+// sequence as the stub-scan loop it replaced, so the wiring is identical
+// edge for edge — including a triple whose pairing dead-ends (two switches
+// with free stubs left, already linked to each other, so the whole retry
+// budget is spent) and one with an odd stub count.
+func TestJellyfishMatchesStubScan(t *testing.T) {
+	for _, c := range []struct {
+		switches, degree int
+		seed             int64
+		deadEnd          bool
+	}{
+		{6, 3, 1, true},
+		{7, 3, 5, false},
+		{20, 4, 7, true},
+		{20, 4, 8, false},
+		{64, 5, 11, false},
+		{300, 3, 2, false},
+		{1000, 8, 42, false},
+	} {
+		name := fmt.Sprintf("jellyfish(%d,%d) seed %d", c.switches, c.degree, c.seed)
+		got, err := Jellyfish(c.switches, c.degree, 2, 10, c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := jellyfishStubScan(c.switches, c.degree, 2, 10, c.seed)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if dead := shortSwitches(t, want, c.degree) >= 2; dead != c.deadEnd {
+			t.Fatalf("%s: dead end = %v, want %v", name, dead, c.deadEnd)
+		}
+		if got.Name != want.Name || !slices.Equal(got.Hosts, want.Hosts) || !slices.Equal(got.Switches, want.Switches) {
+			t.Fatalf("%s: nodes differ from the reference", name)
+		}
+		if !slices.Equal(got.Graph.Edges(), want.Graph.Edges()) {
+			t.Fatalf("%s: edges differ from the reference", name)
+		}
 	}
 }
