@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race-online vet fmt bench-smoke dcnbench-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
+.PHONY: build test test-race-online vet fmt inline-check bench-smoke dcnbench-smoke examples scenarios sweep-smoke serve-smoke decisions-smoke doccheck profile
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,19 @@ vet:
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# inline-check fails unless the compiler reports the Frank–Wolfe kernel's
+# alpha=2 cost helpers (linVal and linDeriv in internal/mcfsolve) as
+# inlinable: every phase loop calls one of them per edge, and a helper
+# pushed over the inlining budget would turn each call into a function
+# call. The diagnostics replay from the build cache, so the check is cheap
+# after a build. CI runs the same command.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/mcfsolve 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in linVal linDeriv; do \
+		echo "$$out" | grep -Eq ": can inline $$f( |$$)" || { echo "inline-check: mcfsolve.$$f is not inlinable"; exit 1; }; \
+	done; \
+	echo "inline-check: mcfsolve.linVal and mcfsolve.linDeriv are inlinable"
 
 # bench-smoke runs every benchmark once — a compile-and-run sanity pass.
 bench-smoke:

@@ -409,7 +409,6 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var (
 		best          *schedule.Schedule
-		bestEnergy    = math.Inf(1)
 		bestViolation = math.Inf(1)
 		bestMaxRate   float64
 		feasibleFound bool
@@ -439,18 +438,19 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 		maxRate := sched.MaxLinkRate()
 		violation := math.Max(0, maxRate-capLimit)
 		if violation <= capLimit*1e-9 {
-			energy := sched.EnergyTotal(in.Model)
-			if !feasibleFound || energy < bestEnergy {
-				best, bestEnergy, bestMaxRate = sched, energy, maxRate
-				feasibleFound = true
-			}
 			// A feasible draw is accepted immediately — matching the
 			// paper's "repeat until feasible" loop.
+			best, bestMaxRate, feasibleFound = sched, maxRate, true
 			break
 		}
-		if !feasibleFound && violation < bestViolation {
+		// A violation that does not compare (a link sum that overflowed to
+		// Inf - Inf) counts as infinite; the first attempt is kept when no
+		// other compares.
+		if math.IsNaN(violation) {
+			violation = math.Inf(1)
+		}
+		if best == nil || violation < bestViolation {
 			best, bestViolation, bestMaxRate = sched, violation, maxRate
-			bestEnergy = sched.EnergyTotal(in.Model)
 		}
 	}
 	if attempts > opts.MaxRoundingAttempts {

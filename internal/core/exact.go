@@ -113,7 +113,9 @@ func SolveDCFSRExactCtx(ctx context.Context, in DCFSRInput, opts ExactOptions) (
 			return nil, fmt.Errorf("core: exact scheduling: %w", err)
 		}
 		best.Assignments++
-		if energy := res.Schedule.EnergyTotal(in.Model); energy < best.Energy {
+		// The first assignment is kept even when its energy does not
+		// compare (an overflowing instance prices every assignment +Inf).
+		if energy := res.Schedule.EnergyTotal(in.Model); best.Result == nil || energy < best.Energy {
 			best.Energy = energy
 			best.Paths = assignment
 			best.Result = res

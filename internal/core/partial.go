@@ -482,53 +482,21 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 		res.State.Fingerprints = fps
 	}
 
-	// Candidate aggregation for the free flows only; pinned paths are
-	// frozen, so their fractional decompositions never reach the rounding.
-	spans := make(map[flow.ID]float64, len(active))
-	for _, r := range active {
-		if !r.pinned {
-			spans[r.f.ID] = r.f.Deadline - r.start
-		}
-	}
-	interner := graph.NewPathInterner()
-	cands := aggregateCandidates(rel, spans, interner)
-	res.Candidates = make(map[flow.ID][]CandidatePath, len(spans))
-	for _, r := range active {
-		res.Rates[r.f.ID] = r.density
-		res.Starts[r.f.ID] = r.start
-		if r.pinned {
-			res.Paths[r.f.ID] = in.Pinned[r.f.ID].Path
-			continue
-		}
-		list := cands[r.f.ID]
-		if len(list) == 0 {
-			return nil, fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, r.f.ID)
-		}
-		out := make([]CandidatePath, len(list))
-		for i, c := range list {
-			out[i] = CandidatePath{Path: interner.Path(c.handle), Weight: c.weight}
-		}
-		res.Candidates[r.f.ID] = out
-	}
-
-	// Rounding: free flows draw a path (modal-first under Argmax), pinned
-	// flows contribute their frozen load; re-sample free flows while link
-	// capacities are violated, keeping the least-violating assignment.
-	capLimit := math.Inf(1)
-	if in.Model.Capped() {
-		capLimit = in.Model.C
-	}
+	// Pinned flows keep their frozen path and contribute their load to
+	// every interval they cover; only the free flows are rounded.
 	var free []residual
 	for _, r := range active {
 		if !r.pinned {
 			free = append(free, r)
+			continue
 		}
+		res.Rates[r.f.ID] = r.density
+		res.Starts[r.f.ID] = r.start
+		res.Paths[r.f.ID] = in.Pinned[r.f.ID].Path
 	}
-	// Per-interval pinned base load, shared by every attempt.
-	nE := in.Graph.NumEdges()
 	base := make([][]float64, len(intervals))
 	for k, iv := range intervals {
-		base[k] = make([]float64, nE)
+		base[k] = make([]float64, in.Graph.NumEdges())
 		for _, r := range active {
 			if r.pinned && r.start <= iv.Start+timeline.Eps && r.f.Deadline >= iv.End-timeline.Eps {
 				for _, eid := range in.Pinned[r.f.ID].Path.Edges {
@@ -537,30 +505,66 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 			}
 		}
 	}
-	best, bestMaxRate, feasibleFound, attempts := roundFreeFlows(free, cands, intervals, base, interner, opts, in.Argmax, capLimit, nE)
+	if err := roundPartial(rel, free, base, in, opts, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// roundPartial is the candidate-and-rounding tail of both epoch paths. It
+// aggregates the free flows' candidate paths from rel, reports them in
+// res.Candidates, and rounds every free flow to one path against base,
+// where base[k] is the background load of rel.intervals[k]: the pinned
+// loads on the full path, the committed load of each touched interval on
+// the delta path. It fills res's per-flow Rates, Starts and Paths for the
+// free flows, and its Attempts, CapacityFeasible and MaxRate.
+func roundPartial(rel *relaxation, free []residual, base [][]float64, in DCFSRPartialInput, opts DCFSROptions, res *DCFSRPartialResult) error {
+	spans := make(map[flow.ID]float64, len(free))
+	for _, r := range free {
+		spans[r.f.ID] = r.f.Deadline - r.start
+	}
+	interner := graph.NewPathInterner()
+	cands := aggregateCandidates(rel, spans, interner)
+	res.Candidates = make(map[flow.ID][]CandidatePath, len(free))
+	for _, r := range free {
+		res.Rates[r.f.ID] = r.density
+		res.Starts[r.f.ID] = r.start
+		list := cands[r.f.ID]
+		if len(list) == 0 {
+			return fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, r.f.ID)
+		}
+		out := make([]CandidatePath, len(list))
+		for i, c := range list {
+			out[i] = CandidatePath{Path: interner.Path(c.handle), Weight: c.weight}
+		}
+		res.Candidates[r.f.ID] = out
+	}
+	capLimit := math.Inf(1)
+	if in.Model.Capped() {
+		capLimit = in.Model.C
+	}
+	best, bestMaxRate, feasibleFound, attempts := roundFreeFlows(free, cands, rel.intervals, base, interner, opts, in.Argmax, capLimit, in.Graph.NumEdges())
 	for _, r := range free {
 		res.Paths[r.f.ID] = interner.Path(best[r.f.ID])
 	}
 	res.Attempts = attempts
 	res.CapacityFeasible = feasibleFound
 	res.MaxRate = bestMaxRate
-	return res, nil
+	return nil
 }
 
 // roundFreeFlows draws one candidate path per free flow — modal-first when
 // argmax is set — and re-samples on capacity violations, keeping the
 // least-violating assignment (Algorithm 2's repeat-until-feasible loop).
-// base[k] is the background load of intervals[k]; a nil entry skips that
-// interval's capacity accounting entirely (the delta path checks only the
-// intervals it re-solved, where every free flow lives).
+// base[k] is the background load of intervals[k]. An attempt whose
+// violation does not compare (a link sum that overflowed to Inf - Inf)
+// counts as infinitely violating, so the first attempt is kept when no
+// other compares.
 func roundFreeFlows(free []residual, cands map[flow.ID][]candidate, intervals []timeline.Interval, base [][]float64, interner *graph.PathInterner, opts DCFSROptions, argmax bool, capLimit float64, nE int) (map[flow.ID]graph.PathHandle, float64, bool, int) {
 	load := make([]float64, nE)
 	maxAssignedRate := func(chosen map[flow.ID]graph.PathHandle) float64 {
 		var max float64
 		for k, iv := range intervals {
-			if base[k] == nil {
-				continue
-			}
 			copy(load, base[k])
 			for _, r := range free {
 				if r.start <= iv.Start+timeline.Eps && r.f.Deadline >= iv.End-timeline.Eps {
@@ -602,7 +606,10 @@ func roundFreeFlows(free []residual, cands map[flow.ID][]candidate, intervals []
 			best, bestMaxRate, feasibleFound = chosen, maxRate, true
 			break
 		}
-		if violation < bestViolation {
+		if math.IsNaN(violation) {
+			violation = math.Inf(1)
+		}
+		if best == nil || violation < bestViolation {
 			best, bestViolation, bestMaxRate = chosen, violation, maxRate
 		}
 	}
@@ -777,46 +784,18 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 	// intervals. This loses nothing: every batch flow starts at Now, so it
 	// covers an interval iff its deadline reaches the interval's end, and
 	// every interval it covers is touched by construction.
-	spans := make(map[flow.ID]float64, len(free))
-	for _, r := range free {
-		spans[r.f.ID] = r.f.Deadline - r.start
-		res.Rates[r.f.ID] = r.density
-		res.Starts[r.f.ID] = r.start
-	}
 	tRel := &relaxation{}
-	roundBase := make([][]float64, K)
+	var tLoads [][]float64
 	for k := range intervals {
 		if touched[k] {
-			roundBase[k] = loads[k]
 			tRel.intervals = append(tRel.intervals, intervals[k])
 			tRel.comms = append(tRel.comms, rel.comms[k])
 			tRel.results = append(tRel.results, state.Results[k])
+			tLoads = append(tLoads, loads[k])
 		}
 	}
-	interner := graph.NewPathInterner()
-	cands := aggregateCandidates(tRel, spans, interner)
-	res.Candidates = make(map[flow.ID][]CandidatePath, len(free))
-	for _, r := range free {
-		list := cands[r.f.ID]
-		if len(list) == 0 {
-			return nil, false, fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, r.f.ID)
-		}
-		out := make([]CandidatePath, len(list))
-		for i, c := range list {
-			out[i] = CandidatePath{Path: interner.Path(c.handle), Weight: c.weight}
-		}
-		res.Candidates[r.f.ID] = out
+	if err := roundPartial(tRel, free, tLoads, in, opts, res); err != nil {
+		return nil, false, err
 	}
-	capLimit := math.Inf(1)
-	if in.Model.Capped() {
-		capLimit = in.Model.C
-	}
-	best, bestMaxRate, feasibleFound, attempts := roundFreeFlows(free, cands, intervals, roundBase, interner, opts, in.Argmax, capLimit, nE)
-	for _, r := range free {
-		res.Paths[r.f.ID] = interner.Path(best[r.f.ID])
-	}
-	res.Attempts = attempts
-	res.CapacityFeasible = feasibleFound
-	res.MaxRate = bestMaxRate
 	return res, true, nil
 }

@@ -43,15 +43,22 @@ func (f Flow) Density() float64 {
 // ActiveAt reports whether t lies within the flow's span.
 func (f Flow) ActiveAt(t float64) bool { return t >= f.Release && t <= f.Deadline }
 
-// Validate checks the flow's parameters for internal consistency.
+// Validate checks the flow's parameters for internal consistency: release,
+// deadline and size must be finite, the size positive, the span non-empty,
+// and the span and density D_i finite (a huge size over a short span
+// overflows the density).
 func (f Flow) Validate() error {
 	switch {
 	case math.IsNaN(f.Release) || math.IsNaN(f.Deadline) || math.IsNaN(f.Size):
 		return fmt.Errorf("flow %d: %w: NaN field", f.ID, ErrInvalidFlow)
+	case math.IsInf(f.Release, 0) || math.IsInf(f.Deadline, 0) || math.IsInf(f.Size, 0):
+		return fmt.Errorf("flow %d: %w: infinite release %v, deadline %v or size %v", f.ID, ErrInvalidFlow, f.Release, f.Deadline, f.Size)
 	case f.Size <= 0:
 		return fmt.Errorf("flow %d: %w: size %v <= 0", f.ID, ErrInvalidFlow, f.Size)
 	case f.Deadline <= f.Release:
 		return fmt.Errorf("flow %d: %w: deadline %v <= release %v", f.ID, ErrInvalidFlow, f.Deadline, f.Release)
+	case math.IsInf(f.Span(), 0) || math.IsInf(f.Density(), 0):
+		return fmt.Errorf("flow %d: %w: span %v or density %v overflows", f.ID, ErrInvalidFlow, f.Span(), f.Density())
 	case f.Src == f.Dst:
 		return fmt.Errorf("flow %d: %w: src == dst (%d)", f.ID, ErrInvalidFlow, f.Src)
 	}

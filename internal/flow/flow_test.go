@@ -45,6 +45,12 @@ func TestFlowValidate(t *testing.T) {
 		{"zero span", Flow{Src: 0, Dst: 1, Release: 1, Deadline: 1, Size: 1}, false},
 		{"self loop", Flow{Src: 3, Dst: 3, Release: 0, Deadline: 1, Size: 1}, false},
 		{"nan release", Flow{Src: 0, Dst: 1, Release: math.NaN(), Deadline: 1, Size: 1}, false},
+		{"infinite release", Flow{Src: 0, Dst: 1, Release: math.Inf(-1), Deadline: 1, Size: 1}, false},
+		{"infinite deadline", Flow{Src: 0, Dst: 1, Release: 0, Deadline: math.Inf(1), Size: 1}, false},
+		{"infinite size", Flow{Src: 0, Dst: 1, Release: 0, Deadline: 1, Size: math.Inf(1)}, false},
+		{"density overflows", Flow{Src: 0, Dst: 1, Release: 0, Deadline: 0.5, Size: 1e308}, false},
+		{"span overflows", Flow{Src: 0, Dst: 1, Release: -1e308, Deadline: 1e308, Size: 1}, false},
+		{"huge but finite", Flow{Src: 0, Dst: 1, Release: 1, Deadline: 3, Size: 1.5e308}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -140,24 +140,30 @@ var (
 // capacity penalty are folded into precomputed constants so the inner loops
 // evaluate the cost with branches and multiplications only (no closure
 // indirection, no math.Pow for the integer alphas the evaluation uses).
+//
+// Each Frank–Wolfe phase (weight fill, duality gap, objective, line-search
+// probe) is one loop that evaluates the cost at w = base + x, where base is
+// the background load of SolveBaseWarmCtx or zero. A lin model calls the
+// inlinable linVal/linDeriv, any other model calls val/deriv. Without a
+// background load the sums are those of the cost at x alone, bit for bit:
+// 0 + x == x and cost(0) == 0 exactly.
 type costModel struct {
 	m      power.Model
 	useEnv bool
 	// Envelope linearisation: for 0 <= x <= rStar the envelope is x*rate.
 	// rStar <= 0 means the envelope degenerates to the dynamic cost g.
 	rStar, rate float64
-	// pen > 0 adds pen*(x-c)^2 above c (capacity penalty).
+	// pen*(x-c)^2 is added above c (capacity penalty); without a penalty
+	// c is +Inf, so the x > c test alone decides.
 	pen, c float64
-	// lin marks the alpha == 2, no-envelope-kink case: val and deriv then
-	// reduce to gMu*x^2 and dK*x (plus the penalty term), evaluated inline
-	// with the exact same rounding as the generic path but without any
-	// function calls. dK = alpha*mu, gMu = mu.
-	lin     bool
-	dK, gMu float64
+	// lin marks the alpha == 2, no-envelope-kink case, where val and deriv
+	// reduce to mu*x^2 and dK*x (dK = alpha*mu) plus the penalty term.
+	lin bool
+	dK  float64
 }
 
 func makeCost(m power.Model, opts Options) costModel {
-	cm := costModel{m: m, useEnv: opts.Cost == CostEnvelope}
+	cm := costModel{m: m, useEnv: opts.Cost == CostEnvelope, c: math.Inf(1)}
 	if cm.useEnv {
 		cm.rStar = m.EffectiveOpt()
 		if cm.rStar > 0 {
@@ -170,26 +176,10 @@ func makeCost(m power.Model, opts Options) costModel {
 	}
 	cm.lin = m.Alpha == 2 && !(cm.useEnv && cm.rStar > 0)
 	cm.dK = m.Alpha * m.Mu
-	cm.gMu = m.Mu
 	return cm
 }
 
 func (cm *costModel) val(x float64) float64 {
-	if cm.lin {
-		var v float64
-		if x > 0 {
-			v = cm.gMu * (x * x)
-		}
-		if cm.pen > 0 && x > cm.c {
-			d := x - cm.c
-			v += cm.pen * d * d
-		}
-		return v
-	}
-	return cm.valSlow(x)
-}
-
-func (cm *costModel) valSlow(x float64) float64 {
 	var v float64
 	switch {
 	case x <= 0:
@@ -203,7 +193,7 @@ func (cm *costModel) valSlow(x float64) float64 {
 	default:
 		v = cm.m.G(x)
 	}
-	if cm.pen > 0 && x > cm.c {
+	if x > cm.c {
 		d := x - cm.c
 		v += cm.pen * d * d
 	}
@@ -211,20 +201,6 @@ func (cm *costModel) valSlow(x float64) float64 {
 }
 
 func (cm *costModel) deriv(x float64) float64 {
-	if cm.lin {
-		var d float64
-		if x > 0 {
-			d = cm.dK * x
-		}
-		if cm.pen > 0 && x > cm.c {
-			d += 2 * cm.pen * (x - cm.c)
-		}
-		return d
-	}
-	return cm.derivSlow(x)
-}
-
-func (cm *costModel) derivSlow(x float64) float64 {
 	var d float64
 	if cm.useEnv && cm.rStar > 0 {
 		xx := x
@@ -239,8 +215,35 @@ func (cm *costModel) derivSlow(x float64) float64 {
 	} else {
 		d = cm.m.GDeriv(x)
 	}
-	if cm.pen > 0 && x > cm.c {
+	if x > cm.c {
 		d += 2 * cm.pen * (x - cm.c)
+	}
+	return d
+}
+
+// linVal and linDeriv are val and deriv of a lin model with mu = Mu and
+// k = dK, in the same arithmetic and term order, so they return the same
+// bits. They stay within the compiler's inlining budget (make inline-check),
+// which val and deriv do not. c = +Inf drops the penalty term.
+func linVal(x, mu, pen, c float64) float64 {
+	var v float64
+	if x > 0 {
+		v = mu * (x * x)
+	}
+	if x > c {
+		d := x - c
+		v += pen * d * d
+	}
+	return v
+}
+
+func linDeriv(x, k, pen, c float64) float64 {
+	var d float64
+	if x > 0 {
+		d = k * x
+	}
+	if x > c {
+		d += 2 * pen * (x - c)
 	}
 	return d
 }
@@ -284,18 +287,12 @@ type Solver struct {
 	intern *graph.PathInterner
 	orc    *oracle
 
-	x       []float64 // current edge flow
-	xNew    []float64 // oracle direction point
-	support []int32   // line-search delta support (edge ids)
+	x       []float64     // current edge flow
+	xNew    []float64     // oracle direction point
+	zero    []float64     // all-zero background load of the base-free solves
+	support []supportEdge // line-search delta support
 	handles []graph.PathHandle
 	decomps []decomp
-
-	// base, when non-nil, is a fixed background load added to every edge
-	// before the cost and its derivative are evaluated (set by
-	// SolveBaseWarmCtx for the duration of one solve). It shifts the
-	// operating point of the convex costs without entering the flow
-	// variables, so conservation and the path decomposition are untouched.
-	base []float64
 }
 
 // NewSolver validates the model and prepares reusable state for solving
@@ -341,6 +338,7 @@ func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver,
 		orc:      newOracle(c, intern, workers),
 		x:        make([]float64, nE),
 		xNew:     make([]float64, nE),
+		zero:     make([]float64, nE),
 	}, nil
 }
 
@@ -394,21 +392,27 @@ func (s *Solver) SolveWarm(commodities []Commodity, warm WarmStart) (*Result, er
 // routed flow on top of the background. A rolling-horizon delta re-solve
 // uses this to route a small arrival batch against the load already
 // reserved by thousands of in-flight flows without materialising those
-// flows as commodities. base must have length NumEdges; nil degenerates to
-// SolveWarmCtx exactly (the base-free hot loops run untouched, keeping
-// default results bit-identical).
+// flows as commodities. The load shifts the operating point of the convex
+// costs without entering the flow variables, so conservation and the path
+// decomposition are untouched. base must have length NumEdges; nil
+// degenerates to SolveWarmCtx exactly: every solve runs the same loops on
+// base + x, and a zero base changes no bit (0 + x == x, cost(0) == 0).
 func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart) (*Result, error) {
 	if base != nil && len(base) != s.g.NumEdges() {
 		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
 	}
-	s.base = base
-	defer func() { s.base = nil }()
-	return s.SolveWarmCtx(ctx, commodities, warm)
+	return s.solve(ctx, commodities, base, warm)
 }
 
 // SolveWarmCtx is SolveWarm under a context (see SolveCtx for the
 // cancellation contract). A nil ctx is treated as context.Background().
 func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm WarmStart) (*Result, error) {
+	return s.solve(ctx, commodities, nil, warm)
+}
+
+// solve is the one Frank–Wolfe implementation behind every entry point;
+// base is nil or has length NumEdges.
+func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -478,64 +482,22 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		}
 	}
 
-	// The full-sweep loops below (objective, weights, gap) specialise the
-	// common linear-derivative case (alpha == 2, no envelope kink) so the
-	// cost evaluates inline; arithmetic and term order match the generic
-	// cost.val/cost.deriv calls exactly, keeping the sums bit-identical.
-	// With a background load (SolveBaseWarmCtx) every loop instead takes a
-	// dedicated offset branch, specialised the same way, that evaluates the
-	// cost at base + x; the base-free paths stay byte-for-byte untouched,
-	// and the objective is then the marginal cost over the base.
+	// One loop per phase, each evaluating the cost at w = base + x (see
+	// costModel); the objective is the marginal cost over the base.
+	if base == nil {
+		base = s.zero[:nE]
+	}
 	cost := &s.cost
-	base := s.base
-	lin, dK, gMu, pen, capC := cost.lin, cost.dK, cost.gMu, cost.pen, cost.c
+	lin, dK, mu, pen, capC := cost.lin, cost.dK, cost.m.Mu, cost.pen, cost.c
 	objective := func(v []float64) float64 {
 		var sum float64
-		if base != nil && lin {
-			for eid, xv := range v {
-				b := base[eid]
-				w := b + xv
-				var cw, cb float64
-				if w > 0 {
-					cw = gMu * (w * w)
-				}
-				if pen > 0 && w > capC {
-					d := w - capC
-					cw += pen * d * d
-				}
-				if b > 0 {
-					cb = gMu * (b * b)
-				}
-				if pen > 0 && b > capC {
-					d := b - capC
-					cb += pen * d * d
-				}
-				sum += cw - cb
+		for eid, xv := range v {
+			b := base[eid]
+			if lin {
+				sum += linVal(b+xv, mu, pen, capC) - linVal(b, mu, pen, capC)
+			} else {
+				sum += cost.val(b+xv) - cost.val(b)
 			}
-			return sum
-		}
-		if base != nil {
-			for eid, xv := range v {
-				sum += cost.val(base[eid]+xv) - cost.val(base[eid])
-			}
-			return sum
-		}
-		if lin {
-			for _, xv := range v {
-				var cv float64
-				if xv > 0 {
-					cv = gMu * (xv * xv)
-				}
-				if pen > 0 && xv > capC {
-					d := xv - capC
-					cv += pen * d * d
-				}
-				sum += cv
-			}
-			return sum
-		}
-		for _, xv := range v {
-			sum += cost.val(xv)
 		}
 		return sum
 	}
@@ -556,39 +518,15 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		// adjacency slot, so the values match an edge-indexed fill
 		// bit-for-bit.
 		slotW := s.orc.slotWeights()
-		slotEdges := s.orc.slotEdges()
-		if base != nil && lin {
-			for i, eid := range slotEdges {
-				w := base[eid] + x[eid]
-				var d float64
-				if w > 0 {
-					d = dK * w
-				}
-				if pen > 0 && w > capC {
-					d += 2 * pen * (w - capC)
-				}
-				slotW[i] = d + 1e-12
+		for i, eid := range s.orc.slotEdges() {
+			w := base[eid] + x[eid]
+			var d float64
+			if lin {
+				d = linDeriv(w, dK, pen, capC)
+			} else {
+				d = cost.deriv(w)
 			}
-		} else if base != nil {
-			for i, eid := range slotEdges {
-				slotW[i] = cost.deriv(base[eid]+x[eid]) + 1e-12
-			}
-		} else if lin {
-			for i, eid := range slotEdges {
-				xv := x[eid]
-				var d float64
-				if xv > 0 {
-					d = dK * xv
-				}
-				if pen > 0 && xv > capC {
-					d += 2 * pen * (xv - capC)
-				}
-				slotW[i] = d + 1e-12
-			}
-		} else {
-			for i, eid := range slotEdges {
-				slotW[i] = cost.deriv(x[eid]) + 1e-12
-			}
+			slotW[i] = d + 1e-12
 		}
 		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
 			return nil, err
@@ -604,44 +542,22 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		}
 		// Duality gap: grad(x) . (x - xHat).
 		gap = 0
-		if base != nil && lin {
-			for eid, xv := range x {
-				w := base[eid] + xv
-				var d float64
-				if w > 0 {
-					d = dK * w
-				}
-				if pen > 0 && w > capC {
-					d += 2 * pen * (w - capC)
-				}
-				gap += d * (xv - xNew[eid])
+		for eid, xv := range x {
+			w := base[eid] + xv
+			var d float64
+			if lin {
+				d = linDeriv(w, dK, pen, capC)
+			} else {
+				d = cost.deriv(w)
 			}
-		} else if base != nil {
-			for eid := range x {
-				gap += cost.deriv(base[eid]+x[eid]) * (x[eid] - xNew[eid])
-			}
-		} else if lin {
-			for eid, xv := range x {
-				var d float64
-				if xv > 0 {
-					d = dK * xv
-				}
-				if pen > 0 && xv > capC {
-					d += 2 * pen * (xv - capC)
-				}
-				gap += d * (xv - xNew[eid])
-			}
-		} else {
-			for eid := range x {
-				gap += cost.deriv(x[eid]) * (x[eid] - xNew[eid])
-			}
+			gap += d * (xv - xNew[eid])
 		}
 		obj := objective(x)
 		if obj > 0 && gap/obj < s.opts.Tol {
 			break
 		}
 		// Exact line search on the convex 1-D restriction.
-		gamma := s.lineSearch(x, xNew)
+		gamma := s.lineSearch(x, xNew, base)
 		if gamma <= 1e-12 {
 			break
 		}
@@ -762,27 +678,26 @@ func (s *Solver) emit(d *decomp, demand float64) []WeightedPath {
 	return kept
 }
 
-// lineSearch minimises phi(gamma) = sum_e cost((1-gamma) x + gamma xHat)
-// over [0, 1]. Only edges with x != xHat contribute to phi', so the search
-// first collects that delta support and then bisects the monotone
+// supportEdge is one edge of the line search's delta support, gathered
+// once per search so the probes read contiguous memory: the edge's flow at
+// the current point and at the oracle direction, its background load, and
+// the direction's change xHat - x.
+type supportEdge struct{ x, xHat, base, dx float64 }
+
+// lineSearch minimises phi(gamma) = sum_e cost(base + (1-gamma) x + gamma
+// xHat) over [0, 1]. Only edges with x != xHat contribute to phi', so the
+// search first collects that delta support and then bisects the monotone
 // derivative over the support.
-func (s *Solver) lineSearch(x, xHat []float64) float64 {
+func (s *Solver) lineSearch(x, xHat, base []float64) float64 {
 	cost := &s.cost
-	base := s.base
 	support := s.support[:0]
 	// penActive: the capacity penalty kicks in somewhere on the segment
 	// for some support edge, so the restriction picks up extra kinks.
-	// With a background load the cost is evaluated at base + v, so the
-	// test looks at base + x and base + xHat.
 	penActive := false
 	for eid := range x {
 		if x[eid] != xHat[eid] {
-			support = append(support, int32(eid))
-			lo, hi := x[eid], xHat[eid]
-			if base != nil {
-				lo, hi = base[eid]+lo, base[eid]+hi
-			}
-			if cost.pen > 0 && (lo > cost.c || hi > cost.c) {
+			support = append(support, supportEdge{x: x[eid], xHat: xHat[eid], base: base[eid], dx: xHat[eid] - x[eid]})
+			if base[eid]+x[eid] > cost.c || base[eid]+xHat[eid] > cost.c {
 				penActive = true
 			}
 		}
@@ -791,49 +706,27 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	if len(support) == 0 {
 		return 0
 	}
-	// The probe loop is the line search's hot spot; specialise the common
-	// linear-derivative case (alpha == 2, penalty inactive on the whole
-	// segment: every probe point v lies between x and xHat, hence below c,
-	// and likewise base + v) so the derivative evaluates inline. Term order
-	// and arithmetic match the generic loops exactly, so both produce
-	// bit-identical sums.
-	linProbe := cost.lin && !penActive
+	// With the penalty inactive on the whole segment, a lin probe drops its
+	// term: every probe point lies between base + x and base + xHat, hence
+	// at most c, up to one ulp of rounding that the generic deriv would
+	// still charge.
+	lin, dK, pen, capC := cost.lin, cost.dK, cost.pen, cost.c
+	if !penActive {
+		capC = math.Inf(1)
+	}
 	phiDeriv := func(gamma float64) float64 {
 		var d float64
-		if linProbe && base != nil {
-			dK := cost.dK
-			for _, ei := range support {
-				w := base[ei] + ((1-gamma)*x[ei] + gamma*xHat[ei])
-				var dv float64
-				if w > 0 {
-					dv = dK * w
-				}
-				d += dv * (xHat[ei] - x[ei])
+		g1 := 1 - gamma
+		for i := range support {
+			e := &support[i]
+			w := e.base + (g1*e.x + gamma*e.xHat)
+			var dv float64
+			if lin {
+				dv = linDeriv(w, dK, pen, capC)
+			} else {
+				dv = cost.deriv(w)
 			}
-			return d
-		}
-		if base != nil {
-			for _, ei := range support {
-				v := (1-gamma)*x[ei] + gamma*xHat[ei]
-				d += cost.deriv(base[ei]+v) * (xHat[ei] - x[ei])
-			}
-			return d
-		}
-		if linProbe {
-			dK := cost.dK
-			for _, ei := range support {
-				v := (1-gamma)*x[ei] + gamma*xHat[ei]
-				var dv float64
-				if v > 0 {
-					dv = dK * v
-				}
-				d += dv * (xHat[ei] - x[ei])
-			}
-			return d
-		}
-		for _, ei := range support {
-			v := (1-gamma)*x[ei] + gamma*xHat[ei]
-			d += cost.deriv(v) * (xHat[ei] - x[ei])
+			d += dv * e.dx
 		}
 		return d
 	}

@@ -78,12 +78,16 @@ func (fs *FlowSchedule) MaxRate() float64 {
 	return max
 }
 
-// normalize sorts segments and validates disjointness.
+// normalize sorts segments and validates them: finite times and rates,
+// positive rates, non-empty and disjoint intervals.
 func (fs *FlowSchedule) normalize() error {
 	sort.Slice(fs.Segments, func(a, b int) bool {
 		return fs.Segments[a].Interval.Start < fs.Segments[b].Interval.Start
 	})
 	for i, seg := range fs.Segments {
+		if !finite(seg.Interval.Start) || !finite(seg.Interval.End) || !finite(seg.Rate) {
+			return fmt.Errorf("flow %d segment %d: non-finite interval %v or rate %v", fs.FlowID, i, seg.Interval, seg.Rate)
+		}
 		if seg.Rate <= 0 {
 			return fmt.Errorf("flow %d segment %d: rate %v must be positive", fs.FlowID, i, seg.Rate)
 		}
@@ -96,6 +100,8 @@ func (fs *FlowSchedule) normalize() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Schedule is a complete solution: one FlowSchedule per flow plus the
 // horizon [T0, T1] over which idle power is charged.
@@ -194,7 +200,9 @@ func (s *Schedule) LinkRates() map[graph.EdgeID][]RateSegment {
 // sweep converts rate-change events into disjoint constant-rate segments
 // (zero-rate gaps omitted). The sort must be stable: events at equal times
 // keep their insertion order, so coincident deltas accumulate in a
-// reproducible sequence.
+// reproducible sequence. Each group consumes the event that opens it
+// unconditionally, so a NaN event time, which compares false to
+// everything, still advances the sweep.
 func sweep(evs []linkEvent) []RateSegment {
 	sort.SliceStable(evs, func(a, b int) bool { return evs[a].t < evs[b].t })
 	var (
@@ -208,6 +216,8 @@ func sweep(evs []linkEvent) []RateSegment {
 		if rate > timeline.Eps && t-prev > timeline.Eps {
 			out = append(out, RateSegment{Interval: timeline.Interval{Start: prev, End: t}, Rate: rate})
 		}
+		rate += evs[i].delta
+		i++
 		for i < len(evs) && evs[i].t-t <= timeline.Eps {
 			rate += evs[i].delta
 			i++

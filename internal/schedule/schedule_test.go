@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"dcnflow/internal/flow"
 	"dcnflow/internal/graph"
@@ -88,6 +89,46 @@ func TestSetFlowValidation(t *testing.T) {
 	}
 	if err := s.SetFlow(&FlowSchedule{FlowID: 0}); !errors.Is(err, ErrDuplicateFlow) {
 		t.Fatalf("duplicate flow err = %v, want ErrDuplicateFlow", err)
+	}
+}
+
+// TestSetFlowRejectsNonFinite: a segment with a NaN or infinite time or
+// rate is rejected before it can reach the link-rate sweep.
+func TestSetFlowRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, seg := range map[string]RateSegment{
+		"nan start": {Interval: timeline.Interval{Start: nan, End: 1}, Rate: 1},
+		"inf end":   {Interval: timeline.Interval{Start: 0, End: inf}, Rate: 1},
+		"nan rate":  {Interval: timeline.Interval{Start: 0, End: 1}, Rate: nan},
+		"inf rate":  {Interval: timeline.Interval{Start: 0, End: 1}, Rate: inf},
+	} {
+		s := New(timeline.Interval{Start: 0, End: 10})
+		if err := s.SetFlow(&FlowSchedule{FlowID: 0, Segments: []RateSegment{seg}}); err == nil {
+			t.Errorf("%s: segment accepted", name)
+		}
+	}
+}
+
+// TestSweepNaNEventTerminates: an event time that compares false to
+// everything must not stall the link-rate sweep.
+func TestSweepNaNEventTerminates(t *testing.T) {
+	done := make(chan []RateSegment, 1)
+	go func() {
+		done <- sweep([]linkEvent{{t: 0, delta: 1}, {t: math.NaN(), delta: 2}, {t: 1, delta: -1}, {t: math.NaN(), delta: -2}})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep did not terminate on a NaN event time")
+	}
+	// Finite events keep their segments exactly.
+	got := sweep([]linkEvent{{t: 0, delta: 1}, {t: 2, delta: 1}, {t: 1, delta: -1}, {t: 3, delta: -1}})
+	want := []RateSegment{
+		{Interval: timeline.Interval{Start: 0, End: 1}, Rate: 1},
+		{Interval: timeline.Interval{Start: 2, End: 3}, Rate: 1},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("sweep = %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package dcnflow
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"dcnflow/internal/baseline"
 	"dcnflow/internal/core"
@@ -39,7 +40,9 @@ const (
 )
 
 // solverFunc adapts a closure to the Solver interface with the shared
-// entry checks (nil instance, nil context).
+// entry checks (nil instance, nil context) and the shared exit check: an
+// instance whose sizes overflow the energy accounting yields an error
+// wrapping ErrBadInstance, never a non-finite Energy or LowerBound.
 type solverFunc struct {
 	name string
 	run  func(ctx context.Context, in *Instance) (*Solution, error)
@@ -56,8 +59,18 @@ func (s *solverFunc) Solve(ctx context.Context, in *Instance) (*Solution, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.run(ctx, in)
+	sol, err := s.run(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	if !finite(sol.Energy) || !finite(sol.LowerBound) {
+		return nil, fmt.Errorf("%w: %s energy %v, lower bound %v: the instance overflows float64",
+			ErrBadInstance, s.name, sol.Energy, sol.LowerBound)
+	}
+	return sol, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func boolStat(b bool) float64 {
 	if b {
