@@ -227,6 +227,63 @@ func BenchmarkFrankWolfe(b *testing.B) {
 	}
 }
 
+// BenchmarkFrankWolfeDelta measures one F-MCF solve of the rolling delta
+// epoch's shape: fat-tree k=8, alpha=2, MaxIters 30, one or two
+// commodities routed against a background load built like the
+// reservations of 20 flows in flight (a density on one shortest path
+// each). One reused Solver cycles through 16 such instances, so the
+// branch predictor cannot learn a single replayed input; ns/op is per
+// solve.
+func BenchmarkFrankWolfeDelta(b *testing.B) {
+	ft, err := dcnflow.FatTree(8, 1e12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ft.Graph
+	hosts := ft.Hosts
+	type instance struct {
+		comms []mcfsolve.Commodity
+		base  []float64
+	}
+	// pick never returns src == dst: the two indices differ by 16i + 11,
+	// an odd number, so never by a multiple of the 128 hosts.
+	pick := func(i int) (graph.NodeID, graph.NodeID) {
+		return hosts[(i*37)%len(hosts)], hosts[(i*53+11)%len(hosts)]
+	}
+	var insts []instance
+	for k := 0; k < 16; k++ {
+		base := make([]float64, g.NumEdges())
+		for j := 0; j < 20; j++ {
+			src, dst := pick(20*k + j)
+			p, err := g.ShortestPath(src, dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, eid := range p.Edges {
+				base[eid] += 0.05 + 0.5*float64((7*k+j)%10)/10
+			}
+		}
+		var comms []mcfsolve.Commodity
+		for j := 0; j < 1+k%2; j++ {
+			src, dst := pick(1000 + 2*k + j)
+			comms = append(comms, mcfsolve.Commodity{Src: src, Dst: dst, Demand: 0.2 + float64((3*k+j)%8)/4})
+		}
+		insts = append(insts, instance{comms, base})
+	}
+	s, err := mcfsolve.NewSolver(g, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}, mcfsolve.Options{MaxIters: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := &insts[i%len(insts)]
+		if _, err := s.SolveBaseWarmCtx(ctx, in.comms, in.base, mcfsolve.WarmStart{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDijkstraFatTree8 measures the shortest-path oracle on the
 // paper's evaluation topology.
 func BenchmarkDijkstraFatTree8(b *testing.B) {

@@ -32,6 +32,8 @@ type CSR struct {
 	// only the head, pull half the bytes per relaxation.
 	slotEid []int32
 	slotTo  []int32
+	// slotOf is slotEid's inverse: the slot of each (original) edge id.
+	slotOf []int32
 
 	// stub[v] marks a stub node: exactly one in-edge u->v (u != v) and
 	// every out-edge of v leads back to u, like a host hanging off its
@@ -50,6 +52,12 @@ func (c *CSR) NumEdges() int { return len(c.slotEid) }
 // order of SSSPScratch.SlotWeights. The slice must not be modified.
 func (c *CSR) SlotEdges() []int32 { return c.slotEid }
 
+// EdgeSlots is the inverse of SlotEdges: the slot of each original edge id,
+// so a caller can refill the weights of a few edges without a pass over
+// every slot. Each edge owns exactly one slot. The slice must not be
+// modified.
+func (c *CSR) EdgeSlots() []int32 { return c.slotOf }
+
 // buildCSR packs g's adjacency into the node order inv (inv[h] is the
 // original id of view node h; perm is its inverse) on cache-aligned slabs.
 // Edge ids stay original, which is what lets predecessor chains and path
@@ -63,10 +71,12 @@ func buildCSR(g *Graph, perm, inv []int32) *CSR {
 		EdgeFrom: make([]NodeID, e),
 		slotEid:  alignedSlab[int32](e)[:0],
 		slotTo:   alignedSlab[int32](e)[:0],
+		slotOf:   make([]int32, e),
 	}
 	for h := 0; h < n; h++ {
 		c.Start[h] = int32(len(c.slotEid))
 		for _, eid := range g.out[inv[h]] {
+			c.slotOf[eid] = int32(len(c.slotEid))
 			c.slotEid = append(c.slotEid, int32(eid))
 			c.slotTo = append(c.slotTo, perm[g.edges[eid].To])
 		}
@@ -127,9 +137,8 @@ type SSSPScratch struct {
 	wSlot []float64 // active slot-ordered weights (own, or shared — see ShareWeightsFrom)
 	own   []float64 // the scratch's private weight buffer
 
-	node      []nodeState // per-node label: one bounds check, 4 labels per cache line
-	epoch     uint32
-	remaining int // wanted destinations not yet finalised
+	node  []nodeState // per-node label: one bounds check, 4 labels per cache line
+	epoch uint32
 
 	// minW is a lower bound on the slot weights, or 0 when unknown (see
 	// Tree's no-absorption guard). SetWeights and ScanWeights record it;
@@ -491,7 +500,6 @@ search:
 		}
 	}
 	s.heap = h
-	s.remaining = remaining
 	return maxDist
 }
 

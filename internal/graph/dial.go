@@ -135,5 +135,4 @@ levels:
 		d = nd
 	}
 	s.frontier, s.nextFrontier = cur[:0], next[:0]
-	s.remaining = remaining
 }

@@ -79,6 +79,15 @@ func TestRenumberHotViewStructure(t *testing.T) {
 				t.Fatalf("%s: hot EdgeFrom[%d] disagrees with the permuted tail", name, i)
 			}
 		}
+		slots := hot.EdgeSlots()
+		if len(slots) != g.NumEdges() {
+			t.Fatalf("%s: EdgeSlots has %d entries, want %d", name, len(slots), g.NumEdges())
+		}
+		for slot, eid := range hot.SlotEdges() {
+			if slots[eid] != int32(slot) {
+				t.Fatalf("%s: EdgeSlots[%d] = %d, but edge %d sits in slot %d", name, eid, slots[eid], eid, slot)
+			}
+		}
 	}
 }
 

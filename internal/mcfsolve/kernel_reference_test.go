@@ -19,17 +19,27 @@ import (
 // probe each in four hand-specialised copies ({background load, none} x
 // {inline alpha=2, generic call}), with the background load carried in a
 // field for the duration of one solve. SolveWarmCtx, lineSearch and the
-// cost methods below are that code verbatim, apart from the two line-search
-// counters marked "coverage". The embedded Solver lends the shared, unchanged
-// pieces: the oracle, the intern table, the flow buffers, seedWarm and emit.
+// cost methods below are that code verbatim, apart from the line-search
+// counters and the support recorder marked "coverage". The embedded Solver
+// lends the shared pieces: the oracle, the intern table, the flow buffers,
+// seedWarm and emit.
 type refSolver struct {
 	*Solver
 	cost    refCostModel
 	base    []float64
 	support []int32 // line-search delta support (edge ids)
 
-	// coverage: line searches run, and how many had the penalty active.
+	// coverage: line searches run, and how many had the penalty active;
+	// with record set, every search's delta support in the Solver's form.
 	searches, penSearches int
+	record                bool
+	recorded              []recordedSearch
+}
+
+// recordedSearch is one line search's input as Solver.bisect takes it.
+type recordedSearch struct {
+	support   []supportEdge
+	penActive bool
 }
 
 func newRefSolver(g *graph.Graph, m power.Model, opts Options) (*refSolver, error) {
@@ -444,6 +454,17 @@ func (s *refSolver) lineSearch(x, xHat []float64) float64 {
 	if penActive {
 		s.penSearches++
 	}
+	if s.record {
+		rec := recordedSearch{penActive: penActive}
+		for _, ei := range support {
+			var b float64
+			if base != nil {
+				b = base[ei]
+			}
+			rec.support = append(rec.support, supportEdge{x: x[ei], xHat: xHat[ei], base: b, dx: xHat[ei] - x[ei]})
+		}
+		s.recorded = append(s.recorded, rec)
+	}
 	// The probe loop is the line search's hot spot; specialise the common
 	// linear-derivative case (alpha == 2, penalty inactive on the whole
 	// segment: every probe point v lies between x and xHat, hence below c,
@@ -754,5 +775,200 @@ func TestSolveBaseWrongLength(t *testing.T) {
 	// The Solver is still usable afterwards.
 	if _, err := s.SolveBaseWarmCtx(context.Background(), comms, make([]float64, ft.Graph.NumEdges()), WarmStart{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomCommodities draws n commodities between distinct random hosts.
+func randomCommodities(rng *rand.Rand, hosts []graph.NodeID, n int) []Commodity {
+	comms := make([]Commodity, 0, n)
+	for len(comms) < n {
+		src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+		if src != dst {
+			comms = append(comms, Commodity{ID: flow.ID(len(comms)), Src: src, Dst: dst, Demand: 0.1 + 2*rng.Float64()})
+		}
+	}
+	return comms
+}
+
+// deltaKernelInstance draws the online-delta shape: one or two commodities
+// routed against a heavy background load, as a rolling delta epoch solves
+// one arrival against the reservations of every flow in flight. Most edges
+// carry load, capped cases put a few above C = 4, and a few carry the tiny
+// negative residue a cancelled reservation can leave behind.
+func deltaKernelInstance(rng *rand.Rand, g *graph.Graph, hosts []graph.NodeID, capped bool) ([]Commodity, []float64) {
+	comms := randomCommodities(rng, hosts, 1+rng.Intn(2))
+	base := make([]float64, g.NumEdges())
+	for i := range base {
+		switch r := rng.Float64(); {
+		case capped && r < 0.03:
+			base[i] = 4 + rng.Float64()
+		case r < 0.05:
+			base[i] = -1e-15 * rng.Float64()
+		case r < 0.85:
+			base[i] = 3 * rng.Float64()
+		}
+	}
+	return comms, base
+}
+
+// checkKernel solves one instance on both kernels and fails on the first
+// differing bit; it returns the reference result for warm re-solves.
+func checkKernel(t *testing.T, ref *refSolver, s *Solver, comms []Commodity, base []float64, warm WarmStart, what string) *Result {
+	t.Helper()
+	ctx := context.Background()
+	want, err := ref.SolveBaseWarmCtx(ctx, comms, base, warm)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	got, err := s.SolveBaseWarmCtx(ctx, comms, base, warm)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if err := sameResult(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	return want
+}
+
+// perturbed returns comms with every demand scaled by a random factor in
+// [0.8, 1.2), the warm re-solve input of the differential tests.
+func perturbed(rng *rand.Rand, comms []Commodity) []Commodity {
+	next := append([]Commodity(nil), comms...)
+	for i := range next {
+		next[i].Demand *= 0.8 + 0.4*rng.Float64()
+	}
+	return next
+}
+
+// TestSolveDeltaShapeMatchesReference runs the differential test on the
+// shape of a rolling delta epoch: fat-tree k=8 (768 edges), one or two
+// commodities over a few dozen edges, and a heavy random background load,
+// cold and warm, for every cost branch. Here most edges never carry flow,
+// which is what a kernel restricted to a solve's own edges must get right.
+func TestSolveDeltaShapeMatchesReference(t *testing.T) {
+	ft, err := topology.FatTree(8, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ft.Graph
+	for ci, kc := range kernelCases() {
+		t.Run(kc.name, func(t *testing.T) {
+			opts := Options{Cost: kc.cost, MaxIters: 30, Tol: 1e-4}
+			ref, err := newRefSolver(g, kc.model, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSolver(g, kc.model, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(8000 + ci)))
+			for seed := 0; seed < 6; seed++ {
+				comms, base := deltaKernelInstance(rng, g, ft.Hosts, kc.capped)
+				want := checkKernel(t, ref, s, comms, base, WarmStart{}, fmt.Sprintf("seed %d cold", seed))
+				checkKernel(t, ref, s, perturbed(rng, comms), base, WarmStart{Commodities: comms, Result: want},
+					fmt.Sprintf("seed %d warm", seed))
+			}
+			if ref.searches == 0 {
+				t.Fatal("no line search ran")
+			}
+		})
+	}
+}
+
+// TestSolverReuseMatchesReference reuses one Solver over instances of
+// different sizes (1 to 14 commodities) and background loads (none, zero,
+// random, heavy) in random order, so every solve starts from buffers the
+// previous, differently shaped solve left behind. A kernel that clears or
+// refills only the edges of the current solve must not read any of them.
+func TestSolverReuseMatchesReference(t *testing.T) {
+	ft, err := topology.FatTree(8, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ft.Graph
+	for ci, kc := range kernelCases() {
+		t.Run(kc.name, func(t *testing.T) {
+			opts := Options{Cost: kc.cost, MaxIters: 25, Tol: 1e-4}
+			ref, err := newRefSolver(g, kc.model, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSolver(g, kc.model, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(9000 + ci)))
+			var prevComms []Commodity
+			var prev *Result
+			for i := 0; i < 16; i++ {
+				var comms []Commodity
+				var base []float64
+				switch rng.Intn(4) {
+				case 0:
+					comms, _ = randomKernelInstance(rng, g, ft.Hosts, kc.capped)
+				case 1:
+					comms, _ = randomKernelInstance(rng, g, ft.Hosts, kc.capped)
+					base = make([]float64, g.NumEdges())
+				case 2:
+					comms, base = randomKernelInstance(rng, g, ft.Hosts, kc.capped)
+				default:
+					comms, base = deltaKernelInstance(rng, g, ft.Hosts, kc.capped)
+				}
+				warm := WarmStart{}
+				if prev != nil && rng.Intn(3) == 0 {
+					// A warm start from an unrelated solve: commodity IDs
+					// restart at 0, so some match and their paths seed x.
+					warm = WarmStart{Commodities: prevComms, Result: prev}
+				}
+				prev = checkKernel(t, ref, s, comms, base, warm, fmt.Sprintf("solve %d", i))
+				prevComms = comms
+			}
+		})
+	}
+}
+
+// TestSolveNonFiniteBaseMatchesReference feeds background loads with +Inf
+// and 1e200 entries, whose cost (and, for +Inf, marginal cost) is not
+// finite: cost(base + 0) - cost(base) is NaN on such an edge even when no
+// flow ever reaches it. The NaN objective and gap, payload included, and
+// everything else must match the reference bit for bit.
+func TestSolveNonFiniteBaseMatchesReference(t *testing.T) {
+	ft, err := topology.FatTree(4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ft.Graph
+	nonFinite := 0
+	for ci, kc := range kernelCases() {
+		opts := Options{Cost: kc.cost, MaxIters: 20, Tol: 1e-4}
+		ref, err := newRefSolver(g, kc.model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSolver(g, kc.model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(7000 + ci)))
+		for seed := 0; seed < 5; seed++ {
+			comms, base := deltaKernelInstance(rng, g, ft.Hosts, kc.capped)
+			for j := 0; j < 1+rng.Intn(3); j++ {
+				e := rng.Intn(len(base))
+				if rng.Intn(2) == 0 {
+					base[e] = math.Inf(1)
+				} else {
+					base[e] = 1e200
+				}
+			}
+			what := fmt.Sprintf("%s seed %d", kc.name, seed)
+			got := checkKernel(t, ref, s, comms, base, WarmStart{}, what)
+			if math.IsNaN(got.Objective) {
+				nonFinite++
+			}
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("no solve reported a NaN objective")
 	}
 }

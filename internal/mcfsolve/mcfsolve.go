@@ -16,8 +16,10 @@
 // Random-Schedule: the oracle runs over a flat CSR adjacency with
 // indexed []float64 edge weights and epoch-reset scratch (zero allocations
 // per Dijkstra tree after warm-up), paths are deduplicated by integer
-// interning instead of string keys, the exact line search probes only the
-// edges whose flow actually changes, and a Solver can be reused
+// interning instead of string keys, every pass after the first weight fill
+// runs over the edges the solve has put flow on, the exact line search
+// probes only the edges whose flow actually changes and skips the probes
+// whose sign rounding cannot flip, and a Solver can be reused
 // across related instances, optionally warm-starting each solve from a
 // neighbouring instance's path decomposition.
 package mcfsolve
@@ -27,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -146,7 +149,9 @@ var (
 // the background load of SolveBaseWarmCtx or zero. A lin model calls the
 // inlinable linVal/linDeriv, any other model calls val/deriv. Without a
 // background load the sums are those of the cost at x alone, bit for bit:
-// 0 + x == x and cost(0) == 0 exactly.
+// 0 + x == x and cost(0) == 0 exactly. A lin model's phi' is affine in the
+// step along a segment where the penalty stays off, which is what lets the
+// line search skip probes (see lineFilter).
 type costModel struct {
 	m      power.Model
 	useEnv bool
@@ -290,6 +295,8 @@ type Solver struct {
 	x       []float64     // current edge flow
 	xNew    []float64     // oracle direction point
 	zero    []float64     // all-zero background load of the base-free solves
+	used    []uint64      // bitmap of the solve's edges (see solve)
+	edges   []int32       // the bitmap's edge ids, ascending
 	support []supportEdge // line-search delta support
 	handles []graph.PathHandle
 	decomps []decomp
@@ -339,6 +346,7 @@ func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver,
 		x:        make([]float64, nE),
 		xNew:     make([]float64, nE),
 		zero:     make([]float64, nE),
+		used:     make([]uint64, (nE+63)/64),
 	}, nil
 }
 
@@ -397,6 +405,12 @@ func (s *Solver) SolveWarm(commodities []Commodity, warm WarmStart) (*Result, er
 // decomposition are untouched. base must have length NumEdges; nil
 // degenerates to SolveWarmCtx exactly: every solve runs the same loops on
 // base + x, and a zero base changes no bit (0 + x == x, cost(0) == 0).
+//
+// A solve with a base costs one pass over every edge up front (it finds
+// the edges whose cost or marginal cost at the base is not finite) plus
+// the first weight fill; every later pass covers only the edges the solve
+// routes over, so a small batch on a large fabric pays per iteration for
+// the few dozen edges it touches, not for the whole load vector.
 func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart) (*Result, error) {
 	if base != nil && len(base) != s.g.NumEdges() {
 		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
@@ -453,9 +467,32 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		s.decomps[i].reset()
 	}
 
-	x := s.x[:nE]
-	for i := range x {
-		x[i] = 0
+	x, xNew := s.x[:nE], s.xNew[:nE]
+	clear(x)
+	clear(xNew)
+	clear(s.used)
+
+	// One loop per phase, each evaluating the cost at w = base + x (see
+	// costModel); the objective is the marginal cost over the base.
+	cost := &s.cost
+	lin, dK, mu, pen, capC := cost.lin, cost.dK, cost.m.Mu, cost.pen, cost.c
+	if base == nil {
+		base = s.zero[:nE]
+	} else {
+		// An edge whose cost or marginal cost at the base is not finite
+		// adds NaN to the objective or the gap even without flow
+		// (Inf - Inf, Inf * 0), so it joins the solve's edges up front.
+		for eid, b := range base {
+			var v, d float64
+			if lin {
+				v, d = linVal(b, mu, pen, capC), linDeriv(b, dK, pen, capC)
+			} else {
+				v, d = cost.val(b), cost.deriv(b)
+			}
+			if !finite(v) || !finite(d) {
+				s.mark(graph.EdgeID(eid))
+			}
+		}
 	}
 
 	// Initial point: warm-started commodities reuse the neighbouring
@@ -477,32 +514,35 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 			h := s.handles[i]
 			for _, eid := range s.intern.Edges(h) {
 				x[eid] += commodities[i].Demand
+				s.mark(eid)
 			}
 			s.decomps[i].add(h, commodities[i].Demand)
 		}
 	}
 
-	// One loop per phase, each evaluating the cost at w = base + x (see
-	// costModel); the objective is the marginal cost over the base.
-	if base == nil {
-		base = s.zero[:nE]
-	}
-	cost := &s.cost
-	lin, dK, mu, pen, capC := cost.lin, cost.dK, cost.m.Mu, cost.pen, cost.c
-	objective := func(v []float64) float64 {
+	// After the first weight fill, every pass runs over the solve's edges
+	// only, in ascending id: the edges any path of this solve has put flow
+	// on, plus those seeded above. Elsewhere x = xHat = 0 for the whole
+	// solve, so a skipped term is an exact zero (cost(b) - cost(b), d * 0),
+	// its weight never changes, and every sum adds the same non-zero terms
+	// in the same order as a pass over all edges. A running sum starts at
+	// +0 and so is never -0, and adding a zero of either sign to it
+	// changes no bit.
+	edges := s.solveEdges()
+	objective := func(edges []int32) float64 {
 		var sum float64
-		for eid, xv := range v {
+		for _, eid := range edges {
 			b := base[eid]
 			if lin {
-				sum += linVal(b+xv, mu, pen, capC) - linVal(b, mu, pen, capC)
+				sum += linVal(b+x[eid], mu, pen, capC) - linVal(b, mu, pen, capC)
 			} else {
-				sum += cost.val(b+xv) - cost.val(b)
+				sum += cost.val(b+x[eid]) - cost.val(b)
 			}
 		}
 		return sum
 	}
 
-	xNew := s.xNew[:nE]
+	slotOf := s.orc.hot.EdgeSlots()
 	var gap float64
 	iters := 0
 	for iters = 0; iters < s.opts.MaxIters; iters++ {
@@ -514,11 +554,16 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		}
 		// Marginal-cost weights (tiny hop bias keeps zero-gradient regions
 		// deterministic and hop-minimal), computed straight into the
-		// oracle's slot-ordered buffer: each edge owns exactly one
-		// adjacency slot, so the values match an edge-indexed fill
-		// bit-for-bit.
+		// oracle's slot-ordered buffer, where each edge owns exactly one
+		// slot. The first fill covers every edge, in slot order; it also
+		// overwrites the cold start's hop weights and whatever a previous
+		// solve left behind. Later fills refresh the solve's edges.
 		slotW := s.orc.slotWeights()
-		for i, eid := range s.orc.slotEdges() {
+		fill := edges
+		if iters == 0 {
+			fill = s.orc.slotEdges()
+		}
+		for _, eid := range fill {
 			w := base[eid] + x[eid]
 			var d float64
 			if lin {
@@ -526,23 +571,27 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 			} else {
 				d = cost.deriv(w)
 			}
-			slotW[i] = d + 1e-12
+			slotW[slotOf[eid]] = d + 1e-12
 		}
 		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
 			return nil, err
 		}
-		// Direction point: all demand on the oracle paths.
-		for i := range xNew {
-			xNew[i] = 0
+		// Direction point: all demand on the oracle paths. The previous
+		// direction lies on the solve's edges, so clearing those clears it.
+		for _, eid := range edges {
+			xNew[eid] = 0
 		}
 		for i := range commodities {
 			for _, eid := range s.intern.Edges(s.handles[i]) {
 				xNew[eid] += commodities[i].Demand
+				s.mark(eid)
 			}
 		}
+		edges = s.solveEdges()
 		// Duality gap: grad(x) . (x - xHat).
 		gap = 0
-		for eid, xv := range x {
+		for _, eid := range edges {
+			xv := x[eid]
 			w := base[eid] + xv
 			var d float64
 			if lin {
@@ -552,16 +601,16 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 			}
 			gap += d * (xv - xNew[eid])
 		}
-		obj := objective(x)
+		obj := objective(edges)
 		if obj > 0 && gap/obj < s.opts.Tol {
 			break
 		}
 		// Exact line search on the convex 1-D restriction.
-		gamma := s.lineSearch(x, xNew, base)
+		gamma := s.lineSearch(x, xNew, base, edges)
 		if gamma <= 1e-12 {
 			break
 		}
-		for eid := range x {
+		for _, eid := range edges {
 			x[eid] = (1-gamma)*x[eid] + gamma*xNew[eid]
 		}
 		// Fold the step into the path decomposition.
@@ -575,7 +624,7 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 	}
 
 	copy(res.EdgeFlow, x)
-	res.Objective = objective(x)
+	res.Objective = objective(edges)
 	res.Gap = gap
 	res.Iters = iters
 	for i := range commodities {
@@ -627,11 +676,29 @@ func (s *Solver) seedWarm(commodities []Commodity, warm WarmStart) (cold bool) {
 			d.add(s.intern.Intern(wp.Path.Edges), w)
 			for _, eid := range wp.Path.Edges {
 				x[eid] += w
+				s.mark(eid)
 			}
 		}
 	}
 	return cold
 }
+
+// mark adds edge eid to the solve's edges.
+func (s *Solver) mark(eid graph.EdgeID) { s.used[eid>>6] |= 1 << (eid & 63) }
+
+// solveEdges lists the solve's edges in ascending id.
+func (s *Solver) solveEdges() []int32 {
+	s.edges = s.edges[:0]
+	for wi, w := range s.used {
+		for ; w != 0; w &= w - 1 {
+			s.edges = append(s.edges, int32(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return s.edges
+}
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return v-v == 0 }
 
 // validPath cheaply checks that edges is a connected src->dst walk in the
 // Solver's graph (warm starts from a foreign or stale graph are rejected).
@@ -685,16 +752,17 @@ func (s *Solver) emit(d *decomp, demand float64) []WeightedPath {
 type supportEdge struct{ x, xHat, base, dx float64 }
 
 // lineSearch minimises phi(gamma) = sum_e cost(base + (1-gamma) x + gamma
-// xHat) over [0, 1]. Only edges with x != xHat contribute to phi', so the
-// search first collects that delta support and then bisects the monotone
-// derivative over the support.
-func (s *Solver) lineSearch(x, xHat, base []float64) float64 {
+// xHat) over [0, 1]. Only edges with x != xHat contribute to phi', and
+// those are among the solve's edges, so the search first collects that
+// delta support from edges and then bisects the monotone derivative over
+// it (see bisect).
+func (s *Solver) lineSearch(x, xHat, base []float64, edges []int32) float64 {
 	cost := &s.cost
 	support := s.support[:0]
 	// penActive: the capacity penalty kicks in somewhere on the segment
 	// for some support edge, so the restriction picks up extra kinks.
 	penActive := false
-	for eid := range x {
+	for _, eid := range edges {
 		if x[eid] != xHat[eid] {
 			support = append(support, supportEdge{x: x[eid], xHat: xHat[eid], base: base[eid], dx: xHat[eid] - x[eid]})
 			if base[eid]+x[eid] > cost.c || base[eid]+xHat[eid] > cost.c {
@@ -706,6 +774,24 @@ func (s *Solver) lineSearch(x, xHat, base []float64) float64 {
 	if len(support) == 0 {
 		return 0
 	}
+	gamma, _ := s.bisect(support, penActive)
+	return gamma
+}
+
+// bisect returns the minimiser of phi on [0, 1] for a non-empty delta
+// support, by 50 bisection steps on the sign of phi' after probing both
+// ends, and how many times it evaluated phi'. penActive reports whether the
+// capacity penalty switches on anywhere on the segment.
+//
+// A step needs only the sign of phiDeriv(mid). For a lin model with the
+// penalty inactive, phi'(gamma) = a + gamma*b up to rounding, and
+// lineFilter bounds that rounding by tol: where |a + mid*b| > tol,
+// phiDeriv(mid) is non-zero with the same sign, so the step takes the same
+// branch without evaluating it. Every other model gets tol = +Inf and
+// evaluates every probe. Either way the search makes the decisions, and
+// returns the gamma, of the plain bisection.
+func (s *Solver) bisect(support []supportEdge, penActive bool) (gamma float64, probes int) {
+	cost := &s.cost
 	// With the penalty inactive on the whole segment, a lin probe drops its
 	// term: every probe point lies between base + x and base + xHat, hence
 	// at most c, up to one ulp of rounding that the generic deriv would
@@ -715,6 +801,7 @@ func (s *Solver) lineSearch(x, xHat, base []float64) float64 {
 		capC = math.Inf(1)
 	}
 	phiDeriv := func(gamma float64) float64 {
+		probes++
 		var d float64
 		g1 := 1 - gamma
 		for i := range support {
@@ -730,22 +817,92 @@ func (s *Solver) lineSearch(x, xHat, base []float64) float64 {
 		}
 		return d
 	}
-	phi0 := phiDeriv(0)
-	if phi0 >= 0 {
-		return 0
+	if phiDeriv(0) >= 0 {
+		return 0, probes
 	}
-	phi1 := phiDeriv(1)
-	if phi1 <= 0 {
-		return 1
+	if phiDeriv(1) <= 0 {
+		return 1, probes
+	}
+	a, b, tol := 0.0, 0.0, math.Inf(1)
+	if lin && !penActive {
+		a, b, tol = lineFilter(support, dK)
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		if phiDeriv(mid) < 0 {
+		var neg bool
+		if t := a + mid*b; t > tol || t < -tol {
+			neg = t < 0
+		} else {
+			neg = phiDeriv(mid) < 0
+		}
+		if neg {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
+	return (lo + hi) / 2, probes
+}
+
+// lineFilter returns, for a lin model (k = dK) with the penalty inactive,
+// the coefficients of phi'(gamma) = a + gamma*b and a bound tol on
+// |phiDeriv(mid) - fl(a + mid*b)| that holds at every mid in [0, 1]. tol is
+// +Inf where no bound is derived.
+//
+// Notation: n = len(support), u = 2^-53, eta = 2^-1075 (the error of a
+// product that rounds into the subnormal range; sums are exact there),
+// gamma_m = m*u/(1-m*u) <= 2*m*u. Per support edge: base b_e, x, h = xHat,
+// d = dx = fl(h - x), H = b_e + max(x, h). M = k * sum H*|d|, S = sum |d|.
+// The bound needs b_e, x, h >= 0, which flows are; a negative base (the
+// residue of a cancelled reservation) turns the filter off. Then the probe
+// point w = b_e + (1-mid)*x + mid*h is a sum of non-negative terms in
+// [b_e, H], linDeriv(w) = k*w (w never crosses its kink at 0), and no
+// rounding error cancels against another.
+//
+//   - phiDeriv(mid): fl(1-mid), the two products, their sum and the add of
+//     b_e put w within gamma_5 of W = b_e + (1-mid)x + mid*h; k*w and the
+//     product with d add two roundings; the n-term sum adds gamma_{n-1} of
+//     sum |term|. Since W <= H, the total is within gamma_{n+6}*M of
+//     sum k*W*d, plus eta*(2k|d| + |d| + 1) per edge for products that
+//     rounded to subnormals (the two products inside w are scaled by k|d|
+//     on the way out, k*w by |d|).
+//   - sum k*W*d = A + mid*B' with A = sum k(b_e+x)d and B' = sum k(h-x)d.
+//     h - x = d(1+delta) with |delta| <= u, so B' is within gamma_1*B of
+//     B = sum k*d^2 <= (1+u)M.
+//   - a = fl(sum k*(b_e+x)*d) is within gamma_{n+2}*M of A, and b =
+//     fl(sum k*d*d) within gamma_{n+1}*B of B, each plus eta*(|d| + 1) per
+//     edge; fl(a + fl(mid*b)) rounds twice more on |a| + |b| <= 2.01*M,
+//     plus eta for mid*b.
+//
+// Altogether |phiDeriv(mid) - fl(a + mid*b)| <= gamma_{3n+15}*M +
+// 1.02*eta*((2k+3)S + 3n + 1). The computed M is within gamma_{n+2} of
+// the exact one, so the exact M is at most twice it, and tol =
+// 4(3n+16)*u*M + 4*eta*(k+3)(S+n+1) covers both terms with room for the
+// roundings of tol itself. A fused multiply-add only removes roundings,
+// so the bound holds wherever the compiler fuses. The filter is also off
+// when M < 2^-900, where the relative term nears the subnormal range, and
+// when max(k, 1) * max H reaches 2^1000, where a probe could overflow
+// while a + mid*b does not; NaN fails both tests.
+func lineFilter(support []supportEdge, k float64) (a, b, tol float64) {
+	var m, sAbs, hMax float64
+	for i := range support {
+		e := &support[i]
+		if e.base < 0 || e.x < 0 || e.xHat < 0 {
+			return 0, 0, math.Inf(1)
+		}
+		h := e.base + max(e.x, e.xHat)
+		ad := math.Abs(e.dx)
+		a += k * (e.base + e.x) * e.dx
+		b += k * e.dx * e.dx
+		m += h * ad
+		sAbs += ad
+		hMax = max(hMax, h)
+	}
+	m *= k
+	if !(m >= 0x1p-900 && m < 0x1p1000 && max(k, 1)*hMax < 0x1p1000) {
+		return 0, 0, math.Inf(1)
+	}
+	n := float64(len(support))
+	return a, b, 4*(3*n+16)*0x1p-53*m + (k+3)*(sAbs+n+1)*0x1p-1073
 }
