@@ -73,15 +73,16 @@ test:
 # determinism suite, the golden-output suites (whose dcfsr and
 # rolling-online rows run the interval fan-out, full and delta, at
 # parallelism 1, 2 and 7 through pooled and unpooled Engines) and the
-# shared-Engine concurrency tests (cache LRU, pooled scratch, batch pool,
-# serve handler — including the sharded-serve determinism, drain-under-load,
-# token-bucket admission and client-retry suites), plus the serve
-# subcommand end to end; CI runs the same job.
+# shared-Engine concurrency tests (cache LRU, builds outside the cache
+# lock, pooled scratch, batch pool, serve handler — including the
+# racing-client and batch determinism, drain-under-load, token-bucket
+# admission and client-retry suites), plus the serve subcommand end to end;
+# CI runs the same job.
 test-race-online:
 	$(GO) test -race ./internal/online/... ./internal/decision/... ./internal/core/... ./internal/mcfsolve/... ./internal/sweep/... ./internal/graph/...
 	$(GO) test -race -run 'TestConformance|TestSweep|TestEngine|TestServe|TestIntraSolve|TestAdmission|TestClient|TestPriorityRank|TestParseRetryAfter|TestGolden' .
 	$(GO) test -race -run 'Delta' ./internal/online/ ./internal/core/
-	$(GO) test -race -run 'Renumber|Fingerprint' ./internal/core/ ./internal/graph/
+	$(GO) test -race -run 'Renumber' ./internal/core/ ./internal/graph/
 	$(GO) test -race -run TestServeCommand ./cmd/dcnflow
 
 vet:

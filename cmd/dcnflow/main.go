@@ -557,7 +557,6 @@ func runServe(args []string, stdout io.Writer) error {
 	cache := fs.Int("cache", 64, "compiled-instance cache entries (distinct topology+model pairs held warm)")
 	workers := fs.Int("workers", runtime.NumCPU(), "concurrent batch solves; a pure wall-clock lever")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window after SIGINT/SIGTERM")
-	shards := fs.Int("shards", 1, "engine shards; requests route by topology fingerprint, each shard holds its own cache and solver pools")
 	admitRate := fs.Float64("admit-rate", 0, "token-bucket admission rate in requests/s (0 disables admission control)")
 	admitBurst := fs.Float64("admit-burst", 0, "admission bucket capacity (0 selects max(admit-rate, 1))")
 	admitQueue := fs.Int("admit-queue", 64, "bounded accept-queue depth; a full queue answers 429 with Retry-After")
@@ -570,8 +569,8 @@ func runServe(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	group := dcnflow.NewEngineGroup(*shards, dcnflow.EngineOptions{CacheSize: *cache, Workers: *workers})
-	handler := dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{
+	eng := dcnflow.NewEngine(dcnflow.EngineOptions{CacheSize: *cache, Workers: *workers})
+	handler := dcnflow.NewServeHandler(eng, dcnflow.ServeOptions{
 		MaxTimeout: *timeout,
 		MaxBatch:   *maxBatch,
 		Solvers:    names,
@@ -591,8 +590,8 @@ func runServe(args []string, stdout io.Writer) error {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(stdout, "dcnflow serve: listening on http://%s (%d solvers, cache %d, shards %d)\n",
-		ln.Addr().String(), len(names), *cache, *shards)
+	fmt.Fprintf(stdout, "dcnflow serve: listening on http://%s (%d solvers, cache %d)\n",
+		ln.Addr().String(), len(names), eng.Stats().Capacity)
 
 	select {
 	case err := <-errCh:

@@ -279,11 +279,13 @@ func TestServeUsageListsEverySolver(t *testing.T) {
 // solves one scenario through the HTTP client, checks the energy against
 // the in-process registry solve, and shuts the server down gracefully via
 // SIGINT — the same sequence `make serve-smoke` drives as a subprocess.
+// It passes -cache 0, which selects the default capacity, and requires
+// the banner to report the engine's 64 entries rather than the flag.
 func TestServeCommandEndToEnd(t *testing.T) {
 	r, w := io.Pipe()
 	defer w.Close() // ends the stdout drain below
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- runServe([]string{"-addr", "127.0.0.1:0"}, w) }()
+	go func() { serveDone <- runServe([]string{"-addr", "127.0.0.1:0", "-cache", "0"}, w) }()
 
 	// The listen line is printed once the listener is up.
 	buf := make([]byte, 4096)
@@ -294,6 +296,9 @@ func TestServeCommandEndToEnd(t *testing.T) {
 	m := regexp.MustCompile(`listening on (http://[^ ]+)`).FindStringSubmatch(string(buf[:n]))
 	if m == nil {
 		t.Fatalf("no listen banner in %q", buf[:n])
+	}
+	if !strings.Contains(string(buf[:n]), "cache 64") {
+		t.Fatalf("banner %q does not report the engine's cache capacity 64", buf[:n])
 	}
 	go func() { // drain any further stdout so the server never blocks on the pipe
 		for {

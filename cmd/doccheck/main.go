@@ -158,8 +158,8 @@ func decisionDocs(repo string) ([]string, error) {
 var decisionsFlags = []string{"-mode", "-fit-energy", "-fit-miss", "-fit-slack", "-topk", "-require-regret", "-require-win"}
 
 // serveFlags are the load-management flags `dcnflow serve` must document
-// in its usage text: engine sharding and token-bucket admission control.
-var serveFlags = []string{"-shards", "-admit-rate", "-admit-burst", "-admit-queue"}
+// in its usage text: token-bucket admission control.
+var serveFlags = []string{"-admit-rate", "-admit-burst", "-admit-queue"}
 
 // onlineFlags are the delta-solve flags `dcnflow online` must document in
 // its usage text.
@@ -167,7 +167,7 @@ var onlineFlags = []string{"-delta", "-delta-drift", "-delta-stale"}
 
 // missingFlags reports the flags absent from a command's usage text. The
 // flag package prints definitions with a single dash and leading
-// whitespace, so "  -shards" is matched; prose mentions do not count.
+// whitespace, so "  -admit-rate" is matched; prose mentions do not count.
 func missingFlags(source, text string, flags []string) []string {
 	var missing []string
 	for _, f := range flags {

@@ -59,7 +59,7 @@
 // The compile-once/solve-many entry point is the Engine: a bounded LRU
 // cache of compiled instances (generated topologies, flat adjacency
 // views, pooled shortest-path and solver scratch, built workload
-// instances) keyed by a canonical topology+model fingerprint, plus a
+// instances) keyed by the canonical topology+model spec fragment, plus a
 // deterministic batch executor:
 //
 //	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
@@ -253,9 +253,6 @@ type (
 	FixedPeriod = online.FixedPeriod
 	// ArrivalCount re-plans once N arrivals are queued.
 	ArrivalCount = online.ArrivalCount
-	// LoadDrift re-plans when queued demand drifts past a fraction of the
-	// committed load.
-	LoadDrift = online.LoadDrift
 	// OnlineEngine is the event-driven interface both online schedulers
 	// implement; ReplayOnline drives one through a flow set.
 	OnlineEngine = sim.OnlineEngine

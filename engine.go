@@ -173,14 +173,13 @@ type ceEntry struct {
 }
 
 // CompiledInstance is one cached compilation of a topology+model pair: the
-// generated topology, the compiled graph artifact bundle (flat CSR view,
-// structural fingerprint, pooled shortest-path scratch) and the instances
-// of workloads generated on it. Instances are immutable and shared by
-// every solve that hits the cache.
+// generated topology, whose graph is compiled (flat CSR view, pooled
+// shortest-path scratch) when the entry is built, and the instances of
+// workloads generated on it. Instances are immutable and shared by every
+// solve that hits the cache.
 type CompiledInstance struct {
 	topo  *Topology
 	model PowerModel
-	comp  *graph.Compiled
 
 	imu    sync.Mutex
 	insts  map[string]*instEntry
@@ -193,9 +192,6 @@ func (ci *CompiledInstance) Topology() *Topology { return ci.topo }
 
 // Model returns the power model the compilation is keyed by.
 func (ci *CompiledInstance) Model() PowerModel { return ci.model }
-
-// Fingerprint returns the compiled graph's structural fingerprint.
-func (ci *CompiledInstance) Fingerprint() uint64 { return ci.comp.Fingerprint() }
 
 // instEntry caches one workload's built Instance on a CompiledInstance,
 // plus the shared lower bounds computed on it.
@@ -292,10 +288,13 @@ func buildCompiledInstance(spec *ScenarioSpec) (*CompiledInstance, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The compiled bundle is cached on the graph itself, so building it
+	// here, under the entry's once and outside the cache lock, spares
+	// every solve on the entry the compile.
+	graph.Compile(top.Graph)
 	return &CompiledInstance{
 		topo:  top,
 		model: spec.Model.Model(),
-		comp:  graph.Compile(top.Graph),
 		insts: make(map[string]*instEntry),
 		icap:  64,
 	}, nil

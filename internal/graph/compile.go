@@ -2,19 +2,15 @@ package graph
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sync"
 )
 
 // Compiled bundles every immutable artifact the hot paths derive from one
-// Graph — a BFS-renumbered, cache-blocked CSR with its permutation, the
-// structural fingerprint and a pool of reusable shortest-path scratch —
-// built exactly once per graph and shared by all consumers. It is the
-// explicit compile-once entry point of the compile-once/solve-many
-// architecture: solvers and baselines accept a *Compiled instead of
-// rebuilding per-call views, and the root-level Engine keys its instance
-// cache by Fingerprint-compatible identities.
+// Graph — a BFS-renumbered, cache-blocked CSR with its permutation and a
+// pool of reusable shortest-path scratch — built exactly once per graph
+// and shared by all consumers. It is the explicit compile-once entry point
+// of the compile-once/solve-many architecture: solvers and baselines
+// accept a *Compiled instead of rebuilding per-call views.
 //
 // Renumbering contract: Hot() is the graph re-indexed by a BFS visitation
 // order (ToHot/FromHot translate node ids), chosen so that the
@@ -24,9 +20,8 @@ import (
 // tie-breaks compare original edge ids (slotEid/pred), and no comparison
 // anywhere involves a node id — so every traversal is isomorphic to the
 // identity-order one and all outputs (paths, distances, schedules) are
-// byte-identical. Fingerprint is computed from the Graph itself and is
-// therefore permutation-independent by construction. CompileIdentity
-// builds the unrenumbered twin for tests that pin this equivalence.
+// byte-identical. CompileIdentity builds the unrenumbered twin for tests
+// that pin this equivalence.
 //
 // A Compiled is safe for concurrent use. It must not outlive mutations of
 // the underlying graph: AddNode/AddEdge invalidate it (the next Compile
@@ -35,7 +30,6 @@ import (
 type Compiled struct {
 	g   *Graph
 	hot *CSR // the one adjacency view; BFS-renumbered unless CompileIdentity
-	fp  uint64
 
 	// perm maps original node id -> hot id; inv is its inverse. For
 	// CompileIdentity both are the identity.
@@ -78,7 +72,7 @@ func CompileIdentity(g *Graph) *Compiled {
 }
 
 func buildCompiled(g *Graph, renumber bool) *Compiled {
-	c := &Compiled{g: g, fp: g.Fingerprint()}
+	c := &Compiled{g: g}
 	if renumber {
 		c.perm, c.inv = bfsOrder(g)
 	} else {
@@ -142,12 +136,6 @@ func (c *Compiled) ToHot(id NodeID) NodeID { return NodeID(c.perm[id]) }
 
 // FromHot translates a hot node id back to the original space.
 func (c *Compiled) FromHot(id NodeID) NodeID { return NodeID(c.inv[id]) }
-
-// Fingerprint returns the structural fingerprint of the compiled graph
-// (see Graph.Fingerprint). It is computed from the Graph's own node/edge
-// order, so it is identical for renumbered and identity compiles — engine
-// caches keyed by it can never double-cache one topology across layouts.
-func (c *Compiled) Fingerprint() uint64 { return c.fp }
 
 // AcquireScratch borrows reusable SSSP scratch sized for this graph and
 // bound to the hot view (node-id arguments to Tree/TreeDial and friends
@@ -270,37 +258,4 @@ func (c *Compiled) BatchShortestPaths(queries []PathQuery) (paths []Path, failed
 		}
 	}
 	return paths, -1, nil
-}
-
-// Fingerprint returns a structural FNV-1a hash of the graph: node count,
-// per-node kinds, and every directed edge's endpoints and capacity bits.
-// Two graphs built by the same deterministic generator hash equal; any
-// change to the structure (a node, an edge, a capacity) changes the hash.
-// Node names are excluded — they label reports, never algorithms — and so
-// is any compiled-layout artifact such as the hot-view renumbering. The
-// fingerprint identifies compiled artifacts in caches; it is not a
-// collision-proof identity, so caches that must never cross-wire distinct
-// graphs key by *Graph or *Compiled and use the fingerprint for reporting
-// and canonical-spec keys only.
-func (g *Graph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(len(g.nodes)))
-	for i := range g.nodes {
-		put(uint64(g.nodes[i].Kind))
-	}
-	put(uint64(len(g.edges)))
-	for i := range g.edges {
-		e := &g.edges[i]
-		put(uint64(e.From))
-		put(uint64(e.To))
-		put(math.Float64bits(e.Capacity))
-	}
-	return h.Sum64()
 }

@@ -52,77 +52,10 @@ func TestCompileIdempotentAndInvalidated(t *testing.T) {
 	if c1.Graph() != g {
 		t.Fatal("compiled bundle does not reference its graph")
 	}
-	fp := c1.Fingerprint()
-	if fp != g.Fingerprint() {
-		t.Fatal("compiled fingerprint differs from the graph's")
-	}
 	g.AddNode("c", graph.KindHost)
 	c3 := graph.Compile(g)
 	if c3 == c1 {
 		t.Fatal("mutation did not invalidate the compiled cache")
-	}
-	if c3.Fingerprint() == fp {
-		t.Fatal("adding a node did not change the fingerprint")
-	}
-}
-
-// TestFingerprintSensitivity: structurally equal builds hash equal; any
-// structural change (edge, capacity, node kind) changes the hash.
-func TestFingerprintSensitivity(t *testing.T) {
-	build := func() *graph.Graph {
-		g := graph.New()
-		a := g.AddNode("a", graph.KindSwitch)
-		b := g.AddNode("b", graph.KindHost)
-		if _, err := g.AddEdge(a, b, 3); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	g1, g2 := build(), build()
-	if g1.Fingerprint() != g2.Fingerprint() {
-		t.Fatal("identical builds produced different fingerprints")
-	}
-	// Renaming nodes must not change the hash (labels are report-only).
-	g3 := graph.New()
-	a := g3.AddNode("other", graph.KindSwitch)
-	b := g3.AddNode("names", graph.KindHost)
-	if _, err := g3.AddEdge(a, b, 3); err != nil {
-		t.Fatal(err)
-	}
-	if g3.Fingerprint() != g1.Fingerprint() {
-		t.Fatal("node names leaked into the fingerprint")
-	}
-	// Capacity change must.
-	g4 := graph.New()
-	a = g4.AddNode("a", graph.KindSwitch)
-	b = g4.AddNode("b", graph.KindHost)
-	if _, err := g4.AddEdge(a, b, 4); err != nil {
-		t.Fatal(err)
-	}
-	if g4.Fingerprint() == g1.Fingerprint() {
-		t.Fatal("capacity change did not change the fingerprint")
-	}
-	// Node kind change must.
-	g5 := graph.New()
-	a = g5.AddNode("a", graph.KindSwitch)
-	b = g5.AddNode("b", graph.KindSwitch)
-	if _, err := g5.AddEdge(a, b, 3); err != nil {
-		t.Fatal(err)
-	}
-	if g5.Fingerprint() == g1.Fingerprint() {
-		t.Fatal("node kind change did not change the fingerprint")
-	}
-	// Distinct topology seeds must (jellyfish wirings differ).
-	j1, err := topology.Jellyfish(8, 3, 1, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := topology.Jellyfish(8, 3, 1, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j1.Graph.Fingerprint() == j2.Graph.Fingerprint() {
-		t.Fatal("distinct jellyfish wirings share a fingerprint")
 	}
 }
 

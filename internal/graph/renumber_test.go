@@ -7,24 +7,15 @@ import (
 	"dcnflow/internal/graph"
 )
 
-// TestFingerprintRenumberStability is the cache-keying guard for the
-// BFS-renumbered hot layout: the fingerprint is a function of the Graph
-// alone, so the renumbered compile, the identity compile and the graph
-// itself must all report one value — otherwise the Engine's
-// fingerprint-routed caches could double-cache a hot topology. Run under
-// -race by make test-race-online.
-func TestFingerprintRenumberStability(t *testing.T) {
+// TestRenumberPermutation pins the node translation of both layouts: the
+// renumbered compile's perm and inv are mutual inverses and actually
+// reorder some family, and the identity compile maps every node to
+// itself. Run under -race by make test-race-online.
+func TestRenumberPermutation(t *testing.T) {
 	sawRenumbered := false
 	for name, g := range compileCorpus(t) {
-		want := g.Fingerprint()
 		c := graph.Compile(g)
 		ci := graph.CompileIdentity(g)
-		if c.Fingerprint() != want {
-			t.Fatalf("%s: renumbered compile fingerprint %x, graph %x", name, c.Fingerprint(), want)
-		}
-		if ci.Fingerprint() != want {
-			t.Fatalf("%s: identity compile fingerprint %x, graph %x", name, ci.Fingerprint(), want)
-		}
 		for v := 0; v < g.NumNodes(); v++ {
 			id := graph.NodeID(v)
 			if c.FromHot(c.ToHot(id)) != id {
@@ -39,7 +30,7 @@ func TestFingerprintRenumberStability(t *testing.T) {
 		}
 	}
 	if !sawRenumbered {
-		t.Fatal("no corpus family was actually renumbered; the stability guard is vacuous")
+		t.Fatal("no corpus family was actually renumbered; the permutation check is vacuous")
 	}
 }
 

@@ -27,9 +27,8 @@ type ReplanPolicy interface {
 	// BatchReady and the urgency guard.
 	NextBoundary(now float64) float64
 	// BatchReady reports whether the pending batch warrants an immediate
-	// re-plan, given the number of queued arrivals, their aggregate
-	// density, and the aggregate density of in-flight commitments.
-	BatchReady(pending int, pendingDensity, committedDensity float64) bool
+	// re-plan, given the number of queued arrivals.
+	BatchReady(pending int) bool
 }
 
 // FixedPeriod re-plans every Period time units — the classic rolling
@@ -42,7 +41,7 @@ func (p FixedPeriod) NextBoundary(now float64) float64 { return now + p.Period }
 
 // BatchReady implements ReplanPolicy: fixed-period epochs never re-plan
 // early on batch size.
-func (FixedPeriod) BatchReady(int, float64, float64) bool { return false }
+func (FixedPeriod) BatchReady(int) bool { return false }
 
 // ArrivalCount re-plans as soon as N arrivals are queued. N = 1 degenerates
 // to per-arrival re-optimisation (no batching delay, maximum solve count).
@@ -53,34 +52,12 @@ type ArrivalCount struct{ N int }
 func (ArrivalCount) NextBoundary(float64) float64 { return math.Inf(1) }
 
 // BatchReady implements ReplanPolicy.
-func (p ArrivalCount) BatchReady(pending int, _, _ float64) bool {
+func (p ArrivalCount) BatchReady(pending int) bool {
 	n := p.N
 	if n <= 0 {
 		n = 1
 	}
 	return pending >= n
-}
-
-// LoadDrift re-plans when the queued arrivals' aggregate density reaches
-// Fraction of the in-flight committed density — i.e. when the network state
-// the last plan assumed has drifted enough to matter. With nothing
-// committed, any arrival triggers a re-plan.
-type LoadDrift struct{ Fraction float64 }
-
-// NextBoundary implements ReplanPolicy: drift-driven epochs have no
-// time-driven boundary.
-func (LoadDrift) NextBoundary(float64) float64 { return math.Inf(1) }
-
-// BatchReady implements ReplanPolicy.
-func (p LoadDrift) BatchReady(pending int, pendingDensity, committedDensity float64) bool {
-	if pending == 0 {
-		return false
-	}
-	frac := p.Fraction
-	if frac <= 0 {
-		frac = 0.1
-	}
-	return pendingDensity >= frac*committedDensity
 }
 
 // RollingOptions tunes the rolling-horizon scheduler.
@@ -197,8 +174,8 @@ func (c *commitment) transmittedBy(t float64) float64 {
 
 // RollingScheduler is the rolling-horizon online DCFSR scheduler — the
 // re-optimizing big sibling of the marginal-cost greedy Scheduler. Arrivals
-// are queued into the current epoch; at each epoch boundary (fixed period,
-// arrival count, or load drift — see ReplanPolicy) the Random-Schedule
+// are queued into the current epoch; at each epoch boundary (fixed period
+// or arrival count — see ReplanPolicy) the Random-Schedule
 // relaxation is re-run over the remaining horizon via core.SolveDCFSRPartial
 // with every in-flight flow's path and transmitted data frozen, and the
 // queued arrivals are routed on the resulting candidate distributions. With
@@ -362,35 +339,6 @@ func (s *RollingScheduler) cost(x float64) float64 {
 	return s.model.G(x)
 }
 
-// pendingDensity sums the queued arrivals' densities as of a re-plan at t.
-func (s *RollingScheduler) pendingDensity(t float64) float64 {
-	var sum float64
-	for _, f := range s.pending {
-		if span := f.Deadline - t; span > timeline.Eps {
-			sum += f.Size / span
-		}
-	}
-	return sum
-}
-
-// committedDensity sums the in-flight commitments' nominal rates at time
-// t, in ascending flow-ID order so the floating-point sum — and any
-// knife-edge LoadDrift comparison on it — is deterministic.
-func (s *RollingScheduler) committedDensity(t float64) float64 {
-	ids := make([]flow.ID, 0, len(s.committed))
-	for id, c := range s.committed {
-		if c.f.Deadline > t+timeline.Eps {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	var sum float64
-	for _, id := range ids {
-		sum += s.committed[id].nominal
-	}
-	return sum
-}
-
 // Arrive queues one newly released flow for the next epoch re-solve. Flows
 // must arrive in non-decreasing release order (interleave with AdvanceTo).
 func (s *RollingScheduler) Arrive(f flow.Flow) error {
@@ -424,18 +372,8 @@ func (s *RollingScheduler) Arrive(f flow.Flow) error {
 	if u := f.Release + s.opts.MaxDelayFraction*f.Span(); u < s.urgent {
 		s.urgent = u
 	}
-	switch s.opts.Policy.(type) {
-	case FixedPeriod, ArrivalCount:
-		// These policies ignore the density arguments, so skip the
-		// O(in-flight) sums that would otherwise dominate per-arrival cost
-		// on large commitment sets.
-		if s.opts.Policy.BatchReady(len(s.pending), 0, 0) {
-			return s.replan(s.now)
-		}
-	default:
-		if s.opts.Policy.BatchReady(len(s.pending), s.pendingDensity(s.now), s.committedDensity(s.now)) {
-			return s.replan(s.now)
-		}
+	if s.opts.Policy.BatchReady(len(s.pending)) {
+		return s.replan(s.now)
 	}
 	return nil
 }

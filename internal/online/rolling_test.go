@@ -130,25 +130,20 @@ func TestRollingUrgencyGuard(t *testing.T) {
 	}
 }
 
-// TestRollingPolicies: the arrival-count and load-drift triggers re-plan
-// and produce feasible schedules.
+// TestRollingPolicies: the arrival-count trigger re-plans and produces a
+// feasible schedule.
 func TestRollingPolicies(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 24, 9)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	for name, pol := range map[string]ReplanPolicy{
-		"arrival-count": ArrivalCount{N: 4},
-		"load-drift":    LoadDrift{Fraction: 0.2},
-	} {
-		res, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(pol))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rep.DeadlineViolations != 0 {
-			t.Fatalf("%s: %d deadline violations", name, rep.DeadlineViolations)
-		}
-		if res.Stats.Epochs == 0 {
-			t.Fatalf("%s: no epochs ran", name)
-		}
+	res, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeadlineViolations != 0 {
+		t.Fatalf("%d deadline violations", rep.DeadlineViolations)
+	}
+	if res.Stats.Epochs == 0 {
+		t.Fatal("no epochs ran")
 	}
 }
 
@@ -222,8 +217,8 @@ func TestRollingMatchesGreedyThroughReplay(t *testing.T) {
 // returns a frozen boundary.
 type stuckPolicy struct{}
 
-func (stuckPolicy) NextBoundary(float64) float64          { return 10 }
-func (stuckPolicy) BatchReady(int, float64, float64) bool { return false }
+func (stuckPolicy) NextBoundary(float64) float64 { return 10 }
+func (stuckPolicy) BatchReady(int) bool          { return false }
 
 // TestRollingValidation covers constructor and sequencing errors.
 func TestRollingValidation(t *testing.T) {

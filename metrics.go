@@ -33,9 +33,9 @@ type reqLabel struct {
 }
 
 // serveMetrics accumulates the serve handler's counters and the request
-// latency histogram. Gauges (tokens, queue depth, shard occupancy) are
-// read live at render time from the admitter and engine group, so the
-// struct itself holds only monotone state. Safe for concurrent use.
+// latency histogram. Gauges (tokens, queue depth, cache occupancy) are
+// read live at render time from the admitter and engine, so the struct
+// itself holds only monotone state. Safe for concurrent use.
 type serveMetrics struct {
 	mu         sync.Mutex
 	requests   map[reqLabel]uint64
@@ -91,11 +91,11 @@ func promValue(v float64) string {
 }
 
 // render writes the Prometheus text exposition (version 0.0.4) of the
-// handler's state: request counters, the latency histogram, per-shard
+// handler's state: request counters, the latency histogram, the engine's
 // cache counters and occupancy, and — when admission control is on — the
 // live token and queue gauges. Series order is deterministic (sorted
 // label sets) so the output is stable for tests and scrapers alike.
-func (m *serveMetrics) render(w io.Writer, shards []EngineStats, adm *admitter) {
+func (m *serveMetrics) render(w io.Writer, cache EngineStats, adm *admitter) {
 	m.mu.Lock()
 	requests := make([]reqLabel, 0, len(m.requests))
 	for k := range m.requests {
@@ -154,31 +154,21 @@ func (m *serveMetrics) render(w io.Writer, shards []EngineStats, adm *admitter) 
 	fmt.Fprintf(w, "dcnflow_request_duration_seconds_sum %s\n", promValue(latencySum))
 	fmt.Fprintf(w, "dcnflow_request_duration_seconds_count %d\n", cum)
 
-	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_hits_total Compiled-instance cache hits per engine shard.")
+	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_hits_total Compiled-instance cache hits.")
 	fmt.Fprintln(w, "# TYPE dcnflow_engine_cache_hits_total counter")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dcnflow_engine_cache_hits_total{shard=\"%d\"} %d\n", i, s.Hits)
-	}
-	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_misses_total Compiled-instance cache misses per engine shard.")
+	fmt.Fprintf(w, "dcnflow_engine_cache_hits_total %d\n", cache.Hits)
+	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_misses_total Compiled-instance cache misses.")
 	fmt.Fprintln(w, "# TYPE dcnflow_engine_cache_misses_total counter")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dcnflow_engine_cache_misses_total{shard=\"%d\"} %d\n", i, s.Misses)
-	}
-	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_evictions_total Compiled-instance cache evictions per engine shard.")
+	fmt.Fprintf(w, "dcnflow_engine_cache_misses_total %d\n", cache.Misses)
+	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_evictions_total Compiled-instance cache evictions.")
 	fmt.Fprintln(w, "# TYPE dcnflow_engine_cache_evictions_total counter")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dcnflow_engine_cache_evictions_total{shard=\"%d\"} %d\n", i, s.Evictions)
-	}
-	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_entries Compiled instances resident per engine shard (occupancy).")
+	fmt.Fprintf(w, "dcnflow_engine_cache_evictions_total %d\n", cache.Evictions)
+	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_entries Compiled instances resident in the cache (occupancy).")
 	fmt.Fprintln(w, "# TYPE dcnflow_engine_cache_entries gauge")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dcnflow_engine_cache_entries{shard=\"%d\"} %d\n", i, s.Size)
-	}
-	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_capacity Compiled-instance cache capacity per engine shard.")
+	fmt.Fprintf(w, "dcnflow_engine_cache_entries %d\n", cache.Size)
+	fmt.Fprintln(w, "# HELP dcnflow_engine_cache_capacity Compiled-instance cache capacity.")
 	fmt.Fprintln(w, "# TYPE dcnflow_engine_cache_capacity gauge")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dcnflow_engine_cache_capacity{shard=\"%d\"} %d\n", i, s.Capacity)
-	}
+	fmt.Fprintf(w, "dcnflow_engine_cache_capacity %d\n", cache.Capacity)
 
 	if adm != nil {
 		tokens, queued := adm.snapshot()

@@ -107,11 +107,8 @@ type ServeHealth struct {
 	Status string `json:"status"`
 	// Solvers lists the solver names the server accepts.
 	Solvers []string `json:"solvers"`
-	// Cache snapshots the engine's compiled-instance cache counters
-	// (summed across shards on a sharded server).
+	// Cache snapshots the engine's compiled-instance cache counters.
 	Cache EngineStats `json:"cache"`
-	// Shards is the engine shard count serving this endpoint.
-	Shards int `json:"shards,omitempty"`
 }
 
 // DecodeServeRequest strictly decodes one JSON solve request, mirroring
@@ -174,9 +171,9 @@ type ServeOptions struct {
 	Admission AdmissionOptions
 }
 
-// serveHandler is the HTTP face of an EngineGroup.
+// serveHandler is the HTTP face of an Engine.
 type serveHandler struct {
-	group    *EngineGroup
+	eng      *Engine
 	opts     ServeOptions
 	allowed  map[string]bool
 	adm      *admitter // nil when admission control is off
@@ -185,10 +182,10 @@ type serveHandler struct {
 }
 
 // ServeHandler is the serve API's http.Handler (returned by
-// NewServeHandler and NewServeHandlerSharded) plus the lifecycle hook an
-// embedding server needs: Drain flips the handler into shutdown mode so
-// queued admissions fail fast with 503 while admitted in-flight requests
-// run to completion under http.Server.Shutdown.
+// NewServeHandler) plus the lifecycle hook an embedding server needs:
+// Drain flips the handler into shutdown mode so queued admissions fail
+// fast with 503 while admitted in-flight requests run to completion under
+// http.Server.Shutdown.
 type ServeHandler struct {
 	mux *http.ServeMux
 	h   *serveHandler
@@ -219,29 +216,18 @@ func (s *ServeHandler) Drain() {
 //	                  (per-item failures in the items, never a 5xx)
 //	GET  /healthz   — ServeHealth (cache counters, accepted solvers)
 //	GET  /metrics   — Prometheus text exposition (request counts by
-//	                  outcome, latency histogram, cache and shard
-//	                  counters, admission gauges)
+//	                  outcome, latency histogram, cache counters,
+//	                  admission gauges)
 //
 // Malformed bodies answer 400, solver failures 422, per-request timeouts
 // 504, admission rejections 429 (with Retry-After) and drains 503; all
 // error bodies are {"error": "..."} JSON. The handler is safe for
 // concurrent use — it is the `dcnflow serve` subcommand's core, exposed so
 // embedders can mount the API on their own mux and tests can drive it via
-// httptest. For a sharded backend use NewServeHandlerSharded.
+// httptest.
 func NewServeHandler(eng *Engine, opts ServeOptions) *ServeHandler {
 	if eng == nil {
 		eng = NewEngine(EngineOptions{})
-	}
-	return NewServeHandlerSharded(&EngineGroup{engines: []*Engine{eng}}, opts)
-}
-
-// NewServeHandlerSharded is NewServeHandler over a sharded EngineGroup:
-// requests route to engine shards by topology fingerprint, so distinct
-// topology populations stop evicting each other's compiled-instance
-// caches. Solve results are bit-identical at every shard count.
-func NewServeHandlerSharded(group *EngineGroup, opts ServeOptions) *ServeHandler {
-	if group == nil || len(group.engines) == 0 {
-		group = NewEngineGroup(1, EngineOptions{})
 	}
 	if opts.MaxTimeout <= 0 {
 		opts.MaxTimeout = 60 * time.Second
@@ -249,7 +235,7 @@ func NewServeHandlerSharded(group *EngineGroup, opts ServeOptions) *ServeHandler
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 64
 	}
-	h := &serveHandler{group: group, opts: opts, metrics: newServeMetrics()}
+	h := &serveHandler{eng: eng, opts: opts, metrics: newServeMetrics()}
 	if opts.Admission.enabled() {
 		h.adm = newAdmitter(opts.Admission)
 	}
@@ -345,7 +331,7 @@ func (h *serveHandler) run(ctx context.Context, req *ServeRequest) (ServeRespons
 		return resp, err
 	}
 	spec := req.Scenario
-	r := h.group.Solve(ctx, Request{
+	r := h.eng.Solve(ctx, Request{
 		Scenario: &spec,
 		Solver:   req.Solver,
 		Timeout:  h.timeout(req),
@@ -457,7 +443,7 @@ func (h *serveHandler) batch(w http.ResponseWriter, r *http.Request) {
 		})
 		slots = append(slots, i)
 	}
-	for j, res := range h.group.SolveBatch(r.Context(), reqs) {
+	for j, res := range h.eng.SolveBatch(r.Context(), reqs) {
 		i := slots[j]
 		results[i].RuntimeMS = float64(res.Runtime) / float64(time.Millisecond)
 		results[i].CacheHit = res.CacheHit
@@ -488,15 +474,14 @@ func (h *serveHandler) health(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, ServeHealth{
 		Status:  "ok",
 		Solvers: solvers,
-		Cache:   h.group.Stats(),
-		Shards:  h.group.Shards(),
+		Cache:   h.eng.Stats(),
 	})
 }
 
 // metricsPage answers GET /metrics with the Prometheus text exposition.
 func (h *serveHandler) metricsPage(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	h.metrics.render(w, h.group.ShardStats(), h.adm)
+	h.metrics.render(w, h.eng.Stats(), h.adm)
 }
 
 // errServeNoBase reports a Client used without a base URL.

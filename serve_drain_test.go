@@ -16,13 +16,12 @@ import (
 	"dcnflow"
 )
 
-// drainServer builds a sharded server under admission pressure: the bucket
-// holds `burst` tokens and refills so slowly that everyone past the burst
-// queues until drained.
+// drainServer builds a server under admission pressure: the bucket holds
+// `burst` tokens and refills so slowly that everyone past the burst queues
+// until drained.
 func drainServer(t *testing.T, burst float64) (*httptest.Server, *dcnflow.ServeHandler) {
 	t.Helper()
-	group := dcnflow.NewEngineGroup(2, dcnflow.EngineOptions{})
-	handler := dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{
+	handler := dcnflow.NewServeHandler(dcnflow.NewEngine(dcnflow.EngineOptions{}), dcnflow.ServeOptions{
 		Admission: dcnflow.AdmissionOptions{
 			Rate:       0.0001, // ~3 hours per token: queued requests stay queued
 			Burst:      burst,
@@ -212,8 +211,7 @@ func TestServeDrainUnderLoad(t *testing.T) {
 // TestServeAdmissionEndToEnd: queue-full rejections surface as 429 with a
 // Retry-After over real HTTP, and admitted traffic still solves correctly.
 func TestServeAdmissionEndToEnd(t *testing.T) {
-	group := dcnflow.NewEngineGroup(1, dcnflow.EngineOptions{})
-	handler := dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{
+	handler := dcnflow.NewServeHandler(dcnflow.NewEngine(dcnflow.EngineOptions{}), dcnflow.ServeOptions{
 		Admission: dcnflow.AdmissionOptions{Rate: 0.0001, Burst: 1, QueueDepth: 1, MaxWait: time.Minute},
 	})
 	srv := httptest.NewServer(handler)

@@ -2,11 +2,14 @@ package dcnflow_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,11 +107,10 @@ func checkPromExposition(t *testing.T, text string) {
 }
 
 // TestServeMetricsEndpoint drives mixed traffic through an admission-enabled
-// sharded server and checks /metrics: the exposition is valid, and the
-// counters it reports agree with the traffic that was sent.
+// server and checks /metrics: the exposition is valid, and the counters it
+// reports agree with the traffic that was sent.
 func TestServeMetricsEndpoint(t *testing.T) {
-	group := dcnflow.NewEngineGroup(2, dcnflow.EngineOptions{})
-	handler := dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{
+	handler := dcnflow.NewServeHandler(dcnflow.NewEngine(dcnflow.EngineOptions{}), dcnflow.ServeOptions{
 		Admission: dcnflow.AdmissionOptions{Rate: 1000, Burst: 1000},
 	})
 	srv := httptest.NewServer(handler)
@@ -180,13 +182,109 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`dcnflow_requests_total{class="normal",endpoint="batch",outcome="ok"} 1`,
 		`dcnflow_batch_items_total{outcome="ok"} 2`,
 		`dcnflow_request_duration_seconds_count 5`,
-		`dcnflow_engine_cache_hits_total{shard="0"}`,
-		`dcnflow_engine_cache_capacity{shard="1"}`,
+		// One topology: the first solve misses, the second solve and both
+		// batch items hit.
+		"dcnflow_engine_cache_hits_total 3\n",
+		"dcnflow_engine_cache_misses_total 1\n",
+		"dcnflow_engine_cache_evictions_total 0\n",
+		"dcnflow_engine_cache_entries 1\n",
+		"dcnflow_engine_cache_capacity 64\n",
 		"dcnflow_admission_tokens ",
 		"dcnflow_admission_queue_depth 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition is missing %q\n%s", want, text)
+		}
+	}
+}
+
+// designMetricsTable reads the series table of DESIGN.md's "Metrics
+// schema" section as name -> type, with every {a,b} group of a name
+// expanded.
+func designMetricsTable(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n### Metrics schema\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"Metrics schema\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	row := regexp.MustCompile("^\\| `([^`]+)` \\| ([a-z]+) \\|")
+	table := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if m := row.FindStringSubmatch(line); m != nil {
+			for _, name := range expandBraces(m[1]) {
+				table[name] = m[2]
+			}
+		}
+	}
+	if len(table) == 0 {
+		t.Fatal("DESIGN.md's metrics table has no series rows")
+	}
+	return table
+}
+
+// expandBraces expands every {a,b,...} group of a series name pattern.
+func expandBraces(pattern string) []string {
+	open := strings.IndexByte(pattern, '{')
+	end := strings.IndexByte(pattern, '}')
+	if open < 0 || end < open {
+		return []string{pattern}
+	}
+	var out []string
+	for _, alt := range strings.Split(pattern[open+1:end], ",") {
+		out = append(out, expandBraces(pattern[:open]+alt+pattern[end+1:])...)
+	}
+	return out
+}
+
+// TestMetricsSchemaMatchesDesign: DESIGN.md's metrics table lists exactly
+// the series an admission-enabled server renders after a solve and a
+// batch, each with the type its # TYPE line declares.
+func TestMetricsSchemaMatchesDesign(t *testing.T) {
+	want := designMetricsTable(t)
+	_, client := newServeServer(t, dcnflow.ServeOptions{
+		Admission: dcnflow.AdmissionOptions{Rate: 1000, Burst: 1000},
+	})
+	ctx := context.Background()
+	spec := serveScenario()
+	if _, err := client.Solve(ctx, dcnflow.ServeRequest{Scenario: spec, Solver: dcnflow.SolverSPMCF}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.SolveBatch(ctx, []dcnflow.ServeRequest{{Scenario: spec, Solver: dcnflow.SolverGreedyOnline}}); err != nil {
+		t.Fatal(err)
+	}
+	text, err := client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if m := promTypeRe.FindStringSubmatch(line); m != nil {
+			got[m[1]] = m[2]
+		}
+	}
+	names := make([]string, 0, len(want)+len(got))
+	for name := range want {
+		names = append(names, name)
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch w, g := want[name], got[name]; {
+		case g == "":
+			t.Errorf("%s (%s) is in DESIGN.md's table, but /metrics does not render it", name, w)
+		case w == "":
+			t.Errorf("%s (%s) is rendered, but DESIGN.md's table does not list it", name, g)
+		case w != g:
+			t.Errorf("%s: DESIGN.md says %s, /metrics declares %s", name, w, g)
 		}
 	}
 }
@@ -200,8 +298,7 @@ func FuzzMetricsEndpoint(f *testing.F) {
 	f.Add([]byte{6, 6, 6, 1, 1})
 	f.Add([]byte{2, 4, 0, 5, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		group := dcnflow.NewEngineGroup(2, dcnflow.EngineOptions{})
-		handler := dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{
+		handler := dcnflow.NewServeHandler(dcnflow.NewEngine(dcnflow.EngineOptions{}), dcnflow.ServeOptions{
 			Admission: dcnflow.AdmissionOptions{Rate: 10000, Burst: 10000},
 		})
 		srv := httptest.NewServer(handler)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -15,7 +14,8 @@ import (
 )
 
 // shardCorpus builds a corpus of distinct scenarios spanning several
-// topologies, so a sharded server actually routes to different shards.
+// topologies and solver families, so one serving Engine holds several
+// compiled instances at once.
 func shardCorpus() []dcnflow.ServeRequest {
 	var reqs []dcnflow.ServeRequest
 	for i, k := range []int{3, 4, 5, 6} {
@@ -67,14 +67,10 @@ func normalizeServeBody(t *testing.T, raw []byte) []byte {
 	return out
 }
 
-// TestServeShardDeterminism: the acceptance test of the sharded server —
-// solve bodies (energy, bound, stats) are byte-identical at shard counts
-// 1, 2 and 8 under concurrent load, and every served energy is
-// bit-identical to a direct Engine solve of the same request.
-func TestServeShardDeterminism(t *testing.T) {
-	corpus := shardCorpus()
-
-	// Reference: direct Engine solves, no HTTP anywhere.
+// directEnergies solves every corpus request on a fresh Engine, no HTTP
+// anywhere: the reference the served energies must match bit for bit.
+func directEnergies(t *testing.T, corpus []dcnflow.ServeRequest) []float64 {
+	t.Helper()
 	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
 	direct := make([]float64, len(corpus))
 	for i, req := range corpus {
@@ -85,75 +81,69 @@ func TestServeShardDeterminism(t *testing.T) {
 		}
 		direct[i] = res.Solution.Energy
 	}
+	return direct
+}
 
-	const repeats = 3                // same request raced from several goroutines
-	bodies := make(map[int][][]byte) // shard count -> normalized body per corpus index
-	for _, shards := range []int{1, 2, 8} {
-		group := dcnflow.NewEngineGroup(shards, dcnflow.EngineOptions{})
-		srv := httptest.NewServer(dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{}))
+// TestServeShardDeterminism: racing clients on one serving Engine get
+// byte-identical solve bodies (energy, bound, stats) for repeats of the
+// same request, and every served energy is bit-identical to a direct
+// Engine solve of that request.
+func TestServeShardDeterminism(t *testing.T) {
+	corpus := shardCorpus()
+	direct := directEnergies(t, corpus)
+	srv, _ := newServeServer(t, dcnflow.ServeOptions{})
 
-		got := make([][]byte, len(corpus)*repeats)
-		var wg sync.WaitGroup
-		errs := make(chan error, len(got))
-		for slot := range got {
-			slot := slot
-			req := corpus[slot%len(corpus)]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var buf bytes.Buffer
-				if err := json.NewEncoder(&buf).Encode(req); err != nil {
-					errs <- err
-					return
-				}
-				resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", &buf)
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("slot %d: status %d", slot, resp.StatusCode)
-					return
-				}
-				var body bytes.Buffer
-				if _, err := body.ReadFrom(resp.Body); err != nil {
-					errs <- err
-					return
-				}
-				got[slot] = body.Bytes()
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		srv.Close()
-
-		norm := make([][]byte, len(corpus))
-		for slot, raw := range got {
-			n := normalizeServeBody(t, raw)
-			i := slot % len(corpus)
-			if norm[i] == nil {
-				norm[i] = n
-			} else if !bytes.Equal(norm[i], n) {
-				t.Fatalf("shards=%d: racing repeats of request %d diverged:\n%s\nvs\n%s", shards, i, norm[i], n)
+	const repeats = 3 // same request raced from several goroutines
+	got := make([][]byte, len(corpus)*repeats)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(got))
+	for slot := range got {
+		req := corpus[slot%len(corpus)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(req); err != nil {
+				errs <- err
+				return
 			}
-		}
-		bodies[shards] = norm
+			resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", &buf)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("slot %d: status %d", slot, resp.StatusCode)
+				return
+			}
+			var body bytes.Buffer
+			if _, err := body.ReadFrom(resp.Body); err != nil {
+				errs <- err
+				return
+			}
+			got[slot] = body.Bytes()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
-	for i := range corpus {
-		ref := bodies[1][i]
-		for _, shards := range []int{2, 8} {
-			if !bytes.Equal(ref, bodies[shards][i]) {
-				t.Errorf("request %d: body at shards=%d differs from shards=1:\n%s\nvs\n%s",
-					i, shards, bodies[shards][i], ref)
-			}
+	norm := make([][]byte, len(corpus))
+	for slot, raw := range got {
+		n := normalizeServeBody(t, raw)
+		i := slot % len(corpus)
+		if norm[i] == nil {
+			norm[i] = n
+		} else if !bytes.Equal(norm[i], n) {
+			t.Fatalf("racing repeats of request %d diverged:\n%s\nvs\n%s", i, norm[i], n)
 		}
+	}
+	for i := range corpus {
 		var resp dcnflow.ServeResponse
-		if err := json.Unmarshal(ref, &resp); err != nil {
+		if err := json.Unmarshal(norm[i], &resp); err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(resp.Energy) != math.Float64bits(direct[i]) {
@@ -162,78 +152,29 @@ func TestServeShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestServeShardedBatch: /v1/batch through a multi-shard group keeps
-// request order and matches the single-shard energies.
+// TestServeShardedBatch: one /v1/batch over the multi-topology corpus keeps
+// request order, and every item's energy is bit-identical to a direct
+// Engine solve.
 func TestServeShardedBatch(t *testing.T) {
 	corpus := shardCorpus()
-	var want []float64
-	for _, shards := range []int{1, 4} {
-		group := dcnflow.NewEngineGroup(shards, dcnflow.EngineOptions{})
-		srv := httptest.NewServer(dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{}))
-		client := &dcnflow.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
-		results, err := client.SolveBatch(context.Background(), corpus)
-		srv.Close()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if len(results) != len(corpus) {
-			t.Fatalf("shards=%d: %d results for %d requests", shards, len(results), len(corpus))
-		}
-		for i, r := range results {
-			if r.Error != "" {
-				t.Fatalf("shards=%d item %d: %s", shards, i, r.Error)
-			}
-			if r.Scenario != corpus[i].Scenario.Name || r.Solver != corpus[i].Solver {
-				t.Fatalf("shards=%d item %d out of order: %s/%s", shards, i, r.Scenario, r.Solver)
-			}
-		}
-		if want == nil {
-			for _, r := range results {
-				want = append(want, r.Energy)
-			}
-			continue
-		}
-		for i, r := range results {
-			if math.Float64bits(r.Energy) != math.Float64bits(want[i]) {
-				t.Errorf("item %d: energy %v at shards=%d, want %v", i, r.Energy, shards, want[i])
-			}
-		}
-	}
-}
-
-// TestEngineGroupRouting: shard assignment is content-derived and stable —
-// the same request always lands on the same shard, and the corpus's
-// distinct topologies actually spread across shards.
-func TestEngineGroupRouting(t *testing.T) {
-	group := dcnflow.NewEngineGroup(8, dcnflow.EngineOptions{})
-	if group.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8", group.Shards())
-	}
-	corpus := shardCorpus()
-	seen := map[int]bool{}
-	for i, sr := range corpus {
-		spec := sr.Scenario
-		req := dcnflow.Request{Scenario: &spec, Solver: sr.Solver}
-		shard := group.ShardFor(req)
-		for rep := 0; rep < 3; rep++ {
-			if again := group.ShardFor(req); again != shard {
-				t.Fatalf("request %d: shard flapped %d -> %d", i, shard, again)
-			}
-		}
-		seen[shard] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("corpus of %d distinct topologies all routed to one shard", len(corpus))
-	}
-	// Health on a sharded server reports the shard count.
-	srv := httptest.NewServer(dcnflow.NewServeHandlerSharded(group, dcnflow.ServeOptions{}))
-	defer srv.Close()
-	client := &dcnflow.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
-	h, err := client.Health(context.Background())
+	direct := directEnergies(t, corpus)
+	_, client := newServeServer(t, dcnflow.ServeOptions{})
+	results, err := client.SolveBatch(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Shards != 8 {
-		t.Fatalf("health shards = %d, want 8", h.Shards)
+	if len(results) != len(corpus) {
+		t.Fatalf("%d results for %d requests", len(results), len(corpus))
+	}
+	for i, r := range results {
+		if r.Error != "" {
+			t.Fatalf("item %d: %s", i, r.Error)
+		}
+		if r.Scenario != corpus[i].Scenario.Name || r.Solver != corpus[i].Solver {
+			t.Fatalf("item %d out of order: %s/%s", i, r.Scenario, r.Solver)
+		}
+		if math.Float64bits(r.Energy) != math.Float64bits(direct[i]) {
+			t.Errorf("item %d: energy %v, direct solve %v", i, r.Energy, direct[i])
+		}
 	}
 }
