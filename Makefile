@@ -64,25 +64,24 @@ profile:
 test:
 	$(GO) test ./...
 
-# test-race-online runs the packages with cross-goroutine state (the online
-# schedulers, the decision tracing they emit, the concurrent relaxation
-# fan-out they drive, the solver pools, the compiled-graph scratch pools,
-# the intra-solve parallel oracle, the incremental delta-solve suites,
-# and the sweep worker pool) under the race detector, plus the root-package
+# test-race-online runs every test of the packages with cross-goroutine
+# state (the online schedulers, the decision tracing they emit, the
+# concurrent relaxation fan-out they drive, the solver pools, the
+# compiled-graph scratch pools, the intra-solve parallel oracle, the
+# incremental delta-solve and renumbering suites, and the sweep worker
+# pool) under the race detector, once each, plus the root-package
 # conformance corpus, sweep determinism tests, the intra-solve worker
 # determinism suite, the golden-output suites (whose dcfsr and
 # rolling-online rows run the interval fan-out, full and delta, at
-# parallelism 1, 2 and 7 through pooled and unpooled Engines) and the
-# shared-Engine concurrency tests (cache LRU, builds outside the cache
-# lock, pooled scratch, batch pool, serve handler — including the
-# racing-client and batch determinism, drain-under-load, token-bucket
-# admission and client-retry suites), plus the serve subcommand end to end;
-# CI runs the same job.
+# parallelism 1, 2 and 7 through a pooled Engine and direct registry
+# solves) and the shared-Engine concurrency tests (cache LRU, builds
+# outside the cache lock, pooled scratch, batch pool, serve handler —
+# including the racing-client and batch determinism, drain-under-load,
+# token-bucket admission and client-retry suites), plus the serve
+# subcommand end to end; CI runs the same job.
 test-race-online:
 	$(GO) test -race ./internal/online/... ./internal/decision/... ./internal/core/... ./internal/mcfsolve/... ./internal/sweep/... ./internal/graph/...
 	$(GO) test -race -run 'TestConformance|TestSweep|TestEngine|TestServe|TestIntraSolve|TestAdmission|TestClient|TestPriorityRank|TestParseRetryAfter|TestGolden' .
-	$(GO) test -race -run 'Delta' ./internal/online/ ./internal/core/
-	$(GO) test -race -run 'Renumber' ./internal/core/ ./internal/graph/
 	$(GO) test -race -run TestServeCommand ./cmd/dcnflow
 
 vet:

@@ -50,7 +50,7 @@ func canonicalPriority(class string) string {
 // and /v1/batch each cost one token; batch width is bounded separately by
 // MaxBatch). When the bucket is empty the request joins a bounded queue
 // ordered by priority class then arrival; when the queue is full — or the
-// queued request outwaits MaxWait — the server answers 429 with a
+// request has queued for maxAdmissionWait — the server answers 429 with a
 // Retry-After estimate. During a drain, queued and newly arriving
 // requests answer 503 so a load balancer can fail them over cleanly.
 type AdmissionOptions struct {
@@ -63,10 +63,11 @@ type AdmissionOptions struct {
 	// QueueDepth bounds the accept queue of requests waiting for a token;
 	// <= 0 selects 64.
 	QueueDepth int
-	// MaxWait bounds how long one request may queue before it is bounced
-	// with 429; <= 0 selects 10s.
-	MaxWait time.Duration
 }
+
+// maxAdmissionWait bounds how long one request may queue before it is
+// bounced with 429.
+const maxAdmissionWait = 10 * time.Second
 
 // enabled reports whether the options ask for admission control at all.
 func (o AdmissionOptions) enabled() bool { return o.Rate > 0 }
@@ -130,8 +131,8 @@ func (q *waiterQueue) Pop() any {
 }
 
 // admitter is the token-bucket admission controller behind the serve
-// handler. Time is injectable (now, afterFunc) so the refill math and the
-// queue discipline are unit-testable against a fake clock.
+// handler. Time is injectable (now, afterFunc, maxWait) so the refill math,
+// the queue discipline and the wait bound are unit-testable.
 type admitter struct {
 	rate    float64
 	burst   float64
@@ -158,14 +159,11 @@ func newAdmitter(o AdmissionOptions) *admitter {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 10 * time.Second
-	}
 	a := &admitter{
 		rate:      o.Rate,
 		burst:     o.Burst,
 		depth:     o.QueueDepth,
-		maxWait:   o.MaxWait,
+		maxWait:   maxAdmissionWait,
 		now:       time.Now,
 		afterFunc: time.AfterFunc,
 	}

@@ -81,7 +81,7 @@ func TestAdmissionRefillMath(t *testing.T) {
 }
 
 func TestAdmissionFastPathAndExhaustion(t *testing.T) {
-	a, clk := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 3, QueueDepth: 1, MaxWait: time.Hour})
+	a, clk := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 3, QueueDepth: 1})
 	// Burst admits 3 back to back without queueing.
 	for i := 0; i < 3; i++ {
 		if err := a.admit(nil, ""); err != nil {
@@ -103,7 +103,7 @@ func TestAdmissionFastPathAndExhaustion(t *testing.T) {
 }
 
 func TestAdmissionQueueFull429(t *testing.T) {
-	a, _ := fakeAdmitter(AdmissionOptions{Rate: 0.5, Burst: 1, QueueDepth: 1, MaxWait: time.Hour})
+	a, _ := fakeAdmitter(AdmissionOptions{Rate: 0.5, Burst: 1, QueueDepth: 1})
 	if err := a.admit(nil, ""); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestAdmissionQueueFull429(t *testing.T) {
 }
 
 func TestAdmissionPriorityOrdering(t *testing.T) {
-	a, clk := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 16, MaxWait: time.Hour})
+	a, clk := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 16})
 	if err := a.admit(nil, ""); err != nil {
 		t.Fatalf("drain the bucket: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestAdmissionPriorityOrdering(t *testing.T) {
 }
 
 func TestAdmissionDrainBouncesEveryone(t *testing.T) {
-	a, _ := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 8, MaxWait: time.Hour})
+	a, _ := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 8})
 	if err := a.admit(nil, ""); err != nil {
 		t.Fatalf("drain the bucket: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestAdmissionDrainBouncesEveryone(t *testing.T) {
 }
 
 func TestAdmissionCancelWhileQueued(t *testing.T) {
-	a, _ := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 8, MaxWait: time.Hour})
+	a, _ := fakeAdmitter(AdmissionOptions{Rate: 1, Burst: 1, QueueDepth: 8})
 	if err := a.admit(nil, ""); err != nil {
 		t.Fatalf("drain the bucket: %v", err)
 	}
@@ -221,17 +221,18 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 }
 
 func TestAdmissionMaxWaitTimeout(t *testing.T) {
-	// Real timers here: MaxWait is enforced by afterFunc, so give the
-	// admitter a clock that actually fires and a refill rate too slow to
-	// ever admit the waiter.
-	a := newAdmitter(AdmissionOptions{Rate: 0.001, Burst: 1, QueueDepth: 8, MaxWait: 20 * time.Millisecond})
+	// Real timers here: the wait bound is enforced by afterFunc, so give
+	// the admitter a clock that actually fires, a short bound and a refill
+	// rate too slow to ever admit the waiter.
+	a := newAdmitter(AdmissionOptions{Rate: 0.001, Burst: 1, QueueDepth: 8})
+	a.maxWait = 20 * time.Millisecond
 	if err := a.admit(nil, ""); err != nil {
 		t.Fatalf("drain the bucket: %v", err)
 	}
 	start := time.Now()
 	e := a.admit(nil, "")
 	if e == nil {
-		t.Fatal("want 429 after MaxWait")
+		t.Fatal("want 429 after maxWait")
 	}
 	if e.status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", e.status)
@@ -240,7 +241,7 @@ func TestAdmissionMaxWaitTimeout(t *testing.T) {
 		t.Fatalf("retryAfter = %d, want >= 1", e.retryAfter)
 	}
 	if waited := time.Since(start); waited < 20*time.Millisecond {
-		t.Fatalf("timed out after %v, before MaxWait elapsed", waited)
+		t.Fatalf("timed out after %v, before maxWait elapsed", waited)
 	}
 	a.drain()
 }

@@ -79,7 +79,7 @@ func commands() []command {
 		{"example1", "reproduce Fig. 1 / Example 1 (closed-form optimum check)", "E1", runExample1},
 		{"fig2", "reproduce Fig. 2 (approximation performance of Random-Schedule)", "F2", runFig2},
 		{"hardness", "run the Theorem 2 gadget and report the Theorem 3 constant", "T2/T3", runHardness},
-		{"ablate", "run an ablation study: lambda | rounding | surrogate | online | exact", "A1 A2 A3", runAblate},
+		{"ablate", "run an ablation study: lambda | rounding | surrogate | exact", "A1 A2 A3", runAblate},
 		{"online", "run the online extension: greedy, rolling-horizon, or the O1 comparison", "O1", runOnline},
 		{"decisions", "record, replay and score online-scheduler decision logs (counterfactual regret, weighted fitness)", "O2", runDecisions},
 		{"run", "solve a JSON scenario spec with registered solvers (see examples/scenarios/)", "", runScenario},
@@ -234,7 +234,7 @@ func runHardness(args []string) error {
 
 func runAblate(args []string) error {
 	if len(args) == 0 {
-		return errors.New("ablate: need one of lambda | rounding | surrogate | online | exact")
+		return errors.New("ablate: need one of lambda | rounding | surrogate | exact")
 	}
 	which := args[0]
 	fs := newFlagSet("ablate " + which)
@@ -271,13 +271,6 @@ func runAblate(args []string) error {
 			return err
 		}
 		fmt.Println("A3 — relaxation cost (dynamic vs envelope):")
-		fmt.Print(res.Table())
-	case "online":
-		res, err := experiments.RunOnlineComparison(experiments.OnlineConfig{AblateConfig: cfg}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println("O1 — online greedy vs rolling-horizon vs offline Random-Schedule (diurnal):")
 		fmt.Print(res.Table())
 	case "exact":
 		res, err := experiments.RunExactComparison(cfg.Seed, cfg.Runs, nil)

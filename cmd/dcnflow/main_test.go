@@ -61,8 +61,8 @@ func TestRunAblateCommands(t *testing.T) {
 	if err := run([]string{"ablate", "rounding", "-runs", "2"}); err != nil {
 		t.Fatalf("ablate rounding: %v", err)
 	}
-	if err := run([]string{"ablate", "online", "-runs", "1", "-n", "8", "-iters", "10"}); err != nil {
-		t.Fatalf("ablate online: %v", err)
+	if err := run([]string{"ablate", "online"}); err == nil || !strings.Contains(err.Error(), "unknown study") {
+		t.Fatalf("ablate online: err = %v, want an unknown study (O1 runs as online -mode compare)", err)
 	}
 	if err := run([]string{"ablate", "exact", "-runs", "1"}); err != nil {
 		t.Fatalf("ablate exact: %v", err)

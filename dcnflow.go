@@ -67,12 +67,12 @@
 //	results := eng.SolveBatch(ctx, reqs)
 //
 // Engine output is bit-identical to direct Solve calls whether the cache
-// hits, misses or is disabled; warm solves skip topology generation,
-// graph compilation and scratch allocation (>= 2x fewer allocations,
-// pinned by regression test). Sweep, the experiment runners and the CLI
-// dispatch through a shared Engine, and `dcnflow serve` exposes one over
-// HTTP (POST /v1/solve, POST /v1/batch, GET /healthz — see NewServeHandler
-// and Client, and DESIGN.md's "Engine & serving" chapter).
+// hits or misses; warm solves skip topology generation, graph compilation
+// and scratch allocation (>= 2x fewer allocations, pinned by regression
+// test). Sweep, the experiment runners and the CLI dispatch through a
+// shared Engine, and `dcnflow serve` exposes one over HTTP (POST
+// /v1/solve, POST /v1/batch, GET /healthz — see NewServeHandler and
+// Client, and DESIGN.md's "Engine & serving" chapter).
 //
 // The subsystems (graph, topologies, power model, workloads, YDS,
 // F-MCF solver, simulator, baselines, experiment harness) live under

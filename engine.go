@@ -21,8 +21,8 @@ import (
 var ErrBadRequest = errors.New("dcnflow: invalid request")
 
 // EngineOptions configures NewEngine. The zero value serves from a
-// 64-entry compiled-instance cache with GOMAXPROCS batch workers and the
-// package-level solver registry.
+// 64-entry compiled-instance cache with GOMAXPROCS batch workers. Solver
+// names resolve through the package-level registry.
 type EngineOptions struct {
 	// CacheSize bounds the compiled-instance LRU (distinct topology+model
 	// pairs held warm); <= 0 selects 64.
@@ -31,17 +31,6 @@ type EngineOptions struct {
 	// GOMAXPROCS. Purely a wall-clock lever: batch results are identical
 	// for every value.
 	Workers int
-	// Registry resolves solver names; nil selects the package registry.
-	Registry *Registry
-	// Options is applied to every solve before the request's own options
-	// (e.g. WithSolverOptions to cap Frank–Wolfe iterations engine-wide).
-	Options []SolveOption
-	// DisableCache turns the compiled-instance cache off: every request
-	// recompiles its topology and rebuilds its instance. Outputs are
-	// bit-identical either way (asserted by the engine conformance tests);
-	// the knob exists for those tests and for memory-constrained
-	// embeddings.
-	DisableCache bool
 }
 
 // Engine is the compile-once/solve-many front door of the library: it owns
@@ -56,18 +45,15 @@ type EngineOptions struct {
 //
 // Determinism contract: an Engine never changes results. Every Solve
 // returns bit-identical output to a direct Solve of the same scenario with
-// the same options, whether the cache hits, misses or is disabled, and
-// SolveBatch results are independent of the worker count. The contract is
-// enforced by TestEngineMatchesDirectSolve across all registered solver
-// families and by the -race engine tests.
+// the same options, whether the cache hits or misses, and SolveBatch
+// results are independent of the worker count. The contract is enforced
+// by TestEngineMatchesDirectSolve across all registered solver families
+// and by the -race engine tests.
 //
 // An Engine is safe for concurrent use; `dcnflow serve` exposes one over
 // HTTP.
 type Engine struct {
-	reg     *Registry
-	base    []SolveOption
 	workers int
-	nocache bool
 
 	mu      sync.Mutex
 	cap     int
@@ -96,10 +82,6 @@ type EngineStats struct {
 
 // NewEngine builds an Engine.
 func NewEngine(opts EngineOptions) *Engine {
-	reg := opts.Registry
-	if reg == nil {
-		reg = defaultRegistry
-	}
 	size := opts.CacheSize
 	if size <= 0 {
 		size = 64
@@ -109,10 +91,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		reg:     reg,
-		base:    append([]SolveOption(nil), opts.Options...),
 		workers: workers,
-		nocache: opts.DisableCache,
 		cap:     size,
 		entries: make(map[string]*list.Element),
 		ll:      list.New(),
@@ -137,8 +116,7 @@ type Request struct {
 	// Timeout, when positive, bounds this request's solve (the context the
 	// solver sees is cancelled after this long).
 	Timeout time.Duration
-	// Options configures the solver (applied after the engine-wide
-	// EngineOptions.Options).
+	// Options configures the solver.
 	Options []SolveOption
 }
 
@@ -154,7 +132,7 @@ type Result struct {
 	Err error
 	// CacheHit reports whether the request's topology+model pair was
 	// served from the compiled-instance cache (always false for Instance
-	// requests and cache-disabled engines).
+	// requests).
 	CacheHit bool
 	// Runtime is this request's wall-clock time inside the engine (cache
 	// resolution + solve) — per request even inside a batch. The one
@@ -244,7 +222,7 @@ func workloadKey(spec *ScenarioSpec) string {
 
 // Compile resolves the spec's topology+model pair through the engine's
 // cache, building (topology generation + graph compilation) at most once
-// per cache residency. With the cache disabled it builds fresh every call.
+// per cache residency.
 func (e *Engine) Compile(spec *ScenarioSpec) (*CompiledInstance, error) {
 	ci, _, err := e.compile(spec)
 	return ci, err
@@ -253,10 +231,6 @@ func (e *Engine) Compile(spec *ScenarioSpec) (*CompiledInstance, error) {
 func (e *Engine) compile(spec *ScenarioSpec) (*CompiledInstance, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
-	}
-	if e.nocache {
-		ci, err := buildCompiledInstance(spec)
-		return ci, false, err
 	}
 	key := topoModelKey(spec)
 	e.mu.Lock()
@@ -364,8 +338,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) Result {
 
 	inst := req.Instance
 	hit := false
-	opts := make([]SolveOption, 0, len(e.base)+len(req.Options)+2)
-	opts = append(opts, e.base...)
+	opts := make([]SolveOption, 0, len(req.Options)+2)
 	opts = append(opts, req.Options...)
 	if req.Scenario != nil {
 		ci, h, err := e.compile(req.Scenario)
@@ -381,13 +354,8 @@ func (e *Engine) Solve(ctx context.Context, req Request) Result {
 		// like `dcnflow run` applies WithSeed(spec.Seed).
 		opts = append(opts, WithSeed(req.Scenario.Seed))
 	}
-	if !e.nocache {
-		// With the cache disabled every request compiles a fresh graph, so
-		// a pool keyed by it could never be hit again — registering one
-		// would only retain dead graphs and cost an extra solver build.
-		opts = append(opts, withScratch(e.pools))
-	}
-	sol, err := e.reg.Solve(ctx, req.Solver, inst, opts...)
+	opts = append(opts, withScratch(e.pools))
+	sol, err := defaultRegistry.Solve(ctx, req.Solver, inst, opts...)
 	return done(Result{Solution: sol, Err: err, CacheHit: hit})
 }
 
@@ -439,9 +407,6 @@ func (e *Engine) LowerBound(ctx context.Context, spec *ScenarioSpec, opts ...Sol
 		return 0, err
 	}
 	var cfg SolverConfig
-	for _, o := range e.base {
-		o(&cfg)
-	}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -460,9 +425,7 @@ func (e *Engine) LowerBound(ctx context.Context, spec *ScenarioSpec, opts ...Sol
 	if memo.done {
 		return memo.lb, memo.err
 	}
-	if !e.nocache {
-		d.Solvers = e.pools.poolFor(inst.graph, inst.model, d.Solver)
-	}
+	d.Solvers = e.pools.poolFor(inst.graph, inst.model, d.Solver)
 	lb, err := core.LowerBoundCtx(ctx, inst.graph, inst.flows, inst.model, d)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return 0, err

@@ -68,41 +68,33 @@ func assertSolutionsEqual(t *testing.T, label string, want, got *dcnflow.Solutio
 	}
 }
 
-// TestEngineMatchesDirectSolve is the cache on/off bit-identicality
-// regression of the acceptance criteria: for every scenario of the
-// conformance corpus and every registered solver family, Engine solves —
-// with the cache enabled (warm AND cold) and with it disabled — must equal
-// the direct registry Solve output exactly: same energy bits, bounds,
-// stats and schedules.
+// TestEngineMatchesDirectSolve is the cache bit-identicality regression of
+// the acceptance criteria: for every scenario of the conformance corpus and
+// every registered solver family, Engine solves — cold and warm alike —
+// must equal the direct registry Solve output exactly: same energy bits,
+// bounds, stats and schedules.
 func TestEngineMatchesDirectSolve(t *testing.T) {
 	corpus := engineCorpus(t)
 	solvers := dcnflow.SolverNames()
 	if len(solvers) < 8 {
 		t.Fatalf("registry lists %d solvers, want the eight built-in families", len(solvers))
 	}
-	cached := dcnflow.NewEngine(dcnflow.EngineOptions{Options: engineTestOptions})
-	uncached := dcnflow.NewEngine(dcnflow.EngineOptions{Options: engineTestOptions, DisableCache: true})
+	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
 	for _, scen := range corpus {
 		scen := scen
 		for _, solver := range solvers {
 			want := solveDirect(t, &scen, solver)
-			for pass, eng := range map[string]*dcnflow.Engine{"cached": cached, "uncached": uncached} {
-				r := eng.Solve(context.Background(), dcnflow.Request{Scenario: &scen, Solver: solver})
-				if r.Err != nil {
-					t.Fatalf("%s engine %s on %s: %v", pass, solver, scen.Name, r.Err)
-				}
-				assertSolutionsEqual(t, fmt.Sprintf("%s/%s/%s", pass, scen.Name, solver), want, r.Solution)
+			r := eng.Solve(context.Background(), dcnflow.Request{Scenario: &scen, Solver: solver, Options: engineTestOptions})
+			if r.Err != nil {
+				t.Fatalf("engine %s on %s: %v", solver, scen.Name, r.Err)
 			}
+			assertSolutionsEqual(t, fmt.Sprintf("%s/%s", scen.Name, solver), want, r.Solution)
 		}
 	}
-	// The cached engine saw every scenario |solvers| times: by the second
-	// visit its topology+model pairs must be warm.
-	st := cached.Stats()
-	if st.Hits == 0 {
-		t.Errorf("cached engine recorded no cache hits over %d requests", len(corpus)*len(solvers))
-	}
-	if ust := uncached.Stats(); ust.Hits != 0 || ust.Size != 0 {
-		t.Errorf("cache-disabled engine recorded cache state: %+v", ust)
+	// The engine saw every scenario |solvers| times: by the second visit
+	// its topology+model pairs must be warm.
+	if st := eng.Stats(); st.Hits == 0 {
+		t.Errorf("engine recorded no cache hits over %d requests", len(corpus)*len(solvers))
 	}
 }
 
@@ -134,7 +126,7 @@ func TestEngineConcurrentMixedSolvesBitIdentical(t *testing.T) {
 		want[i] = solveDirect(t, j.scen, j.solver)
 	}
 
-	eng := dcnflow.NewEngine(dcnflow.EngineOptions{Options: engineTestOptions})
+	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines*len(jobs))
@@ -146,7 +138,7 @@ func TestEngineConcurrentMixedSolvesBitIdentical(t *testing.T) {
 			// engine sees genuinely mixed concurrent traffic.
 			for k := range jobs {
 				i := (k + w*3) % len(jobs)
-				r := eng.Solve(context.Background(), dcnflow.Request{Scenario: jobs[i].scen, Solver: jobs[i].solver})
+				r := eng.Solve(context.Background(), dcnflow.Request{Scenario: jobs[i].scen, Solver: jobs[i].solver, Options: engineTestOptions})
 				if r.Err != nil {
 					errs <- fmt.Sprintf("goroutine %d: %s on %s: %v", w, jobs[i].solver, jobs[i].scen.Name, r.Err)
 					return
@@ -384,8 +376,11 @@ func TestEngineSolveBatchDeterministicAndOrdered(t *testing.T) {
 		{Scenario: &corpus[0], Solver: "no-such-solver"},
 		{Scenario: &corpus[2], Solver: dcnflow.SolverGreedyOnline},
 	}
+	for i := range reqs {
+		reqs[i].Options = engineTestOptions
+	}
 	run := func(workers int) []dcnflow.Result {
-		eng := dcnflow.NewEngine(dcnflow.EngineOptions{Workers: workers, Options: engineTestOptions})
+		eng := dcnflow.NewEngine(dcnflow.EngineOptions{Workers: workers})
 		return eng.SolveBatch(context.Background(), reqs)
 	}
 	ref := run(1)

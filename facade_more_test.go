@@ -72,7 +72,7 @@ func TestFacadeOnlineAndECMP(t *testing.T) {
 	if int(on.Stats["admitted"]) != flows.Len() {
 		t.Fatalf("online admitted %v of %d", on.Stats["admitted"], flows.Len())
 	}
-	ecmp, err := dcnflow.Solve(ctx, dcnflow.SolverECMPMCF, inst, dcnflow.WithECMPWidth(8), dcnflow.WithSeed(1))
+	ecmp, err := dcnflow.Solve(ctx, dcnflow.SolverECMPMCF, inst, dcnflow.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,8 @@ func goldenRelaxationRowOf(c goldenRelaxationCase, sol *dcnflow.Solution) golden
 // lower-bound bits, a hash of every flow's path and rate-segment bits, and
 // the iteration and epoch counters. Every row must come out the same at
 // interval fan-out widths 1, 2 and 7, through an Engine with pooled
-// solvers and through one with its cache (hence its pools) disabled.
+// solvers and through a direct registry Solve, which builds its instance
+// and its solvers per call.
 //
 // testdata/golden_relaxation_outputs.jsonl was generated once, at commit
 // 3365ba1 (before the work-stealing interval fan-out and the inline
@@ -146,26 +147,37 @@ func goldenRelaxationRowOf(c goldenRelaxationCase, sol *dcnflow.Solution) golden
 // Regenerate it only for a change that is meant to alter solver outputs.
 func TestGoldenRelaxationOutputs(t *testing.T) {
 	cases := goldenRelaxationCases()
-	engines := []struct {
-		name string
-		eng  *dcnflow.Engine
+	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
+	paths := []struct {
+		name  string
+		solve func(c goldenRelaxationCase, p int) (*dcnflow.Solution, error)
 	}{
-		{"pooled", dcnflow.NewEngine(dcnflow.EngineOptions{})},
-		{"unpooled", dcnflow.NewEngine(dcnflow.EngineOptions{DisableCache: true})},
+		{"pooled", func(c goldenRelaxationCase, p int) (*dcnflow.Solution, error) {
+			res := eng.Solve(context.Background(), dcnflow.Request{Scenario: &c.spec, Solver: c.solver, Options: c.options(p)})
+			return res.Solution, res.Err
+		}},
+		{"unpooled", func(c goldenRelaxationCase, p int) (*dcnflow.Solution, error) {
+			inst, err := c.spec.Instance()
+			if err != nil {
+				return nil, err
+			}
+			// The scenario seed comes last, as the Engine applies it.
+			return dcnflow.Solve(context.Background(), c.solver, inst, append(c.options(p), dcnflow.WithSeed(c.spec.Seed))...)
+		}},
 	}
-	solve := func(t *testing.T, eng *dcnflow.Engine, c goldenRelaxationCase, p int) goldenRelaxationRow {
+	solve := func(t *testing.T, path int, c goldenRelaxationCase, p int) goldenRelaxationRow {
 		t.Helper()
-		res := eng.Solve(context.Background(), dcnflow.Request{Scenario: &c.spec, Solver: c.solver, Options: c.options(p)})
-		if res.Err != nil {
-			t.Fatalf("%s/%s at parallelism %d: %v", c.spec.Name, c.solver, p, res.Err)
+		sol, err := paths[path].solve(c, p)
+		if err != nil {
+			t.Fatalf("%s: %s/%s at parallelism %d: %v", paths[path].name, c.spec.Name, c.solver, p, err)
 		}
-		return goldenRelaxationRowOf(c, res.Solution)
+		return goldenRelaxationRowOf(c, sol)
 	}
 
 	if *updateGoldenRelaxation {
 		var rows []goldenRelaxationRow
 		for _, c := range cases {
-			rows = append(rows, solve(t, engines[0].eng, c, 1))
+			rows = append(rows, solve(t, 0, c, 1))
 		}
 		writeGoldenRows(t, goldenRelaxationFile, rows)
 		return
@@ -174,11 +186,11 @@ func TestGoldenRelaxationOutputs(t *testing.T) {
 	if len(cases) != len(want) {
 		t.Fatalf("%d cases, fixture has %d rows", len(cases), len(want))
 	}
-	for _, e := range engines {
+	for path := range paths {
 		for _, p := range []int{1, 2, 7} {
-			t.Run(fmt.Sprintf("%s/p%d", e.name, p), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/p%d", paths[path].name, p), func(t *testing.T) {
 				for i, c := range cases {
-					if got := solve(t, e.eng, c, p); !reflect.DeepEqual(got, want[i]) {
+					if got := solve(t, path, c, p); !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("row %d changed:\n got  %+v\n want %+v", i, got, want[i])
 					}
 				}

@@ -101,15 +101,6 @@ func SPMCF(g *graph.Graph, flows *flow.Set, m power.Model) (*core.DCFSResult, er
 	return core.SolveDCFS(core.DCFSInput{Graph: g, Flows: flows, Paths: paths, Model: m})
 }
 
-// ECMPMCF is SPMCF with randomised equal-cost multi-path routing.
-func ECMPMCF(g *graph.Graph, flows *flow.Set, m power.Model, k int, seed int64) (*core.DCFSResult, error) {
-	paths, err := ECMPPaths(g, flows, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.SolveDCFS(core.DCFSInput{Graph: g, Flows: flows, Paths: paths, Model: m})
-}
-
 // AlwaysOnResult is the outcome of the no-energy-management baseline.
 type AlwaysOnResult struct {
 	Schedule *schedule.Schedule

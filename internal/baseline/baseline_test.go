@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"dcnflow/internal/core"
 	"dcnflow/internal/flow"
 	"dcnflow/internal/power"
 	"dcnflow/internal/schedule"
@@ -113,18 +114,6 @@ func TestSPMCFFeasible(t *testing.T) {
 	}
 }
 
-func TestECMPMCFFeasible(t *testing.T) {
-	ft, fs := fixture(t, 25, 4)
-	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := ECMPMCF(ft.Graph, fs, m, 8, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Verify(ft.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlwaysOnFullRate(t *testing.T) {
 	line, err := topology.Line(3, 10)
 	if err != nil {
@@ -205,7 +194,11 @@ func TestBaselinesCoincideOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecmp, err := ECMPMCF(line.Graph, fs, m, 4, 99)
+	paths, err := ECMPPaths(line.Graph, fs, 4, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecmp, err := core.SolveDCFS(core.DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}

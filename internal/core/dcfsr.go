@@ -21,8 +21,10 @@ import (
 // ProgressEvent is one observation of a running solve, delivered through
 // DCFSROptions.Progress.
 type ProgressEvent struct {
-	// Stage is "interval" (one per-interval relaxation solve finished) or
-	// "epoch" (one rolling-horizon re-plan finished).
+	// Stage is "interval" (one per-interval solve of a full relaxation
+	// finished), "epoch" (one full rolling-horizon re-plan finished) or
+	// "epoch-delta" (one rolling delta epoch finished; the touched
+	// interval solves of a delta epoch emit no interval events).
 	Stage string
 	// Index counts this event's unit within Total: the interval index within
 	// the decomposition, or the 1-based epoch number (Total 0: unknown).

@@ -41,8 +41,6 @@ type PinnedCommitment struct {
 // chains of near-identical residual instances converge in few Frank–Wolfe
 // iterations.
 type RelaxationState struct {
-	// Now is the re-plan instant the state was solved at.
-	Now float64
 	// Intervals is the residual-horizon decomposition of that epoch.
 	Intervals []timeline.Interval
 	// Comms holds the commodities solved per interval (same order as
@@ -52,21 +50,16 @@ type RelaxationState struct {
 	Results []*mcfsolve.Result
 	// Fingerprints, when delta bookkeeping is on (DeltaOptions.Enabled),
 	// holds one fingerprint per interval (same order as Intervals); nil
-	// otherwise. The delta re-solve matches intervals across epochs on
-	// them and reuses the stored solutions of untouched intervals.
+	// otherwise. The delta re-solve matches intervals across epochs by
+	// their right breakpoints and reuses the stored solutions of untouched
+	// intervals whose fingerprints stay within the drift and staleness
+	// bounds.
 	Fingerprints []IntervalFingerprint
 }
 
 // IntervalFingerprint summarises one interval of a RelaxationState for
 // delta reuse.
 type IntervalFingerprint struct {
-	// End is the interval's right breakpoint — the stable identity across
-	// re-plans, whose left edges advance with Now while deadlines stay put.
-	End float64
-	// Comm is an order-independent hash of the commodity multiset the
-	// stored solution was solved for; it lets a consumer cheaply reject a
-	// mismatched reuse or seed candidate before any exact comparison.
-	Comm uint64
 	// Load is the per-edge background load the interval was last stamped
 	// with (the rolling scheduler refreshes it from its reservations after
 	// each epoch's admissions). Drift is measured against it.
@@ -101,31 +94,6 @@ type DeltaOptions struct {
 	MaxStaleEpochs int
 }
 
-// commHash folds a commodity multiset into an order-independent 64-bit
-// fingerprint: per-commodity FNV-1a hashes combined by XOR, so the value is
-// permutation-invariant and incrementally updatable. A collision can only
-// make a consumer slower (a reuse or seed precheck passes and the exact
-// comparison then rejects), never wrong.
-func commHash(comms []mcfsolve.Commodity) uint64 {
-	var h uint64
-	for _, c := range comms {
-		h ^= commHashOne(c)
-	}
-	return h
-}
-
-func commHashOne(c mcfsolve.Commodity) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range [...]uint64{uint64(c.ID), uint64(c.Src), uint64(c.Dst), math.Float64bits(c.Demand)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
-
 // seedFor returns the warm start for a target interval solving the given
 // commodities: the state's solve whose interval contains the target's
 // midpoint, and only if that solve covered the exact same commodity
@@ -147,13 +115,6 @@ func (st *RelaxationState) seedFor(iv timeline.Interval, comms []mcfsolve.Commod
 	}
 	prev := st.Comms[i]
 	if len(prev) != len(comms) {
-		return mcfsolve.WarmStart{}
-	}
-	// Fingerprint precheck: a mismatched multiset hash rejects without
-	// building the ID map. Equal hashes still run the exact comparison, so
-	// a collision costs time, not correctness.
-	if len(st.Fingerprints) == len(st.Intervals) && st.Fingerprints[i].Comm != 0 &&
-		st.Fingerprints[i].Comm != commHash(comms) {
 		return mcfsolve.WarmStart{}
 	}
 	byID := make(map[flow.ID]mcfsolve.Commodity, len(prev))
@@ -239,12 +200,10 @@ type DCFSRPartialResult struct {
 	// reservation state instead of trusting a single draw.
 	Candidates map[flow.ID][]CandidatePath
 	// Rates holds each active flow's planning rate: the residual density —
-	// the constant rate that, sustained from Starts[id] to the deadline,
-	// exactly delivers the residual demand — or, for pinned flows, the
-	// PinnedCommitment.Demand override when one was supplied.
+	// the constant rate that, sustained from max(Release, Now) to the
+	// deadline, exactly delivers the residual demand — or, for pinned
+	// flows, the PinnedCommitment.Demand override when one was supplied.
 	Rates map[flow.ID]float64
-	// Starts holds each active flow's (re)start instant max(Release, Now).
-	Starts map[flow.ID]float64
 	// ResidualLowerBound is the fractional relaxation value of the residual
 	// instance — a valid lower bound on the energy over [Now, …] of every
 	// feasible continuation (pinning only constrains, so the unpinned
@@ -347,7 +306,6 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 	res := &DCFSRPartialResult{
 		Paths:            make(map[flow.ID]graph.Path, len(in.Flows)),
 		Rates:            make(map[flow.ID]float64, len(in.Flows)),
-		Starts:           make(map[flow.ID]float64, len(in.Flows)),
 		CapacityFeasible: true,
 	}
 	for _, f := range in.Flows {
@@ -386,7 +344,7 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 		active = append(active, r)
 	}
 	if len(active) == 0 {
-		res.State = &RelaxationState{Now: in.Now}
+		res.State = &RelaxationState{}
 		return res, nil
 	}
 	sort.Slice(active, func(a, b int) bool { return active[a].f.ID < active[b].f.ID })
@@ -465,21 +423,16 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 	res.ResidualLowerBound = rel.lowerBound
 	res.Intervals = len(intervals)
 	res.State = &RelaxationState{
-		Now:       in.Now,
 		Intervals: rel.intervals,
 		Comms:     rel.comms,
 		Results:   rel.results,
 	}
 	if in.Delta.Enabled {
-		// Delta bookkeeping: stamp per-interval fingerprints so the next
-		// epoch can localize. Load vectors are left for the caller to
-		// refresh once its admissions are in (see IntervalFingerprint.Load);
+		// Delta bookkeeping: one fingerprint per interval lets the next
+		// epoch localize. Load vectors are left for the caller to refresh
+		// once its admissions are in (see IntervalFingerprint.Load);
 		// stamping changes nothing about this solve's outputs.
-		fps := make([]IntervalFingerprint, len(intervals))
-		for k, iv := range intervals {
-			fps[k] = IntervalFingerprint{End: iv.End, Comm: commHash(rel.comms[k])}
-		}
-		res.State.Fingerprints = fps
+		res.State.Fingerprints = make([]IntervalFingerprint, len(intervals))
 	}
 
 	// Pinned flows keep their frozen path and contribute their load to
@@ -491,7 +444,6 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 			continue
 		}
 		res.Rates[r.f.ID] = r.density
-		res.Starts[r.f.ID] = r.start
 		res.Paths[r.f.ID] = in.Pinned[r.f.ID].Path
 	}
 	base := make([][]float64, len(intervals))
@@ -516,8 +468,8 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 // res.Candidates, and rounds every free flow to one path against base,
 // where base[k] is the background load of rel.intervals[k]: the pinned
 // loads on the full path, the committed load of each touched interval on
-// the delta path. It fills res's per-flow Rates, Starts and Paths for the
-// free flows, and its Attempts, CapacityFeasible and MaxRate.
+// the delta path. It fills res's per-flow Rates and Paths for the free
+// flows, and its Attempts, CapacityFeasible and MaxRate.
 func roundPartial(rel *relaxation, free []residual, base [][]float64, in DCFSRPartialInput, opts DCFSROptions, res *DCFSRPartialResult) error {
 	spans := make(map[flow.ID]float64, len(free))
 	for _, r := range free {
@@ -528,7 +480,6 @@ func roundPartial(rel *relaxation, free []residual, base [][]float64, in DCFSRPa
 	res.Candidates = make(map[flow.ID][]CandidatePath, len(free))
 	for _, r := range free {
 		res.Rates[r.f.ID] = r.density
-		res.Starts[r.f.ID] = r.start
 		list := cands[r.f.ID]
 		if len(list) == 0 {
 			return fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, r.f.ID)
@@ -644,7 +595,7 @@ func relLoadDev(old, cur []float64) float64 {
 
 // solveDelta is the localized epoch re-solve. The instance holds only the
 // arrival batch (free), in.BaseLoad supplies the committed background load,
-// and in.Prev's fingerprints identify which intervals the batch leaves
+// and in.Prev's intervals identify which intervals the batch leaves
 // untouched: an interval is touched when no previous interval shares its
 // right breakpoint or when a batch flow covers it. Untouched intervals are
 // reused verbatim — sound because a sub-interval of a previous interval
@@ -706,7 +657,6 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 	}
 
 	state := &RelaxationState{
-		Now:          in.Now,
 		Intervals:    intervals,
 		Comms:        make([][]mcfsolve.Commodity, K),
 		Results:      make([]*mcfsolve.Result, K),
@@ -728,12 +678,12 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 			state.Results[k] = prev.Results[matched[k]]
 			// Load is carried over verbatim — NOT restamped — so drift keeps
 			// accumulating against the last fully-solved snapshot.
-			state.Fingerprints[k] = IntervalFingerprint{End: iv.End, Comm: fp.Comm, Load: fp.Load, Stale: fp.Stale + 1}
+			state.Fingerprints[k] = IntervalFingerprint{Load: fp.Load, Stale: fp.Stale + 1}
 			res.ReusedIntervals++
 			continue
 		}
 		state.Comms[k] = rel.comms[k]
-		state.Fingerprints[k] = IntervalFingerprint{End: iv.End, Comm: commHash(rel.comms[k]), Load: loads[k]}
+		state.Fingerprints[k] = IntervalFingerprint{Load: loads[k]}
 		if len(rel.comms[k]) == 0 {
 			continue
 		}

@@ -48,9 +48,6 @@ func TestPartialMatchesFullRelaxationAtStart(t *testing.T) {
 		if got, want := res.Rates[f.ID], f.Density(); math.Abs(got-want) > 1e-9*want {
 			t.Fatalf("flow %d rate %v, want density %v", f.ID, got, want)
 		}
-		if res.Starts[f.ID] != f.Release {
-			t.Fatalf("flow %d start %v, want release %v", f.ID, res.Starts[f.ID], f.Release)
-		}
 	}
 }
 
@@ -99,9 +96,6 @@ func TestPartialFrozenCommitments(t *testing.T) {
 	wantRate := (f0.Size / 2) / (f0.Deadline - now)
 	if math.Abs(res.Rates[f0.ID]-wantRate) > 1e-9*wantRate {
 		t.Fatalf("pinned residual rate %v, want %v", res.Rates[f0.ID], wantRate)
-	}
-	if res.Starts[f0.ID] != now {
-		t.Fatalf("pinned start %v, want %v", res.Starts[f0.ID], now)
 	}
 }
 

@@ -30,8 +30,7 @@ const (
 	// KindAdmit records an admitted flow: the chosen path, its rate and
 	// exact marginal energy, and the scored alternatives.
 	KindAdmit Kind = "admit"
-	// KindReject records a flow refused by admission control (or by a
-	// counterfactual override).
+	// KindReject records a flow refused by admission control.
 	KindReject Kind = "reject"
 	// KindReplan records an epoch re-solve boundary of the rolling
 	// scheduler (the greedy never emits it).
@@ -141,9 +140,6 @@ type Overrides struct {
 	// scheduler's choice. The path must connect the flow's endpoints; the
 	// scheduler validates and errors otherwise.
 	ForcePath map[flow.ID][]graph.EdgeID
-	// ForceReject rejects a flow the scheduler would have admitted (the
-	// flip-one-admission counterfactual).
-	ForceReject map[flow.ID]bool
 }
 
 // ForcedPath returns the override path for a flow, or ok=false. Nil-safe.
@@ -156,9 +152,4 @@ func (o *Overrides) ForcedPath(id flow.ID) (graph.Path, bool) {
 		return graph.Path{}, false
 	}
 	return graph.Path{Edges: edges}, true
-}
-
-// Rejected reports whether a flow is force-rejected. Nil-safe.
-func (o *Overrides) Rejected(id flow.ID) bool {
-	return o != nil && o.ForceReject[id]
 }

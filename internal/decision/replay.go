@@ -42,10 +42,6 @@ type ReplayOptions struct {
 	// TopK bounds the alternative paths tried per admit record (best
 	// first); default 2.
 	TopK int
-	// FlipAdmit additionally tries rejecting each admitted flow — the
-	// flip-one-admission counterfactual. Off by default: on workloads
-	// without admission pressure a rejection always costs a miss.
-	FlipAdmit bool
 	// Fitness weighs the outcomes into per-decision regret; the zero value
 	// selects DefaultFitness (energy only).
 	Fitness Fitness
@@ -74,8 +70,7 @@ type CounterfactualOutcome struct {
 	// Seq and Flow identify the flipped decision record.
 	Seq  int     `json:"seq"`
 	Flow flow.ID `json:"flow"`
-	// Alternative indexes the record's Alternatives; -1 for a
-	// flip-to-reject counterfactual.
+	// Alternative indexes the record's Alternatives.
 	Alternative int `json:"alternative"`
 	// Outcome is the full-run result with this one decision substituted
 	// and the suffix re-planned by the engine.
@@ -160,13 +155,12 @@ func runOnce(in ReplayInput, ov *Overrides) (Outcome, error) {
 
 // Replay re-runs a recorded trace against the realized arrival sequence,
 // substituting alternatives at the recorded decision points: for each admit
-// record, the top-k alternative paths (and, with FlipAdmit, a forced
-// rejection) are forced through Overrides one at a time, the engine
-// re-plans the suffix — decisions before the flipped one are untouched,
-// since the override only changes state from that flow's admission onward —
-// and the whole run is re-scored by the discrete-event simulator. The
-// report carries per-decision regret: energy delta, misses introduced or
-// avoided, and the weighted-fitness gap against the base run.
+// record, the top-k alternative paths are forced through Overrides one at
+// a time, the engine re-plans the suffix — decisions before the flipped one
+// are untouched, since the override only changes state from that flow's
+// admission onward — and the whole run is re-scored by the discrete-event
+// simulator. The report carries per-decision regret: energy delta, misses
+// introduced or avoided, and the weighted-fitness gap against the base run.
 func Replay(in ReplayInput) (*ReplayReport, error) {
 	if in.Log == nil || in.Graph == nil || in.Flows == nil || in.Factory == nil {
 		return nil, fmt.Errorf("%w: replay needs a log, graph, flows and engine factory", ErrBadLog)
@@ -208,18 +202,6 @@ func Replay(in ReplayInput) (*ReplayReport, error) {
 				out.Outcome = o
 				out.Regret = base.Score - o.Score
 				out.Valid = o.CapacityViolations == 0 && o.Misses <= base.Misses
-			}
-			report.Counterfactuals = append(report.Counterfactuals, out)
-		}
-		if in.Opts.FlipAdmit {
-			out := CounterfactualOutcome{Seq: rec.Seq, Flow: rec.Flow, Alternative: -1}
-			o, err := runOnce(in, &Overrides{ForceReject: map[flow.ID]bool{rec.Flow: true}})
-			if err != nil {
-				out.Err = err.Error()
-			} else {
-				out.Outcome = o
-				out.Regret = base.Score - o.Score
-				out.Valid = o.CapacityViolations == 0 && o.Misses <= base.Misses+1
 			}
 			report.Counterfactuals = append(report.Counterfactuals, out)
 		}

@@ -26,9 +26,6 @@ type DecisionConfig struct {
 	// MaxDecisions bounds the admit records the counterfactual replayer
 	// expands (each costs one full re-run). Default 4.
 	MaxDecisions int
-	// MaxDemos bounds the greedy-vs-rolling forced-path demonstrations.
-	// Default 4.
-	MaxDemos int
 	// Fitness weighs the run outcomes; the zero value selects
 	// decision.DefaultFitness (energy only).
 	Fitness decision.Fitness
@@ -41,9 +38,6 @@ func (c DecisionConfig) withDefaults() DecisionConfig {
 	}
 	if c.MaxDecisions <= 0 {
 		c.MaxDecisions = 4
-	}
-	if c.MaxDemos <= 0 {
-		c.MaxDemos = 4
 	}
 	if c.Fitness == (decision.Fitness{}) {
 		c.Fitness = decision.DefaultFitness()
@@ -236,6 +230,10 @@ func (r *DecisionRegretResult) Table() string {
 	return out
 }
 
+// maxDemos bounds the greedy-vs-rolling forced-path demonstrations of
+// RunDecisionRegret; each costs one full rolling re-run.
+const maxDemos = 4
+
 // RunDecisionRegret is the O2 experiment: record the greedy and rolling
 // schedulers on the same diurnal workload, then quantify decision quality
 // two ways — (a) for flows the two schedulers routed differently, force the
@@ -276,7 +274,7 @@ func RunDecisionRegret(cfg DecisionConfig) (*DecisionRegretResult, error) {
 		greedyPath[rec.Flow] = rec.Path
 	}
 	for _, rec := range res.RollingLog.Admits() {
-		if len(res.Demos) == cfg.MaxDemos {
+		if len(res.Demos) == maxDemos {
 			break
 		}
 		gp, ok := greedyPath[rec.Flow]

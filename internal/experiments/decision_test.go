@@ -12,7 +12,7 @@ import (
 func TestDecisionRegretSmoke(t *testing.T) {
 	cfg := DecisionConfig{
 		OnlineConfig: OnlineConfig{AblateConfig: AblateConfig{N: 24, Seed: 5, SolverIters: 25}},
-		MaxDemos:     3, MaxDecisions: 3,
+		MaxDecisions: 3,
 	}
 	res, err := RunDecisionRegret(cfg)
 	if err != nil {

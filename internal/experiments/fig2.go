@@ -44,8 +44,6 @@ type Fig2Config struct {
 	// (Lemma 3 inverted), adding per-active-link idle energy to both
 	// schemes and to the lower bound.
 	IdleRoptMultiple float64
-	// Parallelism bounds concurrent interval solves.
-	Parallelism int
 	// Workers bounds concurrent (n, run) grid cells on the sweep pool.
 	// Default 1 (the relaxation already parallelises across intervals);
 	// the value never affects results — cell seeds derive from grid
@@ -128,9 +126,8 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 			model := fig2Model(cfg, fs)
 			rs, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model,
 				dcnflow.WithDCFSROptions(core.DCFSROptions{
-					Seed:        seed,
-					Solver:      mcfsolve.Options{MaxIters: cfg.SolverIters},
-					Parallelism: cfg.Parallelism,
+					Seed:   seed,
+					Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
 				}))
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: RS n=%d run=%d: %w", n, run, err)

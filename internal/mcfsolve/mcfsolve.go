@@ -75,9 +75,6 @@ type Options struct {
 	// linear oracle a plain shortest path. Zero disables; it defaults to
 	// 10*mu*alpha*C^(alpha-2) when the model is capped.
 	CapacityPenalty float64
-	// MinPathWeight prunes decomposition paths lighter than this fraction
-	// of the demand; default 1e-6.
-	MinPathWeight float64
 	// OracleWorkers fans the per-source shortest-path runs of each
 	// Frank–Wolfe iteration across this many goroutines. 0 or 1 keeps the
 	// sweep sequential; a negative value means runtime.GOMAXPROCS(0).
@@ -99,9 +96,6 @@ func (o Options) withDefaults(m power.Model) Options {
 	}
 	if o.CapacityPenalty == 0 && m.Capped() {
 		o.CapacityPenalty = 10 * m.Mu * m.Alpha * math.Pow(m.C, m.Alpha-2)
-	}
-	if o.MinPathWeight <= 0 {
-		o.MinPathWeight = 1e-6
 	}
 	return o
 }
@@ -717,10 +711,14 @@ func (s *Solver) validPath(edges []graph.EdgeID, src, dst graph.NodeID) bool {
 	return cur == dst
 }
 
+// minPathWeight is the fraction of a commodity's demand below which emit
+// prunes a decomposition path.
+const minPathWeight = 1e-6
+
 // emit prunes, renormalises and deterministically orders one commodity's
 // decomposition into the exported WeightedPath form.
 func (s *Solver) emit(d *decomp, demand float64) []WeightedPath {
-	minW := s.opts.MinPathWeight * demand
+	minW := minPathWeight * demand
 	var kept []WeightedPath
 	var total float64
 	for j, w := range d.weights {

@@ -57,8 +57,7 @@ type Options struct {
 	Recorder decision.Recorder
 	// Overrides, when non-nil, forces specific decisions during a
 	// counterfactual re-run (decision.Replay builds these): a forced path
-	// replaces the marginal-cost choice, a forced rejection is reported
-	// like a capacity rejection.
+	// replaces the marginal-cost choice.
 	Overrides *decision.Overrides
 }
 
@@ -381,15 +380,6 @@ func (s *Scheduler) Admit(f flow.Flow) error {
 		return fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	d := f.Density()
-	if s.opts.Overrides.Rejected(f.ID) {
-		if s.opts.Recorder != nil {
-			s.record(decision.Record{
-				Time: f.Release, Kind: decision.KindReject, Flow: f.ID,
-				Reason: "forced", Slack: f.Deadline - f.Release,
-			})
-		}
-		return fmt.Errorf("%w: flow %d force-rejected by override", ErrOverCapacity, f.ID)
-	}
 	p, err := s.route(f, d)
 	if err != nil {
 		return fmt.Errorf("%w: flow %d: %v", ErrNoRouteOnline, f.ID, err)

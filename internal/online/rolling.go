@@ -65,13 +65,6 @@ type RollingOptions struct {
 	// Policy picks the re-plan trigger; default FixedPeriod with a period
 	// of 1/50 of the horizon.
 	Policy ReplanPolicy
-	// MaxDelayFraction bounds how long an arrival may wait for the next
-	// boundary: a flow is force-planned once this fraction of its span has
-	// elapsed since release, whatever the policy says. Waiting compresses
-	// the residual span (raising the density rate and its energy), so the
-	// guard caps the compression; it also guarantees short-span flows are
-	// admitted before their deadline becomes unreachable. Default 0.25.
-	MaxDelayFraction float64
 	// DCFSR configures the epoch re-solves (seed, solver options,
 	// WarmStart for cross-epoch Frank–Wolfe seeding, parallelism).
 	DCFSR core.DCFSROptions
@@ -88,8 +81,7 @@ type RollingOptions struct {
 	Recorder decision.Recorder
 	// Overrides, when non-nil, forces specific decisions during a
 	// counterfactual re-run (decision.Replay builds these): a forced path
-	// replaces the candidate scoring, a forced rejection is reported like
-	// a capacity rejection.
+	// replaces the candidate scoring.
 	Overrides *decision.Overrides
 	// Delta enables the sensitivity-bounded incremental re-solve: epochs
 	// whose arrival batch touches only some intervals reuse the previous
@@ -108,11 +100,16 @@ func (o RollingOptions) withDefaults(horizon timeline.Interval) RollingOptions {
 		}
 		o.Policy = FixedPeriod{Period: p}
 	}
-	if o.MaxDelayFraction <= 0 {
-		o.MaxDelayFraction = 0.25
-	}
 	return o
 }
+
+// maxDelayFraction bounds how long an arrival may wait for the next
+// boundary: a flow is force-planned once this fraction of its span has
+// elapsed since release, whatever the policy says. Waiting compresses the
+// residual span (raising the density rate and its energy), so the guard
+// caps the compression; it also guarantees short-span flows are admitted
+// before their deadline becomes unreachable.
+const maxDelayFraction = 0.25
 
 // RollingStats aggregates per-epoch diagnostics of one rolling run.
 type RollingStats struct {
@@ -154,7 +151,6 @@ type RollingResult struct {
 type commitment struct {
 	f        flow.Flow
 	path     graph.Path
-	admitted float64 // admission instant (transmission start)
 	nominal  float64 // residual density at admission: the relaxation demand
 	segments []schedule.RateSegment
 }
@@ -367,9 +363,9 @@ func (s *RollingScheduler) Arrive(f flow.Flow) error {
 	}
 	s.pending = append(s.pending, f)
 	s.bset.Insert(f.Deadline)
-	// Urgency guard: this arrival must be planned before MaxDelayFraction
+	// Urgency guard: this arrival must be planned before maxDelayFraction
 	// of its span elapses.
-	if u := f.Release + s.opts.MaxDelayFraction*f.Span(); u < s.urgent {
+	if u := f.Release + maxDelayFraction*f.Span(); u < s.urgent {
 		s.urgent = u
 	}
 	if s.opts.Policy.BatchReady(len(s.pending)) {
@@ -590,17 +586,6 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 		})
 	}
 	for _, f := range batch {
-		if s.opts.Overrides.Rejected(f.ID) {
-			if s.opts.Recorder != nil {
-				s.record(decision.Record{
-					Time: tau, Epoch: s.stats.Epochs, Kind: decision.KindReject,
-					Flow: f.ID, Reason: "forced", Slack: f.Deadline - tau,
-				})
-			}
-			s.rejected = append(s.rejected, f.ID)
-			s.stats.Rejected++
-			continue
-		}
 		rate := res.Rates[f.ID]
 		if _, ok := res.Paths[f.ID]; !ok || rate <= 0 {
 			return fmt.Errorf("%w: epoch at %v produced no plan for flow %d", ErrBadInput, tau, f.ID)
@@ -646,7 +631,7 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 			})
 		}
 		s.reserve(p, segs, 1)
-		s.committed[f.ID] = &commitment{f: f, path: p, admitted: tau, nominal: rate, segments: segs}
+		s.committed[f.ID] = &commitment{f: f, path: p, nominal: rate, segments: segs}
 		s.stats.Admitted++
 	}
 	return nil

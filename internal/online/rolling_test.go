@@ -115,13 +115,11 @@ func TestRollingWarmStartFewerIterations(t *testing.T) {
 }
 
 // TestRollingUrgencyGuard: with an absurdly long period, short-span flows
-// must still be admitted in time via the MaxDelayFraction guard.
+// must still be admitted in time via the maxDelayFraction guard.
 func TestRollingUrgencyGuard(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 20, 5)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	opts := rollingOpts(FixedPeriod{Period: 1000})
-	opts.MaxDelayFraction = 0.1
-	_, rep, err := RunRolling(ft.Graph, fs, m, opts)
+	_, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(FixedPeriod{Period: 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,27 +26,6 @@ func TestStddev(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	want := 1.96 * Stddev(xs) / math.Sqrt(5)
-	if got := CI95(xs); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("CI95 = %v, want %v", got, want)
-	}
-	if CI95(nil) != 0 {
-		t.Fatal("CI95(nil) should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v, want -1/7", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty Min/Max should be 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("n", "ratio")
 	tb.AddRow(40, 1.2345678)

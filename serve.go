@@ -302,12 +302,13 @@ func (h *serveHandler) admit(r *http.Request, class string) *admitError {
 }
 
 // timeout resolves one request's solve bound against the server ceiling.
+// It compares in whole milliseconds before converting, so a timeout_ms too
+// large for a time.Duration clamps to the ceiling instead of wrapping
+// negative.
 func (h *serveHandler) timeout(req *ServeRequest) time.Duration {
 	d := h.opts.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if rd := time.Duration(req.TimeoutMS) * time.Millisecond; rd < d {
-			d = rd
-		}
+	if req.TimeoutMS > 0 && req.TimeoutMS <= int64(d/time.Millisecond) {
+		d = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	return d
 }

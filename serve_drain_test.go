@@ -26,7 +26,6 @@ func drainServer(t *testing.T, burst float64) (*httptest.Server, *dcnflow.ServeH
 			Rate:       0.0001, // ~3 hours per token: queued requests stay queued
 			Burst:      burst,
 			QueueDepth: 32,
-			MaxWait:    time.Minute,
 		},
 	})
 	srv := httptest.NewServer(handler)
@@ -212,7 +211,7 @@ func TestServeDrainUnderLoad(t *testing.T) {
 // Retry-After over real HTTP, and admitted traffic still solves correctly.
 func TestServeAdmissionEndToEnd(t *testing.T) {
 	handler := dcnflow.NewServeHandler(dcnflow.NewEngine(dcnflow.EngineOptions{}), dcnflow.ServeOptions{
-		Admission: dcnflow.AdmissionOptions{Rate: 0.0001, Burst: 1, QueueDepth: 1, MaxWait: time.Minute},
+		Admission: dcnflow.AdmissionOptions{Rate: 0.0001, Burst: 1, QueueDepth: 1},
 	})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()

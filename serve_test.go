@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -223,6 +224,32 @@ func TestServeTimeout(t *testing.T) {
 	}
 	if body.Error == "" || body.Energy != 0 {
 		t.Fatalf("timeout reply carries a partial result: %+v", body)
+	}
+}
+
+// TestServeHugeTimeoutClamps: a timeout_ms too large for a time.Duration
+// (9223372036855 ms and up overflow int64 nanoseconds) clamps to the server
+// ceiling and solves, as ServeRequest.TimeoutMS promises.
+func TestServeHugeTimeoutClamps(t *testing.T) {
+	srv, _ := newServeServer(t, dcnflow.ServeOptions{})
+	for _, ms := range []int64{9223372036855, math.MaxInt64} {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(dcnflow.ServeRequest{Scenario: serveScenario(), Solver: dcnflow.SolverSPMCF, TimeoutMS: ms}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body dcnflow.ServeResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || body.Error != "" || body.Energy <= 0 {
+			t.Fatalf("timeout_ms %d: status %d, body %+v; want 200 with a solution", ms, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -67,8 +67,6 @@ type SolverConfig struct {
 	Rolling RollingOptions
 	// Exact bounds the brute-force enumeration ("exact").
 	Exact ExactOptions
-	// ECMPWidth is the equal-cost path fan-out of "ecmp-mcf"; default 8.
-	ECMPWidth int
 
 	// scratch is the Engine's pooled per-solver scratch registry, set only
 	// by engine-dispatched solves (see withScratch). The built-in
@@ -104,11 +102,6 @@ func WithDCFSROptions(o DCFSROptions) SolveOption {
 	}
 }
 
-// WithReplanPolicy sets the rolling-horizon re-plan trigger.
-func WithReplanPolicy(p ReplanPolicy) SolveOption {
-	return func(c *SolverConfig) { c.Rolling.Policy = p }
-}
-
 // WithOnlineOptions sets the marginal-cost greedy options.
 func WithOnlineOptions(o OnlineOptions) SolveOption {
 	return func(c *SolverConfig) { c.Online = o }
@@ -127,11 +120,6 @@ func WithRollingOptions(o RollingOptions) SolveOption {
 // WithExactOptions bounds the brute-force enumeration of "exact".
 func WithExactOptions(o ExactOptions) SolveOption {
 	return func(c *SolverConfig) { c.Exact = o }
-}
-
-// WithECMPWidth sets the equal-cost multi-path fan-out of "ecmp-mcf".
-func WithECMPWidth(k int) SolveOption {
-	return func(c *SolverConfig) { c.ECMPWidth = k }
 }
 
 // WithProgress installs a progress observer: per-interval relaxation events

@@ -204,7 +204,7 @@ func TestContextCancelRollingReplay(t *testing.T) {
 	defer cancel()
 	epochs := 0
 	sol, err := dcnflow.Solve(ctx, dcnflow.SolverRollingOnline, inst,
-		dcnflow.WithReplanPolicy(dcnflow.ArrivalCount{N: 1}),
+		dcnflow.WithRollingOptions(dcnflow.RollingOptions{Policy: dcnflow.ArrivalCount{N: 1}}),
 		dcnflow.WithSeed(1),
 		dcnflow.WithProgress(func(ev dcnflow.ProgressEvent) {
 			if ev.Stage == "epoch" {

@@ -39,6 +39,10 @@ const (
 	SolverRollingOnline = "rolling-online"
 )
 
+// ecmpWidth is the equal-cost path fan-out of "ecmp-mcf": each flow
+// takes one of the minimum-hop paths among its ecmpWidth shortest.
+const ecmpWidth = 8
+
 // solverFunc adapts a closure to the Solver interface with the shared
 // entry checks (nil instance, nil context) and the shared exit check: an
 // instance whose sizes overflow the energy accounting yields an error
@@ -171,12 +175,8 @@ func registerBuiltins() {
 	})
 
 	mustRegister(SolverECMPMCF, func(cfg SolverConfig) (Solver, error) {
-		width := cfg.ECMPWidth
-		if width <= 0 {
-			width = 8
-		}
 		return &solverFunc{name: SolverECMPMCF, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			paths, err := baseline.ECMPPaths(in.graph, in.flows, width, cfg.Seed)
+			paths, err := baseline.ECMPPaths(in.graph, in.flows, ecmpWidth, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +187,7 @@ func registerBuiltins() {
 				return nil, err
 			}
 			sol := mcfSolution(SolverECMPMCF, in, res)
-			sol.Stats["ecmp_width"] = float64(width)
+			sol.Stats["ecmp_width"] = ecmpWidth
 			return sol, nil
 		}}, nil
 	})

@@ -355,18 +355,12 @@ type SweepOptions struct {
 	// worker count is purely a wall-clock lever: results, JSONL bodies and
 	// aggregates are identical for every value (runtime fields aside).
 	Workers int
-	// Engine dispatches the cells. Nil builds a private engine for the run
-	// (with Registry below); passing a shared engine lets a sweep reuse
-	// compiled instances and pooled solver scratch warmed by earlier
-	// requests — `dcnflow sweep` passes the CLI's shared engine. Results
-	// are identical either way.
+	// Engine dispatches the cells. Nil builds a private engine for the
+	// run; passing a shared engine lets a sweep reuse compiled instances
+	// and pooled solver scratch warmed by earlier requests — `dcnflow
+	// sweep` passes the CLI's shared engine. Results are identical either
+	// way.
 	Engine *Engine
-	// Registry resolves solver names when Engine is nil (an explicit
-	// Engine brings its own registry); nil selects the package registry.
-	// Note LoadSweep/Validate check names against the package registry, so
-	// a custom registry is for curating options, not for unregistered
-	// names.
-	Registry *Registry
 	// Options is applied to every cell's solver construction before the
 	// cell's own WithSeed, e.g. WithSolverOptions to cap Frank–Wolfe
 	// iterations sweep-wide.
@@ -504,7 +498,7 @@ func Sweep(ctx context.Context, spec *SweepSpec, opts SweepOptions) (*SweepResul
 	}
 	eng := opts.Engine
 	if eng == nil {
-		eng = NewEngine(EngineOptions{Registry: opts.Registry})
+		eng = NewEngine(EngineOptions{})
 	}
 	cells := spec.Cells()
 	workers := opts.Workers
