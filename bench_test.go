@@ -221,7 +221,11 @@ func BenchmarkFrankWolfe(b *testing.B) {
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcfsolve.Solve(ft.Graph, comms, model, mcfsolve.Options{MaxIters: 30}); err != nil {
+		s, err := mcfsolve.NewSolverCompiled(graph.Compile(ft.Graph), model, mcfsolve.Options{MaxIters: 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(comms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +274,7 @@ func BenchmarkFrankWolfeDelta(b *testing.B) {
 		}
 		insts = append(insts, instance{comms, base})
 	}
-	s, err := mcfsolve.NewSolver(g, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}, mcfsolve.Options{MaxIters: 30})
+	s, err := mcfsolve.NewSolverCompiled(graph.Compile(g), dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1e12}, mcfsolve.Options{MaxIters: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -734,7 +738,7 @@ func BenchmarkFrankWolfeLarge(b *testing.B) {
 			}
 			for _, workers := range grid {
 				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					s, err := mcfsolve.NewSolver(top.Graph, model, mcfsolve.Options{
+					s, err := mcfsolve.NewSolverCompiled(graph.Compile(top.Graph), model, mcfsolve.Options{
 						MaxIters: 8, OracleWorkers: workers,
 					})
 					if err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -344,15 +345,22 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 }
 
 // parseRetryAfter parses a Retry-After header (delta-seconds form; the
-// HTTP-date form is ignored — the serve API never sends it).
+// HTTP-date form is ignored — the serve API never sends it). A well-formed
+// value past the Duration range, one past the int range included, clamps
+// to the largest Duration, which backoff then caps at MaxDelay.
 func parseRetryAfter(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
 	}
+	// On a range error Atoi returns the nearest int, so a huge positive
+	// value arrives as math.MaxInt and a huge negative one as math.MinInt.
 	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || secs < 0 {
 		return 0
+	}
+	if int64(secs) > int64(math.MaxInt64/time.Second) {
+		return math.MaxInt64
 	}
 	return time.Duration(secs) * time.Second
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -200,6 +201,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-3", 0},
 		{"soon", 0},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+		// Past the Duration range: clamped. Multiplied out unchecked,
+		// 9223372037 s wraps negative and 18446744074 s to 290ms.
+		{"9223372037", math.MaxInt64},
+		{"18446744074", math.MaxInt64},
+		// Past the int range too: Atoi's range error still clamps.
+		{"99999999999999999999999", math.MaxInt64},
+		{"-99999999999999999999999", 0},
 	}
 	for _, tc := range cases {
 		h := http.Header{}

@@ -20,8 +20,8 @@
 // (E1, F2, T2/T3, A1-A3, O1, O2) are defined in DESIGN.md's per-experiment
 // index, which maps each one to its runner, benchmark and CLI entry.
 // Scheme-running commands (run, sweep, compare, trace) dispatch through
-// the Scenario/Solver registry of the dcnflow package, so every registered
-// solver is reachable from the command line.
+// the solver table of the dcnflow package, so every built-in solver is
+// reachable from the command line.
 package main
 
 import (
@@ -354,7 +354,7 @@ func runOnline(args []string) error {
 		return err
 	}
 	model := power.Model{Mu: 1, Alpha: *alpha, C: 1e12}
-	lb, err := core.LowerBound(ft.Graph, set, model, core.DCFSROptions{
+	lb, err := core.LowerBoundCtx(context.Background(), ft.Graph, set, model, core.DCFSROptions{
 		Solver: mcfsolve.Options{MaxIters: *iters},
 	})
 	if err != nil {
@@ -370,7 +370,7 @@ func runOnline(args []string) error {
 		if *delta {
 			dopts = core.DeltaOptions{Enabled: true, DriftBound: *deltaDrift, MaxStaleEpochs: *deltaStale}
 		}
-		res, rep, err := online.RunRolling(ft.Graph, set, model, online.RollingOptions{
+		res, rep, err := online.RunRollingCtx(context.Background(), ft.Graph, set, model, nil, online.RollingOptions{
 			Policy: policy,
 			DCFSR: core.DCFSROptions{
 				Seed:      *seed,
@@ -395,7 +395,7 @@ func runOnline(args []string) error {
 		fmt.Printf("  admitted %d, rejected %d; deadline violations %d, capacity violations %d\n",
 			rep.Admitted, rep.Rejected, rep.DeadlineViolations, rep.CapacityViolations)
 	case "greedy":
-		res, err := online.Run(ft.Graph, set, model, online.Options{RejectOverCapacity: *reject})
+		res, err := online.RunCtx(context.Background(), ft.Graph, set, model, nil, online.Options{RejectOverCapacity: *reject})
 		if err != nil {
 			return err
 		}
@@ -604,8 +604,8 @@ func runServe(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// solverList resolves a -solver flag value against the registry: a
-// comma-separated list of registered names, or "all".
+// solverList resolves a -solver flag value against the solver table: a
+// comma-separated list of built-in solver names, or "all".
 func solverList(value string) ([]string, error) {
 	if value == "all" {
 		return dcnflow.SolverNames(), nil
@@ -928,8 +928,8 @@ func runWorkload(args []string) error {
 	return nil
 }
 
-// runCompare runs a set of registered solvers on one generated workload —
-// the CLI face of the Scenario/Solver registry on ad-hoc (non-spec) inputs.
+// runCompare runs a set of built-in solvers on one generated workload —
+// the CLI face of the solver table on ad-hoc (non-spec) inputs.
 func runCompare(args []string) error {
 	fs := newFlagSet("compare")
 	n := fs.Int("n", 60, "number of flows")

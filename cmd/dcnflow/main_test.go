@@ -167,7 +167,7 @@ func TestRunOnlineCommand(t *testing.T) {
 }
 
 // TestRunScenarioCommand exercises the scenario runner end to end: spec
-// loading, registry dispatch, multi-solver runs, and the error paths.
+// loading, solver dispatch, multi-solver runs, and the error paths.
 func TestRunScenarioCommand(t *testing.T) {
 	const spec = "../../examples/scenarios/uniform-fattree.json"
 	if err := run([]string{"run", spec, "-solver", "dcfsr,sp-mcf,greedy-online"}); err != nil {
@@ -277,7 +277,7 @@ func TestServeUsageListsEverySolver(t *testing.T) {
 
 // TestServeCommandEndToEnd boots the serve subcommand on a free port,
 // solves one scenario through the HTTP client, checks the energy against
-// the in-process registry solve, and shuts the server down gracefully via
+// the in-process solve, and shuts the server down gracefully via
 // SIGINT — the same sequence `make serve-smoke` drives as a subprocess.
 // It passes -cache 0, which selects the default capacity, and requires
 // the banner to report the engine's 64 entries rather than the flag.

@@ -1,8 +1,8 @@
 // Command doccheck is the docs gate run by CI. It fails when an exported
 // symbol of the target package (default: the repository root package, the
 // public facade) is missing a doc comment, so the pkg.go.dev surface cannot
-// silently rot — and when a solver registered in the Scenario/Solver
-// registry is missing from the user-facing docs (README.md, DESIGN.md and
+// silently rot — and when a solver of the Scenario/Solver API's solver
+// table is missing from the user-facing docs (README.md, DESIGN.md and
 // the `dcnflow run -h` usage text), so a solver cannot ship undocumented.
 //
 //	go run ./cmd/doccheck              # audit the root package + solver docs

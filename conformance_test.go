@@ -52,7 +52,7 @@ func conformanceOptions(keep bool) dcnflow.SweepOptions {
 func TestConformanceAllSolvers(t *testing.T) {
 	spec := conformanceSpec()
 	if len(spec.Solvers) < 8 {
-		t.Fatalf("registry lists %d solvers, want the eight built-in families: %v", len(spec.Solvers), spec.Solvers)
+		t.Fatalf("solver table lists %d solvers, want the eight built-in families: %v", len(spec.Solvers), spec.Solvers)
 	}
 	res, err := dcnflow.Sweep(context.Background(), spec, conformanceOptions(true))
 	if err != nil {
@@ -107,9 +107,9 @@ func TestConformanceAllSolvers(t *testing.T) {
 }
 
 // TestConformanceSeedReproducibility: the corpus solved twice — once
-// through two independent sweep runs, once through back-to-back Solve calls
-// on one (scratch-reusing) solver instance — must be bit-identical per
-// seed: same energies, same bounds, same stats, same schedules.
+// through two independent sweep runs, once through back-to-back requests
+// on one (scratch-reusing) Engine — must be bit-identical per seed: same
+// energies, same bounds, same stats, same schedules.
 func TestConformanceSeedReproducibility(t *testing.T) {
 	spec := conformanceSpec()
 	run := func() *dcnflow.SweepResult {
@@ -138,27 +138,29 @@ func TestConformanceSeedReproducibility(t *testing.T) {
 		}
 	}
 
-	// Scratch-reuse half: one constructed solver, same instance, two
-	// solves — per-worker reuse in the engine must never leak state.
+	// Scratch-reuse half: one Engine, same instance, two requests per
+	// family. Instance requests draw the engine's pooled F-MCF solvers, so
+	// a relaxation family's second solve runs on the scratch its first
+	// solve released — pooled reuse must never leak state.
 	inst, err := spec.Cells()[0].Scenario.Instance()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
 	for _, name := range spec.Solvers {
-		solver, err := dcnflow.NewSolver(name,
+		req := dcnflow.Request{Instance: inst, Solver: name, Options: []dcnflow.SolveOption{
 			dcnflow.WithSolverOptions(dcnflow.SolverOptions{MaxIters: 20}),
-			dcnflow.WithSeed(1))
-		if err != nil {
-			t.Fatal(err)
+			dcnflow.WithSeed(1),
+		}}
+		r1 := eng.Solve(context.Background(), req)
+		if r1.Err != nil {
+			t.Fatalf("%s: %v", name, r1.Err)
 		}
-		s1, err := solver.Solve(context.Background(), inst)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		r2 := eng.Solve(context.Background(), req)
+		if r2.Err != nil {
+			t.Fatalf("%s (second solve): %v", name, r2.Err)
 		}
-		s2, err := solver.Solve(context.Background(), inst)
-		if err != nil {
-			t.Fatalf("%s (second solve): %v", name, err)
-		}
+		s1, s2 := r1.Solution, r2.Solution
 		if s1.Energy != s2.Energy || s1.LowerBound != s2.LowerBound {
 			t.Errorf("%s: repeated solves on one instance diverged: energy %v vs %v", name, s1.Energy, s2.Energy)
 		}

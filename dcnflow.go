@@ -20,13 +20,13 @@
 // the irrevocable marginal-cost greedy ("greedy-online") or the
 // rolling-horizon re-optimizer ("rolling-online"), which re-runs the
 // Random-Schedule relaxation over the remaining horizon with frozen
-// commitments at every epoch boundary (SolveDCFSRPartial) and validates
-// every run with the discrete-event simulator (ReplayOnline).
+// commitments at every epoch boundary and validates every run with the
+// discrete-event simulator.
 //
 // # Scenario/Solver API
 //
 // The unified entry point is a typed Instance (graph + flows + power model
-// + horizon, validated once) solved by any registered Solver under a
+// + horizon, validated once) solved by any built-in solver family under a
 // context.Context:
 //
 //	ft, _ := dcnflow.FatTree(8, 1000)            // 80 switches, 128 hosts
@@ -40,8 +40,8 @@
 //	fmt.Println("energy:", sol.Energy, "LB:", sol.LowerBound)
 //
 // SolverNames lists the eight built-in families (dcfsr, dcfs-mcf, sp-mcf,
-// ecmp-mcf, always-on, exact, greedy-online, rolling-online); Register adds
-// custom ones. Instances also load declaratively from JSON scenario specs
+// ecmp-mcf, always-on, exact, greedy-online, rolling-online), a fixed set.
+// Instances also load declaratively from JSON scenario specs
 // (LoadScenario / ScenarioSpec.Instance; `dcnflow run spec.json -solver
 // dcfsr` on the command line), so experiments are data. Solves accept a
 // context — cancellation is observed at Frank–Wolfe iteration and epoch
@@ -104,11 +104,14 @@
 //     gap reported per solve.
 //   - DCFSROptions.WarmStart makes "rolling-online" seed each epoch's
 //     per-interval Frank–Wolfe solves from the previous epoch's
-//     decompositions, which measures roughly half the Frank–Wolfe
-//     iterations of cold starts on slowly varying diurnal workloads (see
-//     DESIGN.md's "Online scheduling" chapter). Offline solves always start
-//     cold, which on the paper's evaluation workloads converges in fewer
-//     iterations. Off by default.
+//     decompositions. On full re-plans of a slowly varying diurnal
+//     workload it saves about a third of the Frank–Wolfe iterations
+//     (`dcnflow online -mode rolling` defaults: 5,408 warm vs 8,448 cold);
+//     on delta epochs (RollingOptions.Delta) almost none (9,533 vs 9,569),
+//     because a touched interval seeds only when its commodity multiset
+//     repeats (see DESIGN.md's "Online scheduling" chapter). Offline
+//     solves always start cold, which on the paper's evaluation workloads
+//     converges in fewer iterations. Off by default.
 package dcnflow
 
 import (
@@ -253,29 +256,10 @@ type (
 	FixedPeriod = online.FixedPeriod
 	// ArrivalCount re-plans once N arrivals are queued.
 	ArrivalCount = online.ArrivalCount
-	// OnlineEngine is the event-driven interface both online schedulers
-	// implement; ReplayOnline drives one through a flow set.
-	OnlineEngine = sim.OnlineEngine
-	// OnlineReplayResult is the validated outcome of an online replay.
-	OnlineReplayResult = sim.ReplayResult
-	// PinnedCommitment is an in-flight flow's frozen state at a re-plan
-	// instant (path, transmitted data).
-	PinnedCommitment = core.PinnedCommitment
-	// DCFSRPartialInput is a residual DCFSR instance with frozen
-	// commitments — the epoch re-solve input.
-	DCFSRPartialInput = core.DCFSRPartialInput
-	// DCFSRPartialResult is the residual plan of a partial solve.
-	DCFSRPartialResult = core.DCFSRPartialResult
-	// RelaxationState carries per-interval fractional solutions across
-	// epochs for warm-started re-solves.
-	RelaxationState = core.RelaxationState
 	// DeltaOptions tunes the rolling scheduler's sensitivity-bounded
 	// incremental delta re-solve (RollingOptions.Delta): opt-in interval
 	// reuse across epochs under a load-drift bound and a staleness cap.
 	DeltaOptions = core.DeltaOptions
-	// CandidatePath is one entry of a flow's aggregated rounding
-	// distribution.
-	CandidatePath = core.CandidatePath
 	// DiurnalConfig parameterises the sinusoidal time-varying workload.
 	DiurnalConfig = flow.DiurnalConfig
 	// PacketLevelOptions configures the store-and-forward simulation.
@@ -296,26 +280,7 @@ func NewOnlineScheduler(g *Graph, m PowerModel, horizon Interval, opts OnlineOpt
 // callers that feed arrivals themselves (Arrive/AdvanceTo/Finish in release
 // order).
 func NewRollingScheduler(g *Graph, m PowerModel, horizon Interval, opts RollingOptions) (*RollingScheduler, error) {
-	return online.NewRolling(g, m, horizon, opts)
-}
-
-// ReplayOnline drives any online scheduling engine through an event-driven
-// replay of the flow set (arrivals interleaved with the engine's re-plan
-// boundaries) and validates the resulting schedule post hoc with the
-// discrete-event simulator.
-func ReplayOnline(g *Graph, flows *FlowSet, m PowerModel, engine OnlineEngine, opts SimOptions) (*OnlineReplayResult, error) {
-	return sim.ReplayOnline(g, flows, m, engine, opts)
-}
-
-// SolveDCFSRPartial re-runs the Random-Schedule relaxation over the
-// remaining horizon with frozen commitments (pinned paths, transmitted
-// data) — the epoch re-solve primitive under the rolling-horizon scheduler,
-// exposed for callers building their own re-optimization loops. Like every
-// solve of the Scenario/Solver API it takes a context, observed at each
-// Frank–Wolfe iteration boundary; pass context.Background() when
-// cancellation is not needed.
-func SolveDCFSRPartial(ctx context.Context, in DCFSRPartialInput) (*DCFSRPartialResult, error) {
-	return core.SolveDCFSRPartialCtx(ctx, in)
+	return online.NewRollingCtx(context.Background(), g, m, horizon, opts)
 }
 
 // SimulatePacketLevel runs the store-and-forward per-link EDF simulation

@@ -38,13 +38,13 @@ type (
 	// serialized.
 	DecisionLog = decision.Log
 	// DecisionOverrides forces specific decisions during a counterfactual
-	// re-run (a forced path, or a flipped admission).
+	// re-run (a forced path).
 	DecisionOverrides = decision.Overrides
 	// DecisionReplayInput is one counterfactual-replay request for
 	// ReplayDecisions.
 	DecisionReplayInput = decision.ReplayInput
 	// DecisionReplayOptions tunes the counterfactual generation (top-k,
-	// flip-admission, fitness weights).
+	// fitness weights, decision budget).
 	DecisionReplayOptions = decision.ReplayOptions
 	// DecisionReplayReport is the replay outcome: the base run plus one
 	// sim-validated row per counterfactual with its regret.

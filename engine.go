@@ -21,8 +21,7 @@ import (
 var ErrBadRequest = errors.New("dcnflow: invalid request")
 
 // EngineOptions configures NewEngine. The zero value serves from a
-// 64-entry compiled-instance cache with GOMAXPROCS batch workers. Solver
-// names resolve through the package-level registry.
+// 64-entry compiled-instance cache with GOMAXPROCS batch workers.
 type EngineOptions struct {
 	// CacheSize bounds the compiled-instance LRU (distinct topology+model
 	// pairs held warm); <= 0 selects 64.
@@ -47,7 +46,7 @@ type EngineOptions struct {
 // returns bit-identical output to a direct Solve of the same scenario with
 // the same options, whether the cache hits or misses, and SolveBatch
 // results are independent of the worker count. The contract is enforced
-// by TestEngineMatchesDirectSolve across all registered solver families
+// by TestEngineMatchesDirectSolve across all built-in solver families
 // and by the -race engine tests.
 //
 // An Engine is safe for concurrent use; `dcnflow serve` exposes one over
@@ -100,7 +99,7 @@ func NewEngine(opts EngineOptions) *Engine {
 }
 
 // Request is one unit of Engine work: a problem to solve with one
-// registered solver. Exactly one of Scenario and Instance must be set —
+// built-in solver. Exactly one of Scenario and Instance must be set —
 // scenarios resolve through the engine's compiled-instance cache, while
 // pre-built instances bypass it but still draw pooled solver scratch.
 type Request struct {
@@ -111,7 +110,7 @@ type Request struct {
 	Scenario *ScenarioSpec
 	// Instance supplies a pre-built problem instead of a scenario.
 	Instance *Instance
-	// Solver is the registered solver name.
+	// Solver names the solver family (SolverNames).
 	Solver string
 	// Timeout, when positive, bounds this request's solve (the context the
 	// solver sees is cancelled after this long).
@@ -338,8 +337,7 @@ func (e *Engine) Solve(ctx context.Context, req Request) Result {
 
 	inst := req.Instance
 	hit := false
-	opts := make([]SolveOption, 0, len(req.Options)+2)
-	opts = append(opts, req.Options...)
+	cfg := newSolverConfig(req.Options)
 	if req.Scenario != nil {
 		ci, h, err := e.compile(req.Scenario)
 		if err != nil {
@@ -352,10 +350,10 @@ func (e *Engine) Solve(ctx context.Context, req Request) Result {
 		}
 		// The scenario's Seed is the request's seed, applied last exactly
 		// like `dcnflow run` applies WithSeed(spec.Seed).
-		opts = append(opts, WithSeed(req.Scenario.Seed))
+		WithSeed(req.Scenario.Seed)(&cfg)
 	}
-	opts = append(opts, withScratch(e.pools))
-	sol, err := defaultRegistry.Solve(ctx, req.Solver, inst, opts...)
+	cfg.scratch = e.pools
+	sol, err := solve(ctx, req.Solver, cfg, inst)
 	return done(Result{Solution: sol, Err: err, CacheHit: hit})
 }
 
@@ -406,11 +404,7 @@ func (e *Engine) LowerBound(ctx context.Context, spec *ScenarioSpec, opts ...Sol
 	if err != nil {
 		return 0, err
 	}
-	var cfg SolverConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	d := cfg.DCFSR
+	d := newSolverConfig(opts).DCFSR
 	d.Progress = nil
 	ent.lmu.Lock()
 	memo, ok := ent.lbs[d.Solver]
@@ -495,11 +489,4 @@ func (p *enginePools) poolFor(g *Graph, m PowerModel, opts SolverOptions) *mcfso
 		p.order = p.order[1:]
 	}
 	return pool
-}
-
-// withScratch hands the engine's pooled scratch to the built-in solver
-// factories (an internal option: the exported With* options never touch
-// it).
-func withScratch(p *enginePools) SolveOption {
-	return func(c *SolverConfig) { c.scratch = p }
 }

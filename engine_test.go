@@ -37,8 +37,8 @@ var engineTestOptions = []dcnflow.SolveOption{
 }
 
 // solveDirect reproduces exactly what the engine promises to match: a
-// fresh instance from the spec, a fresh registry solver, the scenario seed
-// applied after the shared options.
+// fresh instance from the spec, a direct Solve, the scenario seed applied
+// after the shared options.
 func solveDirect(t *testing.T, scen *dcnflow.ScenarioSpec, solver string) *dcnflow.Solution {
 	t.Helper()
 	inst, err := scen.Instance()
@@ -71,13 +71,13 @@ func assertSolutionsEqual(t *testing.T, label string, want, got *dcnflow.Solutio
 // TestEngineMatchesDirectSolve is the cache bit-identicality regression of
 // the acceptance criteria: for every scenario of the conformance corpus and
 // every registered solver family, Engine solves — cold and warm alike —
-// must equal the direct registry Solve output exactly: same energy bits,
+// must equal the direct Solve output exactly: same energy bits,
 // bounds, stats and schedules.
 func TestEngineMatchesDirectSolve(t *testing.T) {
 	corpus := engineCorpus(t)
 	solvers := dcnflow.SolverNames()
 	if len(solvers) < 8 {
-		t.Fatalf("registry lists %d solvers, want the eight built-in families", len(solvers))
+		t.Fatalf("solver table lists %d solvers, want the eight built-in families", len(solvers))
 	}
 	eng := dcnflow.NewEngine(dcnflow.EngineOptions{})
 	for _, scen := range corpus {

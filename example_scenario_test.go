@@ -28,9 +28,9 @@ func ExampleLoadScenario() {
 	// Output: dcfsr on "line-demo": 2 flows, energy 320
 }
 
-// ExampleSolve runs two registered solver families on the same typed
-// Instance and compares them against the shared fractional lower bound —
-// the uniform comparison loop the Scenario/Solver registry exists for.
+// ExampleSolve runs two solver families on the same typed Instance and
+// compares them against the shared fractional lower bound — the uniform
+// comparison loop the Scenario/Solver API exists for.
 func ExampleSolve() {
 	ft, _ := dcnflow.FatTree(4, 1000)
 	flows, _ := dcnflow.UniformWorkload(dcnflow.WorkloadConfig{

@@ -135,7 +135,7 @@ func goldenRelaxationRowOf(c goldenRelaxationCase, sol *dcnflow.Solution) golden
 // lower-bound bits, a hash of every flow's path and rate-segment bits, and
 // the iteration and epoch counters. Every row must come out the same at
 // interval fan-out widths 1, 2 and 7, through an Engine with pooled
-// solvers and through a direct registry Solve, which builds its instance
+// solvers and through a direct Solve, which builds its instance
 // and its solvers per call.
 //
 // testdata/golden_relaxation_outputs.jsonl was generated once, at commit

@@ -13,7 +13,7 @@ var ErrBadInstance = errors.New("dcnflow: invalid instance")
 // Instance is a fully validated problem instance of the Scenario/Solver
 // API: the network graph, the deadline-constrained flow set, the link power
 // model and the scheduling horizon, checked once at construction so every
-// registered Solver can consume it without re-validating. Build one with
+// solver family can consume it without re-validating. Build one with
 // NewInstance (the common case) or NewInstanceBuilder (optional routing,
 // horizon override, topology attachment), or declaratively from a
 // ScenarioSpec via its Instance method.

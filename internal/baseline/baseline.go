@@ -1,8 +1,10 @@
 // Package baseline implements the comparison schemes of the evaluation:
-// SP+MCF (shortest-path routing plus Most-Critical-First scheduling — the
-// paper's stand-in for "the normal energy consumption in data centers"),
-// ECMP+MCF (randomised equal-cost multi-path routing), and an always-on
-// full-rate scheme modelling a data center with no energy management.
+// the routings of SP+MCF (shortest-path routing plus Most-Critical-First
+// scheduling — the paper's stand-in for "the normal energy consumption in
+// data centers") and ECMP+MCF (randomised equal-cost multi-path routing),
+// whose schedules core.SolveDCFSCtx computes on those routes, and an
+// always-on full-rate scheme modelling a data center with no energy
+// management.
 package baseline
 
 import (
@@ -11,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dcnflow/internal/core"
 	"dcnflow/internal/flow"
 	"dcnflow/internal/graph"
 	"dcnflow/internal/power"
@@ -87,18 +88,6 @@ func ECMPPaths(g *graph.Graph, flows *flow.Set, k int, seed int64) (map[flow.ID]
 		paths[f.ID] = equal[rng.Intn(len(equal))]
 	}
 	return paths, nil
-}
-
-// SPMCF runs the paper's comparison scheme: deterministic shortest-path
-// routing followed by the optimal Most-Critical-First schedule on those
-// routes. The result "can give the lower bound of the energy consumption
-// by SP routing" (Section V-C).
-func SPMCF(g *graph.Graph, flows *flow.Set, m power.Model) (*core.DCFSResult, error) {
-	paths, err := ShortestPaths(g, flows)
-	if err != nil {
-		return nil, err
-	}
-	return core.SolveDCFS(core.DCFSInput{Graph: g, Flows: flows, Paths: paths, Model: m})
 }
 
 // AlwaysOnResult is the outcome of the no-energy-management baseline.

@@ -1,12 +1,14 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"dcnflow/internal/core"
 	"dcnflow/internal/flow"
+	"dcnflow/internal/graph"
 	"dcnflow/internal/power"
 	"dcnflow/internal/schedule"
 	"dcnflow/internal/topology"
@@ -99,13 +101,25 @@ func TestECMPDiversity(t *testing.T) {
 	}
 }
 
-func TestSPMCFFeasible(t *testing.T) {
-	ft, fs := fixture(t, 25, 3)
-	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := SPMCF(ft.Graph, fs, m)
+// spmcf runs the SP+MCF scheme: shortest-path routing, then the optimal
+// Most-Critical-First schedule on those routes.
+func spmcf(t *testing.T, g *graph.Graph, fs *flow.Set, m power.Model) *core.DCFSResult {
+	t.Helper()
+	paths, err := ShortestPaths(g, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := core.SolveDCFSCtx(context.Background(), core.DCFSInput{Graph: g, Flows: fs, Paths: paths, Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestSPMCFFeasible(t *testing.T) {
+	ft, fs := fixture(t, 25, 3)
+	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
+	res := spmcf(t, ft.Graph, fs, m)
 	if err := res.Schedule.Verify(ft.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +188,7 @@ func TestAlwaysOnErrors(t *testing.T) {
 	})
 }
 
-// TestSPMCFIsWorseThanOrEqualToECMPBest exercises both baselines on a
+// TestBaselinesCoincideOnLine exercises both baselines on a
 // congested single-rack pattern where they coincide (sanity: deterministic
 // vs randomized routing with one candidate path).
 func TestBaselinesCoincideOnLine(t *testing.T) {
@@ -190,15 +204,12 @@ func TestBaselinesCoincideOnLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.1, Mu: 1, Alpha: 2}
-	sp, err := SPMCF(line.Graph, fs, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := spmcf(t, line.Graph, fs, m)
 	paths, err := ECMPPaths(line.Graph, fs, 4, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecmp, err := core.SolveDCFS(core.DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+	ecmp, err := core.SolveDCFSCtx(context.Background(), core.DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}

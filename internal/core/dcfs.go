@@ -94,7 +94,7 @@ func (in DCFSInput) validate() error {
 	return nil
 }
 
-// SolveDCFS runs the Most-Critical-First algorithm (Algorithm 1): it
+// SolveDCFSCtx runs the Most-Critical-First algorithm (Algorithm 1): it
 // iteratively finds the (link, interval) pair with the highest intensity
 // delta(I, e) = sum of contained virtual weights / available time
 // (Definitions 1-2), schedules the contained flows with preemptive EDF at
@@ -106,13 +106,10 @@ func (in DCFSInput) validate() error {
 // scheduled flow's path. The resulting schedule is optimal for DCFS
 // (Corollary 1). The maximum-rate constraint is relaxed, as justified in
 // Section III-A.
-func SolveDCFS(in DCFSInput) (*DCFSResult, error) {
-	return SolveDCFSCtx(context.Background(), in)
-}
-
-// SolveDCFSCtx is SolveDCFS under a context: cancellation is checked between
-// Most-Critical-First rounds and the wrapped context error is returned
-// instead of a partial schedule.
+//
+// Cancellation is checked between Most-Critical-First rounds and the
+// wrapped context error is returned instead of a partial schedule. A nil
+// ctx is treated as context.Background().
 func SolveDCFSCtx(ctx context.Context, in DCFSInput) (*DCFSResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

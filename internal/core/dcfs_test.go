@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -57,7 +58,7 @@ func exampleOne(t *testing.T) DCFSInput {
 
 func TestDCFSExampleOneOptimalRates(t *testing.T) {
 	in := exampleOne(t)
-	res, err := SolveDCFS(in)
+	res, err := SolveDCFSCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestDCFSExampleOneOptimalRates(t *testing.T) {
 
 func TestDCFSExampleOneSingleCriticalRound(t *testing.T) {
 	in := exampleOne(t)
-	res, err := SolveDCFS(in)
+	res, err := SolveDCFSCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDCFSEmptyFlowSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFS(DCFSInput{
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{
 		Graph: line.Graph, Flows: fs, Paths: map[flow.ID]graph.Path{},
 		Model: power.Model{Mu: 1, Alpha: 2},
 	})
@@ -137,28 +138,28 @@ func TestDCFSInputValidation(t *testing.T) {
 	t.Run("nil graph", func(t *testing.T) {
 		bad := in
 		bad.Graph = nil
-		if _, err := SolveDCFS(bad); !errors.Is(err, ErrBadInput) {
+		if _, err := SolveDCFSCtx(context.Background(), bad); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("bad model", func(t *testing.T) {
 		bad := in
 		bad.Model = power.Model{Mu: 1, Alpha: 0.5}
-		if _, err := SolveDCFS(bad); !errors.Is(err, ErrBadInput) {
+		if _, err := SolveDCFSCtx(context.Background(), bad); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("missing path", func(t *testing.T) {
 		bad := in
 		bad.Paths = map[flow.ID]graph.Path{0: in.Paths[0]}
-		if _, err := SolveDCFS(bad); !errors.Is(err, ErrBadInput) {
+		if _, err := SolveDCFSCtx(context.Background(), bad); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("wrong path endpoints", func(t *testing.T) {
 		bad := in
 		bad.Paths = map[flow.ID]graph.Path{0: in.Paths[1], 1: in.Paths[1]}
-		if _, err := SolveDCFS(bad); !errors.Is(err, ErrBadInput) {
+		if _, err := SolveDCFSCtx(context.Background(), bad); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
@@ -196,7 +197,7 @@ func TestDCFSMatchesYDSOnSharedLink(t *testing.T) {
 			paths[f.ID] = p
 		}
 		alpha := 2.0
-		res, err := SolveDCFS(DCFSInput{
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{
 			Graph: top.Graph, Flows: fs, Paths: paths,
 			Model: power.Model{Mu: 1, Alpha: alpha},
 		})
@@ -239,7 +240,7 @@ func TestDCFSFeasibleOnFatTree(t *testing.T) {
 			}
 			paths[f.ID] = p
 		}
-		res, err := SolveDCFS(DCFSInput{Graph: ft.Graph, Flows: fs, Paths: paths, Model: m})
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: ft.Graph, Flows: fs, Paths: paths, Model: m})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -282,7 +283,7 @@ func TestDCFSEnergyNeverBelowJensenBound(t *testing.T) {
 			paths[f.ID] = p
 		}
 		m := power.Model{Mu: 1, Alpha: 2}
-		res, err := SolveDCFS(DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 		if err != nil {
 			return false
 		}
@@ -339,7 +340,7 @@ func TestDCFSSingleRatePerFlow(t *testing.T) {
 		}
 		paths[f.ID] = p
 	}
-	res, err := SolveDCFS(DCFSInput{
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{
 		Graph: ft.Graph, Flows: fs, Paths: paths,
 		Model: power.Model{Mu: 1, Alpha: 2},
 	})
@@ -377,7 +378,7 @@ func TestDCFSDecreasingIntensity(t *testing.T) {
 		}
 		paths[f.ID] = p
 	}
-	res, err := SolveDCFS(DCFSInput{
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{
 		Graph: ft.Graph, Flows: fs, Paths: paths,
 		Model: power.Model{Mu: 1, Alpha: 2},
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestDCFSRMeetsAllDeadlines(t *testing.T) {
 	// Theorem 4: every deadline is met by Random-Schedule.
 	ft, fs := fatTreeWorkload(t, 4, 20, 1)
 	m := power.Model{Sigma: 1, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := SolveDCFSR(DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestDCFSRMeetsAllDeadlines(t *testing.T) {
 func TestDCFSREnergyAtLeastLowerBound(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 15, 2)
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := SolveDCFSR(DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestDCFSRDeterministicPerSeed(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 12, 3)
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
 	run := func(seed int64) float64 {
-		res, err := SolveDCFSR(DCFSRInput{
+		res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 			Graph: ft.Graph, Flows: fs, Model: m,
 			Opts: DCFSROptions{Seed: seed},
 		})
@@ -88,7 +89,7 @@ func TestDCFSRSingleFlowUsesSinglePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := SolveDCFSR(DCFSRInput{Graph: line.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: line.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestDCFSRHardnessGadgetConsolidates(t *testing.T) {
 		Alpha: alpha,
 		C:     1e9,
 	}
-	res, err := SolveDCFSR(DCFSRInput{Graph: top.Graph, Flows: fs, Model: model})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: top.Graph, Flows: fs, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestDCFSRCapacityRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 1, Mu: 1, Alpha: 2, C: 2}
-	res, err := SolveDCFSR(DCFSRInput{
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 		Graph: top.Graph, Flows: fs, Model: m,
 		Opts: DCFSROptions{Seed: 1, MaxRoundingAttempts: 200},
 	})
@@ -192,7 +193,7 @@ func TestDCFSREmptyFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFSR(DCFSRInput{
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 		Graph: line.Graph, Flows: fs,
 		Model: power.Model{Mu: 1, Alpha: 2},
 	})
@@ -213,10 +214,10 @@ func TestDCFSRInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveDCFSR(DCFSRInput{Flows: fs, Model: power.Model{Mu: 1, Alpha: 2}}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Flows: fs, Model: power.Model{Mu: 1, Alpha: 2}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph err = %v, want ErrBadInput", err)
 	}
-	if _, err := SolveDCFSR(DCFSRInput{Graph: line.Graph, Flows: fs, Model: power.Model{Mu: 0, Alpha: 2}}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: line.Graph, Flows: fs, Model: power.Model{Mu: 0, Alpha: 2}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad model err = %v, want ErrBadInput", err)
 	}
 }
@@ -224,21 +225,21 @@ func TestDCFSRInputValidation(t *testing.T) {
 func TestLowerBoundStandalone(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 10, 4)
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	lb, err := LowerBound(ft.Graph, fs, m, DCFSROptions{})
+	lb, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, DCFSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lb <= 0 {
 		t.Fatalf("LowerBound = %v, want > 0", lb)
 	}
-	res, err := SolveDCFSR(DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(lb, res.LowerBound, 1e-9) {
 		t.Fatalf("standalone LB %v != solver LB %v", lb, res.LowerBound)
 	}
-	if _, err := LowerBound(nil, fs, m, DCFSROptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := LowerBoundCtx(context.Background(), nil, fs, m, DCFSROptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph err = %v, want ErrBadInput", err)
 	}
 }
@@ -248,7 +249,7 @@ func TestDCFSRAttemptsSemantics(t *testing.T) {
 	// attempt is consumed.
 	ft, fs := fatTreeWorkload(t, 4, 10, 6)
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := SolveDCFSR(DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestDCFSRAttemptsSemantics(t *testing.T) {
 	}
 	// Uncapped model: always feasible on the first draw.
 	un := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2}
-	res2, err := SolveDCFSR(DCFSRInput{Graph: ft.Graph, Flows: fs, Model: un})
+	res2, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: un})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestDCFSRInfeasibleStillReturnsBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 1, Mu: 1, Alpha: 2, C: 2}
-	res, err := SolveDCFSR(DCFSRInput{
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 		Graph: top.Graph, Flows: fs, Model: m,
 		Opts: DCFSROptions{Seed: 1, MaxRoundingAttempts: 10},
 	})
@@ -317,7 +318,7 @@ func TestDCFSRLambdaAndIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFSR(DCFSRInput{
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 		Graph: line.Graph, Flows: fs,
 		Model: power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9},
 	})

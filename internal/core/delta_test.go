@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -20,7 +21,7 @@ func deltaFixture(t *testing.T) (*topology.Topology, graph.NodeID, graph.NodeID,
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SolveDCFSRPartial(DCFSRPartialInput{
+	full, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: top.Graph,
 		Flows: []flow.Flow{
 			{ID: 1, Src: src, Dst: dst, Release: 0, Deadline: 10, Size: 20},
@@ -75,7 +76,7 @@ func TestDeltaBaseLoadRejectsPinned(t *testing.T) {
 	in.Pinned = map[flow.ID]PinnedCommitment{
 		2: {Path: graph.Path{Edges: []graph.EdgeID{0}}, Demand: 1.5},
 	}
-	if _, err := SolveDCFSRPartial(in); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRPartialCtx(context.Background(), in); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("BaseLoad with Pinned: err = %v, want ErrBadInput", err)
 	}
 }
@@ -86,7 +87,7 @@ func TestDeltaBaseLoadRejectsPinned(t *testing.T) {
 func TestDeltaDeclinesWithoutPrev(t *testing.T) {
 	top, src, dst, _, intervals := deltaFixture(t)
 	in := deltaInput(top, src, dst, nil, intervals, func(iv timeline.Interval, out []float64) {})
-	res, err := SolveDCFSRPartial(in)
+	res, err := SolveDCFSRPartialCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestDeltaDeclinesOnDrift(t *testing.T) {
 			}
 		}
 	})
-	res, err := SolveDCFSRPartial(in)
+	res, err := SolveDCFSRPartialCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDeltaDeclinesOnStale(t *testing.T) {
 		}
 	})
 	in.Delta.MaxStaleEpochs = 3
-	res, err := SolveDCFSRPartial(in)
+	res, err := SolveDCFSRPartialCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestDeltaSolveLocalizes(t *testing.T) {
 			out[e] = 1
 		}
 	})
-	res, err := SolveDCFSRPartial(in)
+	res, err := SolveDCFSRPartialCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

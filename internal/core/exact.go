@@ -42,7 +42,7 @@ type ExactResult struct {
 	Result *DCFSResult
 }
 
-// SolveDCFSRExact computes the exact DCFSR optimum (within the paper's
+// SolveDCFSRExactCtx computes the exact DCFSR optimum (within the paper's
 // virtual-circuit model with the capacity constraint relaxed) for SMALL
 // instances by enumerating per-flow candidate paths and scheduling every
 // assignment optimally with Most-Critical-First. Because the idle-energy
@@ -52,14 +52,11 @@ type ExactResult struct {
 //
 // It exists to validate Random-Schedule empirically; its cost is
 // exponential in the number of flows.
-func SolveDCFSRExact(in DCFSRInput, opts ExactOptions) (*ExactResult, error) {
-	return SolveDCFSRExactCtx(context.Background(), in, opts)
-}
-
-// SolveDCFSRExactCtx is SolveDCFSRExact under a context: cancellation is
-// checked between path assignments, so the enumeration stops within one
-// Most-Critical-First schedule of the context ending and returns the wrapped
-// context error instead of the best-so-far assignment.
+//
+// Cancellation is checked between path assignments and between the
+// Most-Critical-First rounds of each, so the enumeration stops within one
+// round of ctx ending and returns the wrapped context error instead of the
+// best-so-far assignment.
 func SolveDCFSRExactCtx(ctx context.Context, in DCFSRInput, opts ExactOptions) (*ExactResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -92,7 +89,7 @@ func SolveDCFSRExactCtx(ctx context.Context, in DCFSRInput, opts ExactOptions) (
 
 	best := &ExactResult{Energy: math.Inf(1)}
 	if len(flows) == 0 {
-		res, err := SolveDCFS(DCFSInput{Graph: in.Graph, Flows: in.Flows, Paths: map[flow.ID]graph.Path{}, Model: in.Model})
+		res, err := SolveDCFSCtx(ctx, DCFSInput{Graph: in.Graph, Flows: in.Flows, Paths: map[flow.ID]graph.Path{}, Model: in.Model})
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +105,7 @@ func SolveDCFSRExactCtx(ctx context.Context, in DCFSRInput, opts ExactOptions) (
 		for i, f := range flows {
 			assignment[f.ID] = candidates[i][idx[i]]
 		}
-		res, err := SolveDCFS(DCFSInput{Graph: in.Graph, Flows: in.Flows, Paths: assignment, Model: in.Model})
+		res, err := SolveDCFSCtx(ctx, DCFSInput{Graph: in.Graph, Flows: in.Flows, Paths: assignment, Model: in.Model})
 		if err != nil {
 			return nil, fmt.Errorf("core: exact scheduling: %w", err)
 		}

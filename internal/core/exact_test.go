@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -32,7 +33,7 @@ func TestExactMatchesTheorem2Optimum(t *testing.T) {
 		Sigma: power.SigmaForRopt(1, alpha, B),
 		Mu:    1, Alpha: alpha, C: 1e12,
 	}
-	exact, err := SolveDCFSRExact(DCFSRInput{Graph: top.Graph, Flows: fs, Model: model},
+	exact, err := SolveDCFSRExactCtx(context.Background(), DCFSRInput{Graph: top.Graph, Flows: fs, Model: model},
 		ExactOptions{PathsPerFlow: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +67,11 @@ func TestExactNeverWorseThanHeuristics(t *testing.T) {
 		}
 		m := power.Model{Sigma: 1, Mu: 1, Alpha: 2, C: 1e12}
 		in := DCFSRInput{Graph: top.Graph, Flows: fs, Model: m, Opts: DCFSROptions{Seed: seed}}
-		exact, err := SolveDCFSRExact(in, ExactOptions{PathsPerFlow: 3})
+		exact, err := SolveDCFSRExactCtx(context.Background(), in, ExactOptions{PathsPerFlow: 3})
 		if err != nil {
 			return false
 		}
-		rs, err := SolveDCFSR(in)
+		rs, err := SolveDCFSRCtx(context.Background(), in)
 		if err != nil {
 			return false
 		}
@@ -100,11 +101,11 @@ func TestExactGuards(t *testing.T) {
 	}
 	m := power.Model{Mu: 1, Alpha: 2}
 	// 4^10 assignments exceed the default bound.
-	_, err = SolveDCFSRExact(DCFSRInput{Graph: top.Graph, Flows: fs, Model: m}, ExactOptions{})
+	_, err = SolveDCFSRExactCtx(context.Background(), DCFSRInput{Graph: top.Graph, Flows: fs, Model: m}, ExactOptions{})
 	if !errors.Is(err, ErrBadInput) {
 		t.Fatalf("oversized instance err = %v, want ErrBadInput", err)
 	}
-	if _, err := SolveDCFSRExact(DCFSRInput{Flows: fs, Model: m}, ExactOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRExactCtx(context.Background(), DCFSRInput{Flows: fs, Model: m}, ExactOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph err = %v, want ErrBadInput", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestExactEmptyFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFSRExact(DCFSRInput{
+	res, err := SolveDCFSRExactCtx(context.Background(), DCFSRInput{
 		Graph: line.Graph, Flows: fs, Model: power.Model{Mu: 1, Alpha: 2},
 	}, ExactOptions{})
 	if err != nil {

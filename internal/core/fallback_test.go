@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dcnflow/internal/flow"
@@ -37,9 +38,9 @@ func TestDCFSSharedFallbackRegression(t *testing.T) {
 		paths[f.ID] = p
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e12}
-	res, err := SolveDCFS(DCFSInput{Graph: ft.Graph, Flows: fs, Paths: paths, Model: m})
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: ft.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
-		t.Fatalf("SolveDCFS: %v", err)
+		t.Fatalf("SolveDCFSCtx: %v", err)
 	}
 	// Every deadline must still hold (capacity/exclusivity relaxed).
 	if err := res.Schedule.Verify(ft.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
@@ -83,9 +84,9 @@ func TestDCFSDurationClampRegression(t *testing.T) {
 		paths[f.ID] = p
 	}
 	m := power.Model{Mu: 1, Alpha: 2.5}
-	res, err := SolveDCFS(DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
-		t.Fatalf("SolveDCFS: %v", err)
+		t.Fatalf("SolveDCFSCtx: %v", err)
 	}
 	if err := res.Schedule.Verify(line.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -123,9 +124,9 @@ func TestDCFSSharedFallbackSynthetic(t *testing.T) {
 		paths[f.ID] = p
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e12}
-	res, err := SolveDCFS(DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
-		t.Fatalf("SolveDCFS: %v", err)
+		t.Fatalf("SolveDCFSCtx: %v", err)
 	}
 	if err := res.Schedule.Verify(line.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
 		t.Fatalf("Verify: %v", err)

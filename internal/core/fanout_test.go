@@ -95,7 +95,7 @@ func deltaFanOutInput(t *testing.T, ft *topology.Topology, batch []flow.Flow, p 
 		flows = append(flows, flow.Flow{ID: flow.ID(i + 1), Src: h[i], Dst: h[15-i], Release: 0, Deadline: d, Size: 5})
 	}
 	opts := DCFSROptions{Seed: 1, Parallelism: p, WarmStart: true}
-	full, err := SolveDCFSRPartial(DCFSRPartialInput{
+	full, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: flows, Model: fanoutModel, Now: 0,
 		Delta: DeltaOptions{Enabled: true, DriftBound: 0.5}, Opts: opts,
 	})

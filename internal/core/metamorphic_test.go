@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,7 +74,7 @@ func TestMetamorphicDCFSTimeShiftInvariant(t *testing.T) {
 		paths[f.ID] = p
 	}
 	solve := func(set *flow.Set) float64 {
-		res, err := SolveDCFS(DCFSInput{Graph: ft.Graph, Flows: set, Paths: paths, Model: m})
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: ft.Graph, Flows: set, Paths: paths, Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestMetamorphicDCFSSizeScaling(t *testing.T) {
 		paths[f.ID] = p
 	}
 	solve := func(set *flow.Set) float64 {
-		res, err := SolveDCFS(DCFSInput{Graph: ft.Graph, Flows: set, Paths: paths, Model: m})
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: ft.Graph, Flows: set, Paths: paths, Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +124,12 @@ func TestMetamorphicLowerBoundScaling(t *testing.T) {
 	ft, fs := smallInstance(t, 33, 10)
 	m := power.Model{Mu: 1, Alpha: 2}
 	opts := DCFSROptions{Solver: mcfsolve.Options{MaxIters: 40, Tol: 1e-8}}
-	base, err := LowerBound(ft.Graph, fs, m, opts)
+	base, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const c = 2.0
-	scaled, err := LowerBound(ft.Graph, scaleFlows(t, fs, c), m, opts)
+	scaled, err := LowerBoundCtx(context.Background(), ft.Graph, scaleFlows(t, fs, c), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestMetamorphicDCFSRSubsetMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		full, err := LowerBound(ft.Graph, fs, m, DCFSROptions{Solver: mcfsolve.Options{MaxIters: 25}})
+		full, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, DCFSROptions{Solver: mcfsolve.Options{MaxIters: 25}})
 		if err != nil {
 			return false
 		}
-		partial, err := LowerBound(ft.Graph, sub, m, DCFSROptions{Solver: mcfsolve.Options{MaxIters: 25}})
+		partial, err := LowerBoundCtx(context.Background(), ft.Graph, sub, m, DCFSROptions{Solver: mcfsolve.Options{MaxIters: 25}})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dcnflow/internal/flow"
@@ -42,7 +43,7 @@ func TestDCFSROverflowingLinkRatesKeepFirstAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range overflowModels {
-		res, err := SolveDCFSR(DCFSRInput{Graph: line.Graph, Flows: set, Model: m, Opts: DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}})
+		res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: line.Graph, Flows: set, Model: m, Opts: DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}})
 		if err != nil {
 			t.Fatalf("C=%v: %v", m.C, err)
 		}
@@ -67,7 +68,7 @@ func TestDCFSROverflowingLinkRatesKeepFirstAttempt(t *testing.T) {
 func TestPartialOverflowingLinkRatesKeepFirstAttempt(t *testing.T) {
 	line, flows := overflowFlows(t)
 	for _, m := range overflowModels {
-		res, err := SolveDCFSRPartial(DCFSRPartialInput{Graph: line.Graph, Flows: flows, Model: m, Now: 1, Opts: DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}})
+		res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Graph: line.Graph, Flows: flows, Model: m, Now: 1, Opts: DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}})
 		if err != nil {
 			t.Fatalf("C=%v: %v", m.C, err)
 		}

@@ -36,10 +36,10 @@ type PinnedCommitment struct {
 
 // RelaxationState carries one epoch's per-interval fractional solutions
 // across re-plans. The next epoch seeds each of its interval solves from
-// the state interval containing the same instant (commodities match by flow
-// ID inside mcfsolve.Solver.SolveWarm), which is what makes rolling-horizon
-// chains of near-identical residual instances converge in few Frank–Wolfe
-// iterations.
+// the state interval containing the same instant (commodities match by
+// flow ID inside mcfsolve.Solver.SolveBaseWarmCtx), which is what makes
+// rolling-horizon chains of near-identical residual instances converge in
+// few Frank–Wolfe iterations.
 type RelaxationState struct {
 	// Intervals is the residual-horizon decomposition of that epoch.
 	Intervals []timeline.Interval
@@ -70,7 +70,7 @@ type IntervalFingerprint struct {
 }
 
 // DeltaOptions tunes the sensitivity-bounded delta re-solve of
-// SolveDCFSRPartial — the opt-in localized epoch path of the rolling
+// SolveDCFSRPartialCtx — the opt-in localized epoch path of the rolling
 // scheduler. The zero value disables delta mode entirely and changes
 // nothing about the solve.
 type DeltaOptions struct {
@@ -256,15 +256,15 @@ type residual struct {
 	pinned  bool
 }
 
-// SolveDCFSRPartial re-runs the Random-Schedule relaxation over the
+// SolveDCFSRPartialCtx re-runs the Random-Schedule relaxation over the
 // remaining horizon with frozen commitments — the epoch re-solve of the
 // rolling-horizon online scheduler:
 //
 //  1. every active flow is reduced to its residual instance: demand
 //     Size - Transmitted over [max(Release, Now), Deadline];
 //  2. the residual multi-interval F-MCF relaxation is solved exactly as in
-//     SolveDCFSR, warm-seeded per interval from Prev when Opts.WarmStart is
-//     set (mcfsolve.Solver.SolveWarm matches commodities by flow ID);
+//     SolveDCFSRCtx, warm-seeded per interval from Prev when Opts.WarmStart
+//     is set (mcfsolve.WarmStart matches commodities by flow ID);
 //  3. free flows are rounded to candidate paths (modal-first under Argmax,
 //     sampled otherwise, re-sampled on capacity violations); pinned flows
 //     keep their pinned path — the rounding is where the frozen
@@ -274,14 +274,10 @@ type residual struct {
 // is the residual lower bound of the unconstrained continuation; since
 // pinning only removes options, it also lower-bounds the pinned
 // continuation the caller will actually execute.
-func SolveDCFSRPartial(in DCFSRPartialInput) (*DCFSRPartialResult, error) {
-	return SolveDCFSRPartialCtx(context.Background(), in)
-}
-
-// SolveDCFSRPartialCtx is SolveDCFSRPartial under a context: the residual
-// relaxation's Frank–Wolfe solves observe cancellation at every iteration
-// boundary and the wrapped context error is returned instead of a partial
-// plan.
+//
+// The residual relaxation's Frank–Wolfe solves observe cancellation at
+// every iteration boundary and the wrapped context error is returned
+// instead of a partial plan.
 func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPartialResult, error) {
 	if in.Graph == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrBadInput)

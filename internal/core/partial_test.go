@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -16,16 +17,16 @@ func partialModel() power.Model { return power.Model{Mu: 1, Alpha: 2, C: 1e9} }
 
 // TestPartialMatchesFullRelaxationAtStart: with Now at the horizon start and
 // nothing pinned, the residual instance IS the full instance, so the
-// residual lower bound must equal core.LowerBound exactly.
+// residual lower bound must equal LowerBoundCtx exactly.
 func TestPartialMatchesFullRelaxationAtStart(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 12, 7)
 	m := partialModel()
 	opts := DCFSROptions{Seed: 1, Solver: mcfsolve.Options{MaxIters: 25}}
-	lb, err := LowerBound(ft.Graph, fs, m, opts)
+	lb, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFSRPartial(DCFSRPartialInput{
+	res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: fs.Flows(), Model: m, Now: 0, Opts: opts,
 	})
 	if err != nil {
@@ -77,7 +78,7 @@ func TestPartialFrozenCommitments(t *testing.T) {
 	pinned := map[flow.ID]PinnedCommitment{
 		f0.ID: {Path: pinPath, Transmitted: f0.Size / 2},
 	}
-	res, err := SolveDCFSRPartial(DCFSRPartialInput{
+	res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: active, Model: m, Now: now, Pinned: pinned,
 		Opts: DCFSROptions{Seed: 2, Solver: mcfsolve.Options{MaxIters: 20}},
 	})
@@ -110,7 +111,7 @@ func TestPartialCompletedFlowSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDCFSRPartial(DCFSRPartialInput{
+	res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: flows, Model: m, Now: 0,
 		Pinned: map[flow.ID]PinnedCommitment{f0.ID: {Path: p, Transmitted: f0.Size}},
 		Opts:   DCFSROptions{Seed: 1, Solver: mcfsolve.Options{MaxIters: 15}},
@@ -135,7 +136,7 @@ func TestPartialExpiredDeadline(t *testing.T) {
 	for _, f := range flows {
 		latest = math.Max(latest, f.Deadline)
 	}
-	_, err := SolveDCFSRPartial(DCFSRPartialInput{
+	_, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: flows, Model: m, Now: latest + 1,
 		Opts: DCFSROptions{Seed: 1},
 	})
@@ -149,19 +150,19 @@ func TestPartialBadInput(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 4, 11)
 	m := partialModel()
 	flows := fs.Flows()
-	if _, err := SolveDCFSRPartial(DCFSRPartialInput{Flows: flows, Model: m}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Flows: flows, Model: m}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph: %v", err)
 	}
 	dup := append([]flow.Flow{flows[0]}, flows...)
-	if _, err := SolveDCFSRPartial(DCFSRPartialInput{Graph: ft.Graph, Flows: dup, Model: m}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Graph: ft.Graph, Flows: dup, Model: m}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("duplicate id: %v", err)
 	}
 	bad := map[flow.ID]PinnedCommitment{flows[0].ID: {Path: graph.Path{}, Transmitted: 0}}
-	if _, err := SolveDCFSRPartial(DCFSRPartialInput{Graph: ft.Graph, Flows: flows, Model: m, Pinned: bad}); !errors.Is(err, ErrBadInput) {
+	if _, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Graph: ft.Graph, Flows: flows, Model: m, Pinned: bad}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad pinned path: %v", err)
 	}
 	// Empty instance: everything complete is fine, not an error.
-	res, err := SolveDCFSRPartial(DCFSRPartialInput{Graph: ft.Graph, Flows: nil, Model: m, Now: 5})
+	res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Graph: ft.Graph, Flows: nil, Model: m, Now: 5})
 	if err != nil || len(res.Paths) != 0 {
 		t.Fatalf("empty instance: %v, %v", res, err)
 	}
@@ -173,7 +174,7 @@ func TestPartialArgmaxDeterministic(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 10, 13)
 	m := partialModel()
 	run := func(seed int64) map[flow.ID]string {
-		res, err := SolveDCFSRPartial(DCFSRPartialInput{
+		res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 			Graph: ft.Graph, Flows: fs.Flows(), Model: m, Now: 0, Argmax: true,
 			Opts: DCFSROptions{Seed: seed, Solver: mcfsolve.Options{MaxIters: 20}},
 		})
@@ -203,7 +204,7 @@ func TestPartialWarmSeedingReducesIterations(t *testing.T) {
 	m := partialModel()
 	base := DCFSROptions{Seed: 1, Solver: mcfsolve.Options{MaxIters: 60, Tol: 1e-4}, WarmStart: true}
 
-	first, err := SolveDCFSRPartial(DCFSRPartialInput{
+	first, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: fs.Flows(), Model: m, Now: 0, Opts: base,
 	})
 	if err != nil {
@@ -214,7 +215,7 @@ func TestPartialWarmSeedingReducesIterations(t *testing.T) {
 	epoch2 := func(prev *RelaxationState, warm bool) *DCFSRPartialResult {
 		opts := base
 		opts.WarmStart = warm
-		res, err := SolveDCFSRPartial(DCFSRPartialInput{
+		res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 			Graph: ft.Graph, Flows: fs.Flows(), Model: m, Now: 0.5,
 			Prev: prev, Opts: opts,
 		})
@@ -254,13 +255,13 @@ func TestPartialExternalIntervals(t *testing.T) {
 			bset.Insert(math.Max(f.Release, now), f.Deadline)
 		}
 	}
-	auto, err := SolveDCFSRPartial(DCFSRPartialInput{
+	auto, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: alive, Model: m, Now: now, Opts: opts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual, err := SolveDCFSRPartial(DCFSRPartialInput{
+	manual, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{
 		Graph: ft.Graph, Flows: alive, Model: m, Now: now,
 		Intervals: bset.IntervalsFrom(now), Opts: opts,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func TestPropertyDCFSRAlwaysMeetsDeadlines(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := SolveDCFSR(DCFSRInput{
+		res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 			Graph: ft.Graph, Flows: fs, Model: m,
 			Opts: DCFSROptions{Seed: seed, Solver: mcfsolve.Options{MaxIters: 15}},
 		})
@@ -89,7 +90,7 @@ func TestPropertyDCFSAlwaysFeasible(t *testing.T) {
 			}
 			paths[f.ID] = p
 		}
-		res, err := SolveDCFS(DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+		res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 		if err != nil {
 			return false
 		}
@@ -123,7 +124,7 @@ func TestPropertySplittingNeverHurtsOnParallelLinks(t *testing.T) {
 			return false
 		}
 		solve := func(fs *flow.Set) float64 {
-			res, err := SolveDCFSR(DCFSRInput{
+			res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 				Graph: top.Graph, Flows: fs, Model: m,
 				Opts: DCFSROptions{Seed: seed},
 			})
@@ -177,7 +178,7 @@ func TestDCFSConflictInstance(t *testing.T) {
 		paths[f.ID] = p
 	}
 	m := power.Model{Mu: 1, Alpha: 2}
-	res, err := SolveDCFS(DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
+	res, err := SolveDCFSCtx(context.Background(), DCFSInput{Graph: line.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -102,7 +103,7 @@ func TestRenumberDeterminismAcrossFamilies(t *testing.T) {
 		want, wantFrom := "", ""
 		for lname, c := range layouts {
 			for _, w := range workers {
-				res, err := SolveDCFSR(DCFSRInput{
+				res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
 					Graph:    g,
 					Compiled: c,
 					Flows:    tc.flows,

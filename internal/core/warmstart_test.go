@@ -59,7 +59,7 @@ func TestOfflineWarmStartIsCold(t *testing.T) {
 	ft, fs, m := warmInstance(t)
 	var lbs [2]float64
 	for i, warm := range []bool{false, true} {
-		lb, err := LowerBound(ft.Graph, fs, m, DCFSROptions{
+		lb, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, DCFSROptions{
 			Seed: 1, Solver: mcfsolve.Options{MaxIters: 25}, WarmStart: warm,
 		})
 		if err != nil {
@@ -72,7 +72,7 @@ func TestOfflineWarmStartIsCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartSolverAPI: SolveWarm seeded with a previous result must
+// TestWarmStartSolverAPI: a solve warm-seeded with a previous result must
 // reproduce a feasible decomposition for matching commodities.
 func TestWarmStartSolverAPI(t *testing.T) {
 	ft, _, m := warmInstance(t)
@@ -80,7 +80,7 @@ func TestWarmStartSolverAPI(t *testing.T) {
 		{ID: 1, Src: ft.Hosts[0], Dst: ft.Hosts[9], Demand: 2},
 		{ID: 2, Src: ft.Hosts[3], Dst: ft.Hosts[12], Demand: 1.5},
 	}
-	s, err := mcfsolve.NewSolver(ft.Graph, m, mcfsolve.Options{MaxIters: 40})
+	s, err := mcfsolve.NewSolverCompiled(graph.Compile(ft.Graph), m, mcfsolve.Options{MaxIters: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWarmStartSolverAPI(t *testing.T) {
 		{ID: 1, Src: ft.Hosts[0], Dst: ft.Hosts[9], Demand: 2},
 		{ID: 3, Src: ft.Hosts[5], Dst: ft.Hosts[14], Demand: 1},
 	}
-	second, err := s.SolveWarm(comms2, mcfsolve.WarmStart{Commodities: comms, Result: first})
+	second, err := s.SolveBaseWarmCtx(context.Background(), comms2, nil, mcfsolve.WarmStart{Commodities: comms, Result: first})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package decision_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func recordRolling(t *testing.T, ft *topology.Topology, fs *flow.Set, parallelis
 	t.Helper()
 	mem := &decision.Memory{Meta: decision.Meta{Scheduler: "rolling", Workload: "diurnal"}}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	if _, _, err := online.RunRolling(ft.Graph, fs, m, rollingOpts(parallelism, mem, nil)); err != nil {
+	if _, _, err := online.RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(parallelism, mem, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return mem.Log()
@@ -143,7 +144,7 @@ func TestGreedyRecords(t *testing.T) {
 	ft, fs := diurnalInstance(t, 25, 5)
 	mem := &decision.Memory{Meta: decision.Meta{Scheduler: "greedy", Workload: "diurnal"}}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	if _, err := online.Run(ft.Graph, fs, m, online.Options{Recorder: mem}); err != nil {
+	if _, err := online.RunCtx(context.Background(), ft.Graph, fs, m, nil, online.Options{Recorder: mem}); err != nil {
 		t.Fatal(err)
 	}
 	l := mem.Log()
@@ -177,7 +178,7 @@ func TestOverridesForceGreedy(t *testing.T) {
 
 	// First recording: pick a flow with a recorded alternative.
 	mem := &decision.Memory{Meta: decision.Meta{Scheduler: "greedy"}}
-	if _, err := online.Run(ft.Graph, fs, m, online.Options{Recorder: mem}); err != nil {
+	if _, err := online.RunCtx(context.Background(), ft.Graph, fs, m, nil, online.Options{Recorder: mem}); err != nil {
 		t.Fatal(err)
 	}
 	var target decision.Record
@@ -196,7 +197,7 @@ func TestOverridesForceGreedy(t *testing.T) {
 		ForcePath: map[flow.ID][]graph.EdgeID{target.Flow: target.Alternatives[0].Path},
 	}
 	mem2 := &decision.Memory{Meta: decision.Meta{Scheduler: "greedy"}}
-	if _, err := online.Run(ft.Graph, fs, m, online.Options{Recorder: mem2, Overrides: ov}); err != nil {
+	if _, err := online.RunCtx(context.Background(), ft.Graph, fs, m, nil, online.Options{Recorder: mem2, Overrides: ov}); err != nil {
 		t.Fatal(err)
 	}
 	forced := false
@@ -225,7 +226,7 @@ func TestReplayCounterfactuals(t *testing.T) {
 
 	factory := func(ov *decision.Overrides) (sim.OnlineEngine, error) {
 		t0, t1 := fs.Horizon()
-		return online.NewRolling(ft.Graph, m, timeline.Interval{Start: t0, End: t1}, rollingOpts(0, nil, ov))
+		return online.NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: t0, End: t1}, rollingOpts(0, nil, ov))
 	}
 	rep, err := decision.Replay(decision.ReplayInput{
 		Log: l, Graph: ft.Graph, Flows: fs, Model: m, Factory: factory,

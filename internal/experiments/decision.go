@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dcnflow/internal/core"
@@ -112,7 +113,7 @@ func decisionEngine(scheduler string, cfg DecisionConfig, ft *topology.Topology,
 		if cfg.Epoch > 0 {
 			policy = online.FixedPeriod{Period: cfg.Epoch}
 		}
-		return online.NewRolling(ft.Graph, m, horizon, online.RollingOptions{
+		return online.NewRollingCtx(context.Background(), ft.Graph, m, horizon, online.RollingOptions{
 			Policy: policy,
 			DCFSR: core.DCFSROptions{
 				Seed:      cfg.Seed,

@@ -29,9 +29,9 @@ func sharedEngine() *dcnflow.Engine {
 	return engineVal
 }
 
-// solve runs one registered solver of the unified Scenario/Solver API on an
+// solve runs one built-in solver of the unified Scenario/Solver API on an
 // ad-hoc (graph, flows, model) triple, dispatched through the shared
-// Engine. The experiments harness consumes the same registry as the CLI,
+// Engine. The experiments harness consumes the same solver table as the CLI,
 // so every runner exercises the public solving surface — one instance
 // fanned across interchangeable algorithms — instead of re-wiring internal
 // engines by hand.

@@ -38,7 +38,7 @@ func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 		{"non-uniform", func(i int) float64 { return float64(i%5) + 1 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSolver(ft.Graph, m, Options{})
+			s, err := NewSolverCompiled(graph.Compile(ft.Graph), m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"dcnflow/internal/graph"
 	"dcnflow/internal/power"
 	"dcnflow/internal/topology"
 )
@@ -41,7 +42,7 @@ func TestSolveCtxChecksEveryIteration(t *testing.T) {
 		{ID: 2, Src: ft.Hosts[2], Dst: ft.Hosts[13], Demand: 4},
 	}
 	// Reference run: the instance genuinely needs many iterations.
-	ref, err := Solve(ft.Graph, comms, m, Options{MaxIters: 60, Tol: 1e-12})
+	ref, err := solveOnce(ft.Graph, comms, m, Options{MaxIters: 60, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestSolveCtxChecksEveryIteration(t *testing.T) {
 
 	const failAfter = 3
 	ctx := &countingCtx{Context: context.Background(), failAfter: failAfter}
-	s, err := NewSolver(ft.Graph, m, Options{MaxIters: 60, Tol: 1e-12})
+	s, err := NewSolverCompiled(graph.Compile(ft.Graph), m, Options{MaxIters: 60, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SolveCtx(ctx, comms)
+	res, err := s.SolveBaseWarmCtx(ctx, comms, nil, WarmStart{})
 	if res != nil || err == nil {
 		t.Fatalf("cancelled solve returned %v, %v", res, err)
 	}
@@ -75,11 +76,11 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := NewSolver(line.Graph, power.Model{Mu: 1, Alpha: 2, C: 100}, Options{})
+	s, err := NewSolverCompiled(graph.Compile(line.Graph), power.Model{Mu: 1, Alpha: 2, C: 100}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SolveCtx(ctx, []Commodity{{ID: 0, Src: line.Hosts[0], Dst: line.Hosts[2], Demand: 1}})
+	res, err := s.SolveBaseWarmCtx(ctx, []Commodity{{ID: 0, Src: line.Hosts[0], Dst: line.Hosts[2], Demand: 1}}, nil, WarmStart{})
 	if res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled solve returned %v, %v", res, err)
 	}

@@ -43,7 +43,7 @@ type recordedSearch struct {
 }
 
 func newRefSolver(g *graph.Graph, m power.Model, opts Options) (*refSolver, error) {
-	s, err := NewSolver(g, m, opts)
+	s, err := NewSolverCompiled(graph.Compile(g), m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +654,7 @@ func TestSolveBaseMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := NewSolver(g, kc.model, opts)
+				s, err := NewSolverCompiled(graph.Compile(g), kc.model, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -728,7 +728,7 @@ func TestSolveZeroBaseMatchesNilBase(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, kc := range kernelCases() {
-		s, err := NewSolver(ft.Graph, kc.model, Options{Cost: kc.cost, MaxIters: 30})
+		s, err := NewSolverCompiled(graph.Compile(ft.Graph), kc.model, Options{Cost: kc.cost, MaxIters: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -761,7 +761,7 @@ func TestSolveBaseWrongLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(ft.Graph, power.Model{Mu: 1, Alpha: 2}, Options{})
+	s, err := NewSolverCompiled(graph.Compile(ft.Graph), power.Model{Mu: 1, Alpha: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -858,7 +858,7 @@ func TestSolveDeltaShapeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewSolver(g, kc.model, opts)
+			s, err := NewSolverCompiled(graph.Compile(g), kc.model, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -894,7 +894,7 @@ func TestSolverReuseMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewSolver(g, kc.model, opts)
+			s, err := NewSolverCompiled(graph.Compile(g), kc.model, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -946,7 +946,7 @@ func TestSolveNonFiniteBaseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewSolver(g, kc.model, opts)
+		s, err := NewSolverCompiled(graph.Compile(g), kc.model, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func kernelSolver(t testing.TB, m power.Model, cost CostKind) *Solver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(ft.Graph, m, Options{Cost: cost})
+	s, err := NewSolverCompiled(graph.Compile(ft.Graph), m, Options{Cost: cost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ type Result struct {
 	Iters int
 }
 
-// Errors returned by Solve.
+// Errors returned by the solver.
 var (
 	ErrNoRoute  = errors.New("mcfsolve: commodity endpoints not connected")
 	ErrBadInput = errors.New("mcfsolve: invalid input")
@@ -273,7 +273,7 @@ func (d *decomp) add(h graph.PathHandle, w float64) {
 
 // Solver is a reusable F-MCF solver bound to one graph and power model. It
 // owns the shortest-path scratch, the edge-flow buffers and the path intern
-// table, so consecutive Solve calls (for example Random-Schedule's
+// table, so consecutive solves (for example Random-Schedule's
 // per-interval relaxations) allocate only their results. A Solver is not
 // safe for concurrent use; run one per worker.
 type Solver struct {
@@ -296,18 +296,8 @@ type Solver struct {
 	decomps []decomp
 }
 
-// NewSolver validates the model and prepares reusable state for solving
-// F-MCF instances on g. It compiles g on first use (graph.Compile caches
-// the artifacts on the graph); callers already holding a compiled view
-// should use NewSolverCompiled.
-func NewSolver(g *graph.Graph, m power.Model, opts Options) (*Solver, error) {
-	if g == nil {
-		return nil, fmt.Errorf("%w: nil graph", ErrBadInput)
-	}
-	return NewSolverCompiled(graph.Compile(g), m, opts)
-}
-
-// NewSolverCompiled is NewSolver on an explicitly compiled graph view —
+// NewSolverCompiled validates the model and prepares reusable state for
+// solving F-MCF instances on the compiled graph view c (graph.Compile) —
 // the compile-once/solve-many entry point. The Solver borrows the compiled
 // view; only its own scratch (edge-flow buffers, path intern table,
 // shortest-path state) is allocated here, and a pooled Solver (see Pool)
@@ -355,50 +345,33 @@ type WarmStart struct {
 	Result      *Result
 }
 
-// Solve minimises sum_e cost(x_e) subject to routing every commodity's
-// demand from Src to Dst (fractionally, multi-path), starting from
-// hop-count shortest paths.
+// Solve is a cold-started SolveBaseWarmCtx with no background load and no
+// cancellation.
 func (s *Solver) Solve(commodities []Commodity) (*Result, error) {
-	return s.SolveWarmCtx(context.Background(), commodities, WarmStart{})
+	return s.solve(context.Background(), commodities, nil, WarmStart{})
 }
 
-// SolveCtx is Solve under a context: cancellation is checked before the
-// first Frank–Wolfe iteration and at every iteration boundary, so a solve
-// stops within one iteration of the context ending and returns the wrapped
-// context error instead of a partial result.
-func (s *Solver) SolveCtx(ctx context.Context, commodities []Commodity) (*Result, error) {
-	return s.SolveWarmCtx(ctx, commodities, WarmStart{})
-}
-
-// Solve is the one-shot entry point: it builds a throwaway Solver and runs
-// a cold-started solve. Callers solving many related instances should keep
-// a Solver and use its Solve/SolveWarm methods instead.
-func Solve(g *graph.Graph, commodities []Commodity, m power.Model, opts Options) (*Result, error) {
-	s, err := NewSolver(g, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(commodities)
-}
-
-// SolveWarm is Solve with a warm start (see WarmStart). A zero WarmStart
-// degenerates to the cold start.
-func (s *Solver) SolveWarm(commodities []Commodity, warm WarmStart) (*Result, error) {
-	return s.SolveWarmCtx(context.Background(), commodities, warm)
-}
-
-// SolveBaseWarmCtx is SolveWarmCtx against a fixed background load: the
-// per-edge cost and its derivative are evaluated at base[e] + x_e, where x
-// is the flow routed for the given commodities, and the reported Objective
-// is the marginal cost sum_e [cost(base_e + x_e) - cost(base_e)] of the
-// routed flow on top of the background. A rolling-horizon delta re-solve
-// uses this to route a small arrival batch against the load already
-// reserved by thousands of in-flight flows without materialising those
-// flows as commodities. The load shifts the operating point of the convex
-// costs without entering the flow variables, so conservation and the path
-// decomposition are untouched. base must have length NumEdges; nil
-// degenerates to SolveWarmCtx exactly: every solve runs the same loops on
-// base + x, and a zero base changes no bit (0 + x == x, cost(0) == 0).
+// SolveBaseWarmCtx minimises sum_e cost(base_e + x_e) subject to routing
+// every commodity's demand from Src to Dst (fractionally, multi-path),
+// starting from hop-count shortest paths or, for the commodities warm
+// matches, from a previous solve's decomposition (see WarmStart; a zero
+// WarmStart is the cold start). The reported Objective is the marginal
+// cost sum_e [cost(base_e + x_e) - cost(base_e)] of the routed flow on top
+// of the background.
+//
+// A rolling-horizon delta re-solve uses the background load to route a
+// small arrival batch against the load already reserved by thousands of
+// in-flight flows without materialising those flows as commodities. The
+// load shifts the operating point of the convex costs without entering the
+// flow variables, so conservation and the path decomposition are
+// untouched. base must have length NumEdges, or be nil for no background:
+// every solve runs the same loops on base + x, and a zero base changes no
+// bit (0 + x == x, cost(0) == 0).
+//
+// Cancellation is checked before the first Frank–Wolfe iteration and at
+// every iteration boundary, so a solve stops within one iteration of ctx
+// ending and returns the wrapped context error instead of a partial
+// result. A nil ctx is treated as context.Background().
 //
 // A solve with a base costs one pass over every edge up front (it finds
 // the edges whose cost or marginal cost at the base is not finite) plus
@@ -410,12 +383,6 @@ func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, 
 		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
 	}
 	return s.solve(ctx, commodities, base, warm)
-}
-
-// SolveWarmCtx is SolveWarm under a context (see SolveCtx for the
-// cancellation contract). A nil ctx is treated as context.Background().
-func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm WarmStart) (*Result, error) {
-	return s.solve(ctx, commodities, nil, warm)
 }
 
 // solve is the one Frank–Wolfe implementation behind every entry point;

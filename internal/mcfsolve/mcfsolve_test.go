@@ -12,6 +12,15 @@ import (
 	"dcnflow/internal/topology"
 )
 
+// solveOnce runs one cold solve on a fresh Solver bound to g.
+func solveOnce(g *graph.Graph, comms []Commodity, m power.Model, opts Options) (*Result, error) {
+	s, err := NewSolverCompiled(graph.Compile(g), m, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(comms)
+}
+
 func almostEqual(a, b, tol float64) bool {
 	diff := math.Abs(a - b)
 	scale := math.Max(math.Abs(a), math.Abs(b))
@@ -29,7 +38,7 @@ func TestSolveSplitsAcrossParallelLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	res, err := Solve(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 2}}, m,
+	res, err := solveOnce(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 2}}, m,
 		Options{Cost: CostDynamic, MaxIters: 200, Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +69,7 @@ func TestSolveEnvelopeConsolidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 4, Mu: 1, Alpha: 2, C: 100} // Ropt = 2, rate = 4
-	res, err := Solve(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 1}}, m,
+	res, err := solveOnce(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 1}}, m,
 		Options{Cost: CostEnvelope, MaxIters: 100, Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +93,7 @@ func TestSolveDiamondBalances(t *testing.T) {
 		}
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	res, err := Solve(g, []Commodity{{ID: 0, Src: a, Dst: d, Demand: 4}}, m,
+	res, err := solveOnce(g, []Commodity{{ID: 0, Src: a, Dst: d, Demand: 4}}, m,
 		Options{Cost: CostDynamic, MaxIters: 300, Tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +116,7 @@ func TestSolveMultipleCommodities(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	res, err := Solve(line.Graph, []Commodity{
+	res, err := solveOnce(line.Graph, []Commodity{
 		{ID: 0, Src: line.Hosts[0], Dst: line.Hosts[2], Demand: 3},
 		{ID: 1, Src: line.Hosts[2], Dst: line.Hosts[0], Demand: 3},
 	}, m, Options{Cost: CostDynamic, MaxIters: 50})
@@ -128,7 +137,7 @@ func TestSolveCapacityPenaltySpreads(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 2}
-	res, err := Solve(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 6}}, m,
+	res, err := solveOnce(top.Graph, []Commodity{{ID: 0, Src: src, Dst: dst, Demand: 6}}, m,
 		Options{Cost: CostDynamic, MaxIters: 300, Tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +175,7 @@ func TestPathDecompositionInvariants(t *testing.T) {
 			return true
 		}
 		m := power.Model{Sigma: 1, Mu: 1, Alpha: 2, C: 100}
-		res, err := Solve(ft.Graph, comms, m, Options{MaxIters: 30})
+		res, err := solveOnce(ft.Graph, comms, m, Options{MaxIters: 30})
 		if err != nil {
 			return false
 		}
@@ -202,7 +211,7 @@ func TestEdgeFlowMatchesDecomposition(t *testing.T) {
 		{ID: 1, Src: ft.Hosts[3], Dst: ft.Hosts[12], Demand: 1.5},
 	}
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 100}
-	res, err := Solve(ft.Graph, comms, m, Options{MaxIters: 40})
+	res, err := solveOnce(ft.Graph, comms, m, Options{MaxIters: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,29 +237,29 @@ func TestSolveErrors(t *testing.T) {
 	}
 	m := power.Model{Mu: 1, Alpha: 2}
 	t.Run("nil graph", func(t *testing.T) {
-		if _, err := Solve(nil, nil, m, Options{}); !errors.Is(err, ErrBadInput) {
+		if _, err := NewSolverCompiled(nil, m, Options{}); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("bad model", func(t *testing.T) {
-		if _, err := Solve(line.Graph, nil, power.Model{Mu: 1, Alpha: 1}, Options{}); !errors.Is(err, ErrBadInput) {
+		if _, err := solveOnce(line.Graph, nil, power.Model{Mu: 1, Alpha: 1}, Options{}); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("zero demand", func(t *testing.T) {
-		_, err := Solve(line.Graph, []Commodity{{Src: 0, Dst: 1, Demand: 0}}, m, Options{})
+		_, err := solveOnce(line.Graph, []Commodity{{Src: 0, Dst: 1, Demand: 0}}, m, Options{})
 		if !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("self loop", func(t *testing.T) {
-		_, err := Solve(line.Graph, []Commodity{{Src: 0, Dst: 0, Demand: 1}}, m, Options{})
+		_, err := solveOnce(line.Graph, []Commodity{{Src: 0, Dst: 0, Demand: 1}}, m, Options{})
 		if !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
 	})
 	t.Run("unknown node", func(t *testing.T) {
-		_, err := Solve(line.Graph, []Commodity{{Src: 0, Dst: 99, Demand: 1}}, m, Options{})
+		_, err := solveOnce(line.Graph, []Commodity{{Src: 0, Dst: 99, Demand: 1}}, m, Options{})
 		if !errors.Is(err, ErrBadInput) {
 			t.Fatalf("err = %v, want ErrBadInput", err)
 		}
@@ -259,7 +268,7 @@ func TestSolveErrors(t *testing.T) {
 		g := graph.New()
 		a := g.AddNode("a", graph.KindHost)
 		b := g.AddNode("b", graph.KindHost)
-		_, err := Solve(g, []Commodity{{Src: a, Dst: b, Demand: 1}}, m, Options{})
+		_, err := solveOnce(g, []Commodity{{Src: a, Dst: b, Demand: 1}}, m, Options{})
 		if !errors.Is(err, ErrNoRoute) {
 			t.Fatalf("err = %v, want ErrNoRoute", err)
 		}
@@ -271,7 +280,7 @@ func TestSolveEmptyCommodities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(line.Graph, nil, power.Model{Mu: 1, Alpha: 2}, Options{})
+	res, err := solveOnce(line.Graph, nil, power.Model{Mu: 1, Alpha: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +301,11 @@ func TestGapDecreases(t *testing.T) {
 		{ID: 2, Src: ft.Hosts[5], Dst: ft.Hosts[8], Demand: 3},
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	coarse, err := Solve(ft.Graph, comms, m, Options{Cost: CostDynamic, MaxIters: 3, Tol: 1e-12})
+	coarse, err := solveOnce(ft.Graph, comms, m, Options{Cost: CostDynamic, MaxIters: 3, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := Solve(ft.Graph, comms, m, Options{Cost: CostDynamic, MaxIters: 100, Tol: 1e-12})
+	fine, err := solveOnce(ft.Graph, comms, m, Options{Cost: CostDynamic, MaxIters: 100, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestSolveBitIdenticalAcrossOracleWorkers(t *testing.T) {
 
 	var ref *Result
 	for _, w := range workerCounts() {
-		s, err := NewSolver(ft.Graph, m, Options{MaxIters: 12, OracleWorkers: w})
+		s, err := NewSolverCompiled(graph.Compile(ft.Graph), m, Options{MaxIters: 12, OracleWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +100,11 @@ func TestNegativeOracleWorkersMeansAllCores(t *testing.T) {
 	}
 	comms := incastCommodities(ft.Hosts)
 	m := power.Model{Mu: 1, Alpha: 2, C: 50}
-	seq, err := Solve(ft.Graph, comms, m, Options{MaxIters: 8})
+	seq, err := solveOnce(ft.Graph, comms, m, Options{MaxIters: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := Solve(ft.Graph, comms, m, Options{MaxIters: 8, OracleWorkers: -1})
+	all, err := solveOnce(ft.Graph, comms, m, Options{MaxIters: 8, OracleWorkers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestParallelOracleErrorDeterministic(t *testing.T) {
 	var refErr string
 	var refRes *Result
 	for _, w := range workerCounts() {
-		s, err := NewSolver(g, m, Options{MaxIters: 8, OracleWorkers: w})
+		s, err := NewSolverCompiled(graph.Compile(g), m, Options{MaxIters: 8, OracleWorkers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,17 +33,9 @@ type Pool struct {
 	max  int
 }
 
-// NewPool validates the binding and returns an empty pool whose free list
-// keeps at most 2*GOMAXPROCS idle Solvers (surplus Releases are dropped to
-// the garbage collector).
-func NewPool(g *graph.Graph, m power.Model, opts Options) (*Pool, error) {
-	if g == nil {
-		return nil, ErrBadInput
-	}
-	return NewPoolCompiled(graph.Compile(g), m, opts)
-}
-
-// NewPoolCompiled is NewPool on an explicitly compiled graph view.
+// NewPoolCompiled validates the binding and returns a pool on the compiled
+// graph view c whose free list keeps at most 2*GOMAXPROCS idle Solvers
+// (surplus Releases are dropped to the garbage collector).
 func NewPoolCompiled(c *graph.Compiled, m power.Model, opts Options) (*Pool, error) {
 	// Construct one Solver eagerly: it validates the triple once and
 	// becomes the first warm entry.

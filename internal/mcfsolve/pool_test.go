@@ -34,7 +34,7 @@ func TestPoolReuseAndMatch(t *testing.T) {
 	g, comms := poolTestGraph(t)
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
 	opts := Options{MaxIters: 20}
-	p, err := NewPool(g, m, opts)
+	p, err := NewPoolCompiled(graph.Compile(g), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPoolReuseAndMatch(t *testing.T) {
 		t.Fatalf("pooled re-solve diverged: %v vs %v", res1.Objective, res2.Objective)
 	}
 
-	fresh, err := NewSolver(g, m, opts)
+	fresh, err := NewSolverCompiled(graph.Compile(g), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPoolReuseAndMatch(t *testing.T) {
 	}
 
 	// A foreign solver must not enter the free list.
-	foreign, err := NewSolver(g, m, Options{MaxIters: 7})
+	foreign, err := NewSolverCompiled(graph.Compile(g), m, Options{MaxIters: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestPoolReuseAndMatch(t *testing.T) {
 func TestPoolConcurrentSolves(t *testing.T) {
 	g, comms := poolTestGraph(t)
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
-	p, err := NewPool(g, m, Options{MaxIters: 20})
+	p, err := NewPoolCompiled(graph.Compile(g), m, Options{MaxIters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSolver(g, m, Options{MaxIters: 20})
+	ref, err := NewSolverCompiled(graph.Compile(g), m, Options{MaxIters: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPooledSolverInternBounded(t *testing.T) {
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 100}
 	opts := Options{MaxIters: 15}
-	p, err := NewPool(ft.Graph, m, opts)
+	p, err := NewPoolCompiled(graph.Compile(ft.Graph), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPooledSolverInternBounded(t *testing.T) {
 		pooledLen := s.intern.Len()
 		p.Release(s)
 
-		fresh, err := NewSolver(ft.Graph, m, opts)
+		fresh, err := NewSolverCompiled(graph.Compile(ft.Graph), m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

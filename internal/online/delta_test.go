@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -53,13 +54,13 @@ func assertSchedulesIdentical(t *testing.T, a, b *RollingResult) {
 func TestRollingDeltaDriftZeroBitIdentical(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 30, 9)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	base, _, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 1}))
+	base, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(ArrivalCount{N: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := rollingOpts(ArrivalCount{N: 1})
 	opts.Delta = core.DeltaOptions{Enabled: true, DriftBound: 0}
-	pinned, _, err := RunRolling(ft.Graph, fs, m, opts)
+	pinned, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,13 @@ func TestRollingDeltaDriftZeroBitIdentical(t *testing.T) {
 func TestRollingDeltaMeetsDeadlines(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 40, 3)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	full, _, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 1}))
+	full, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(ArrivalCount{N: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := rollingOpts(ArrivalCount{N: 1})
 	opts.Delta = core.DeltaOptions{Enabled: true, DriftBound: 0.5, MaxStaleEpochs: 8}
-	res, rep, err := RunRolling(ft.Graph, fs, m, opts)
+	res, rep, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +122,13 @@ func TestRollingDeltaMeetsDeadlines(t *testing.T) {
 func TestRollingDeltaSolvesFewerIntervals(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 40, 3)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	full, _, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 1}))
+	full, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(ArrivalCount{N: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := rollingOpts(ArrivalCount{N: 1})
 	opts.Delta = core.DeltaOptions{Enabled: true, DriftBound: 0.5, MaxStaleEpochs: 8}
-	res, _, err := RunRolling(ft.Graph, fs, m, opts)
+	res, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestRollingDeltaSolvesFewerIntervals(t *testing.T) {
 func TestRollingDuplicatePendingArrival(t *testing.T) {
 	ft, _ := diurnalWorkload(t, 4, 1)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	s, err := NewRolling(ft.Graph, m, timeline.Interval{Start: 0, End: 100}, rollingOpts(FixedPeriod{Period: 50}))
+	s, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, rollingOpts(FixedPeriod{Period: 50}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestRollingDeltaEmptyEpochKeepsState(t *testing.T) {
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
 	opts := rollingOpts(FixedPeriod{Period: 5})
 	opts.Delta = core.DeltaOptions{Enabled: true, DriftBound: 0.5}
-	s, err := NewRolling(ft.Graph, m, timeline.Interval{Start: 0, End: 100}, opts)
+	s, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 //   - RollingScheduler (rolling horizon): arrivals are batched into
 //     epochs; each epoch boundary re-runs the Random-Schedule relaxation
 //     over the remaining horizon with frozen commitments
-//     (core.SolveDCFSRPartial) and routes the batch on the resulting
+//     (core.SolveDCFSRPartialCtx) and routes the batch on the resulting
 //     candidate distributions, warm-starting the per-interval Frank–Wolfe
 //     solves from the previous epoch.
 //
@@ -478,17 +478,12 @@ func (s *Scheduler) Finish() (*schedule.Schedule, error) {
 // since the scheduler was created.
 func (s *Scheduler) Rejected() int { return s.rejected }
 
-// Run replays a whole flow set in release order through the online
-// scheduler — the offline-comparable entry point.
-func Run(g *graph.Graph, flows *flow.Set, model power.Model, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), g, flows, model, nil, opts)
-}
-
-// RunCtx is Run under a context: cancellation is checked before each
-// admission, so the replay stops within one flow of the context ending and
-// returns the wrapped context error instead of a partial schedule. A
+// RunCtx replays a whole flow set in release order through the online
+// scheduler — the offline-comparable entry point. Cancellation is checked
+// before each admission, so the replay stops within one flow of ctx ending
+// and returns the wrapped context error instead of a partial schedule. A
 // non-nil horizon overrides the run window (it must contain the flow
-// span); nil derives it from the flows as Run does.
+// span); nil derives it from the flows.
 func RunCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, model power.Model, horizon *timeline.Interval, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func TestOnlineMeetsDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.2, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := Run(ft.Graph, fs, m, Options{})
+	res, err := RunCtx(context.Background(), ft.Graph, fs, m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestOnlineMarginalCostSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	res, err := Run(top.Graph, fs, m, Options{})
+	res, err := RunCtx(context.Background(), top.Graph, fs, m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestOnlineFullCostConsolidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: power.SigmaForRopt(1, 2, 5), Mu: 1, Alpha: 2, C: 1e9} // Ropt = 5
-	res, err := Run(top.Graph, fs, m, Options{CostFull: true})
+	res, err := RunCtx(context.Background(), top.Graph, fs, m, nil, Options{CostFull: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestOnlineRejectOverCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(top.Graph, fs, m, Options{RejectOverCapacity: true})
+	res, err := RunCtx(context.Background(), top.Graph, fs, m, nil, Options{RejectOverCapacity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestOnlineRejectOverCapacity(t *testing.T) {
 		t.Fatalf("admitted = %d, want 1", res.Admitted)
 	}
 	// Without rejection both are admitted (capacity relaxed).
-	res2, err := Run(top.Graph, fs, m, Options{})
+	res2, err := RunCtx(context.Background(), top.Graph, fs, m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestOnlineErrors(t *testing.T) {
 	if err := s.Admit(flow.Flow{Src: 0, Dst: 0, Release: 0, Deadline: 1, Size: 1}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("invalid flow err = %v", err)
 	}
-	if _, err := Run(line.Graph, nil, m, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := RunCtx(context.Background(), line.Graph, nil, m, nil, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil flows err = %v", err)
 	}
 }
@@ -177,14 +178,14 @@ func TestPropertyOnlineVsOffline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		on, err := Run(ft.Graph, fs, m, Options{})
+		on, err := RunCtx(context.Background(), ft.Graph, fs, m, nil, Options{})
 		if err != nil {
 			return false
 		}
 		if err := on.Schedule.Verify(ft.Graph, fs, m, schedule.VerifyOptions{}); err != nil {
 			return false
 		}
-		off, err := core.SolveDCFSR(core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+		off, err := core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 		if err != nil {
 			return false
 		}

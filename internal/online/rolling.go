@@ -171,10 +171,10 @@ func (c *commitment) transmittedBy(t float64) float64 {
 // RollingScheduler is the rolling-horizon online DCFSR scheduler — the
 // re-optimizing big sibling of the marginal-cost greedy Scheduler. Arrivals
 // are queued into the current epoch; at each epoch boundary (fixed period
-// or arrival count — see ReplanPolicy) the Random-Schedule
-// relaxation is re-run over the remaining horizon via core.SolveDCFSRPartial
-// with every in-flight flow's path and transmitted data frozen, and the
-// queued arrivals are routed on the resulting candidate distributions. With
+// or arrival count — see ReplanPolicy) the Random-Schedule relaxation is
+// re-run over the remaining horizon via core.SolveDCFSRPartialCtx with
+// every in-flight flow's path and transmitted data frozen, and the queued
+// arrivals are routed on the resulting candidate distributions. With
 // DCFSR.WarmStart set, each epoch's per-interval Frank–Wolfe solves are
 // seeded from the previous epoch's decompositions — consecutive residual
 // instances are near-identical, which is exactly the workload warm starts
@@ -182,7 +182,7 @@ func (c *commitment) transmittedBy(t float64) float64 {
 //
 // RollingScheduler implements sim.OnlineEngine; drive it with
 // sim.ReplayOnline or call Arrive/AdvanceTo/Finish directly in release
-// order. The zero value is not usable; use NewRolling.
+// order. The zero value is not usable; use NewRollingCtx.
 type RollingScheduler struct {
 	g *graph.Graph
 	// compiled is the graph's artifact bundle, compiled once at
@@ -269,15 +269,10 @@ func (s *RollingScheduler) alternatives(chosen graph.Path, cands []core.Candidat
 // would try anyway.
 const maxAlternatives = 3
 
-// NewRolling creates a rolling-horizon scheduler over the given horizon.
-func NewRolling(g *graph.Graph, model power.Model, horizon timeline.Interval, opts RollingOptions) (*RollingScheduler, error) {
-	return NewRollingCtx(context.Background(), g, model, horizon, opts)
-}
-
-// NewRollingCtx is NewRolling under a context: once ctx ends, the next epoch
-// boundary (and every Frank–Wolfe iteration of a re-solve already in flight)
-// aborts the run with the wrapped context error. A nil ctx is treated as
-// context.Background().
+// NewRollingCtx creates a rolling-horizon scheduler over the given
+// horizon. Once ctx ends, the next epoch boundary (and every Frank–Wolfe
+// iteration of a re-solve already in flight) aborts the run with the
+// wrapped context error. A nil ctx is treated as context.Background().
 func NewRollingCtx(ctx context.Context, g *graph.Graph, model power.Model, horizon timeline.Interval, opts RollingOptions) (*RollingScheduler, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1041,20 +1036,15 @@ func (s *RollingScheduler) bestPath(f flow.Flow, d float64, cands []core.Candida
 	return paths[bestIdx]
 }
 
-// RunRolling replays a whole flow set through the rolling-horizon scheduler
-// via the event-driven simulator and returns the validated outcome — the
-// offline-comparable entry point, mirroring Run for the greedy scheduler.
-func RunRolling(g *graph.Graph, flows *flow.Set, model power.Model, opts RollingOptions) (*RollingResult, *sim.ReplayResult, error) {
-	return RunRollingCtx(context.Background(), g, flows, model, nil, opts)
-}
-
-// RunRollingCtx is RunRolling under a context: the replay aborts with the
-// wrapped context error at the first epoch boundary after ctx ends (or
-// within one Frank–Wolfe iteration of a re-solve already in flight). A
-// non-nil horizon overrides the run window (it must contain the flow span
-// — a wider window changes the default FixedPeriod replan cadence and the
-// idle-energy accounting span); nil derives it from the flows as
-// RunRolling does.
+// RunRollingCtx replays a whole flow set through the rolling-horizon
+// scheduler via the event-driven simulator and returns the validated
+// outcome — the offline-comparable entry point, mirroring RunCtx for the
+// greedy scheduler. The replay aborts with the wrapped context error at the
+// first epoch boundary after ctx ends (or within one Frank–Wolfe iteration
+// of a re-solve already in flight). A non-nil horizon overrides the run
+// window (it must contain the flow span — a wider window changes the
+// default FixedPeriod replan cadence and the idle-energy accounting span);
+// nil derives it from the flows.
 func RunRollingCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, model power.Model, horizon *timeline.Interval, opts RollingOptions) (*RollingResult, *sim.ReplayResult, error) {
 	if flows == nil {
 		return nil, nil, fmt.Errorf("%w: nil flows", ErrBadInput)

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -47,7 +48,7 @@ func rollingOpts(policy ReplanPolicy) RollingOptions {
 func TestRollingMeetsAllDeadlines(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 40, 3)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	res, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(FixedPeriod{Period: 2}))
+	res, rep, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(FixedPeriod{Period: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestRollingMeetsAllDeadlines(t *testing.T) {
 func TestRollingBeatsGreedyOnDiurnal(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 60, 11)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	roll, _, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 1}))
+	roll, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(ArrivalCount{N: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Run(ft.Graph, fs, m, Options{})
+	greedy, err := RunCtx(context.Background(), ft.Graph, fs, m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRollingWarmStartFewerIterations(t *testing.T) {
 	run := func(warm bool) RollingStats {
 		opts := rollingOpts(FixedPeriod{Period: 2})
 		opts.DCFSR.WarmStart = warm
-		res, _, err := RunRolling(ft.Graph, fs, m, opts)
+		res, _, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestRollingWarmStartFewerIterations(t *testing.T) {
 func TestRollingUrgencyGuard(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 20, 5)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	_, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(FixedPeriod{Period: 1000}))
+	_, rep, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(FixedPeriod{Period: 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRollingUrgencyGuard(t *testing.T) {
 func TestRollingPolicies(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 24, 9)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	res, rep, err := RunRolling(ft.Graph, fs, m, rollingOpts(ArrivalCount{N: 4}))
+	res, rep, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, rollingOpts(ArrivalCount{N: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRollingAdmissionControl(t *testing.T) {
 	m := power.Model{Mu: 1, Alpha: 2, C: 10}
 	opts := rollingOpts(FixedPeriod{Period: 1})
 	opts.RejectOverCapacity = true
-	res, rep, err := RunRolling(ft.Graph, fs, m, opts)
+	res, rep, err := RunRollingCtx(context.Background(), ft.Graph, fs, m, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +184,12 @@ func TestRollingAdmissionControl(t *testing.T) {
 }
 
 // TestRollingMatchesGreedyThroughReplay: the greedy Scheduler driven
-// through sim.ReplayOnline must produce exactly the schedule online.Run
+// through sim.ReplayOnline must produce exactly the schedule RunCtx
 // builds.
 func TestRollingMatchesGreedyThroughReplay(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 30, 13)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	direct, err := Run(ft.Graph, fs, m, Options{})
+	direct, err := RunCtx(context.Background(), ft.Graph, fs, m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,25 +223,25 @@ func (stuckPolicy) BatchReady(int) bool          { return false }
 func TestRollingValidation(t *testing.T) {
 	ft, fs := diurnalWorkload(t, 4, 1)
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	if _, err := NewRolling(nil, m, timeline.Interval{End: 10}, RollingOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewRollingCtx(context.Background(), nil, m, timeline.Interval{End: 10}, RollingOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph: %v", err)
 	}
-	if _, err := NewRolling(ft.Graph, m, timeline.Interval{}, RollingOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{}, RollingOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty horizon: %v", err)
 	}
-	if _, err := NewRolling(ft.Graph, m, timeline.Interval{End: 10}, RollingOptions{Policy: FixedPeriod{}}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{End: 10}, RollingOptions{Policy: FixedPeriod{}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("non-advancing policy: %v", err)
 	}
 	// A policy whose boundary stops advancing after the first epoch must
 	// produce an error, not hang AdvanceTo.
-	stuck, err := NewRolling(ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{Policy: stuckPolicy{}})
+	stuck, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{Policy: stuckPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := stuck.AdvanceTo(50); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("non-advancing boundary: %v", err)
 	}
-	rs, err := NewRolling(ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{})
+	rs, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

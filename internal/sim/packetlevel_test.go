@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -25,7 +26,7 @@ func TestPacketLevelSingleFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	res, err := core.SolveDCFSR(core.DCFSRInput{Graph: line.Graph, Flows: fs, Model: m})
+	res, err := core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: line.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestPacketLevelRandomScheduleFatTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Mu: 1, Alpha: 2, C: 1e9}
-	res, err := core.SolveDCFSR(core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}

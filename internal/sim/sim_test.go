@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -36,7 +37,11 @@ func TestRunMatchesAnalyticEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	dres, err := baseline.SPMCF(ft.Graph, fs, m)
+	paths, err := baseline.ShortestPaths(ft.Graph, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := core.SolveDCFSCtx(context.Background(), core.DCFSInput{Graph: ft.Graph, Flows: fs, Paths: paths, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestVerifyEDFTimeSharingOnRandomSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := core.SolveDCFSR(core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +247,7 @@ func TestRunOnRandomScheduleOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	res, err := core.SolveDCFSR(core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := core.SolveDCFSRCtx(context.Background(), core.DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}

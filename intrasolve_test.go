@@ -53,13 +53,9 @@ func TestIntraSolveWorkerDeterminism(t *testing.T) {
 			var ref *dcnflow.Solution
 			var refWorkers int
 			for _, w := range counts {
-				s, err := dcnflow.NewSolver(dcnflow.SolverDCFSR,
+				sol, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst,
 					dcnflow.WithSeed(spec.Seed),
 					dcnflow.WithSolverOptions(dcnflow.SolverOptions{MaxIters: 10, OracleWorkers: w}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sol, err := s.Solve(context.Background(), inst)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

@@ -20,7 +20,7 @@ import (
 type ServeRequest struct {
 	// Scenario declares the problem (same schema as `dcnflow run` specs).
 	Scenario ScenarioSpec `json:"scenario"`
-	// Solver is the registered solver name.
+	// Solver names the solver family (SolverNames).
 	Solver string `json:"solver"`
 	// TimeoutMS optionally bounds this request's solve in milliseconds;
 	// the server clamps it to its own per-request ceiling. Zero/absent
@@ -33,10 +33,9 @@ type ServeRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// Validate checks the request against the package-level registry: the
-// scenario validates, the solver is registered and the timeout is
-// non-negative. Errors wrap ErrBadRequest (or the scenario's own
-// ErrBadScenario).
+// Validate checks the request: the scenario validates, the solver is a
+// built-in family and the timeout is non-negative. Errors wrap
+// ErrBadRequest (or the scenario's own ErrBadScenario).
 func (r *ServeRequest) Validate() error {
 	if r == nil {
 		return fmt.Errorf("%w: nil request", ErrBadRequest)
@@ -44,11 +43,7 @@ func (r *ServeRequest) Validate() error {
 	if err := r.Scenario.Validate(); err != nil {
 		return err
 	}
-	registered := false
-	for _, name := range SolverNames() {
-		registered = registered || name == r.Solver
-	}
-	if !registered {
+	if _, ok := solvers[r.Solver]; !ok {
 		return fmt.Errorf("%w: unknown solver %q (registered: %s)",
 			ErrBadRequest, r.Solver, strings.Join(SolverNames(), ", "))
 	}
@@ -77,7 +72,7 @@ type ServeBatchRequest struct {
 type ServeResponse struct {
 	// Scenario echoes the request's scenario name (possibly empty).
 	Scenario string `json:"scenario,omitempty"`
-	// Solver echoes the registered solver name.
+	// Solver echoes the request's solver name.
 	Solver string `json:"solver"`
 	// Energy is the solver's accounted total energy.
 	Energy float64 `json:"energy,omitempty"`
@@ -154,7 +149,7 @@ const maxServeBodyBytes = 8 << 20
 
 // ServeOptions configures NewServeHandler. The zero value caps every
 // request at 60 seconds and batches at 64 requests, accepting every
-// registered solver with admission control off.
+// built-in solver with admission control off.
 type ServeOptions struct {
 	// MaxTimeout is the per-request solve ceiling; requests may ask for
 	// less via timeout_ms but never more. <= 0 selects 60s.
@@ -163,8 +158,8 @@ type ServeOptions struct {
 	// selects 64.
 	MaxBatch int
 	// Solvers, when non-empty, restricts the solver names requests may
-	// use (`dcnflow serve -solver` sets it); empty accepts every solver
-	// registered in the package registry.
+	// use (`dcnflow serve -solver` sets it); empty accepts every built-in
+	// solver.
 	Solvers []string
 	// Admission configures token-bucket admission control; the zero value
 	// admits everything immediately (see AdmissionOptions).

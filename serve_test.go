@@ -34,7 +34,7 @@ func newServeServer(t *testing.T, opts dcnflow.ServeOptions) (*httptest.Server, 
 	return srv, &dcnflow.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
 }
 
-// TestServeSolveMatchesDirect: a served solve equals the direct registry
+// TestServeSolveMatchesDirect: a served solve equals the direct
 // solve of the same spec (energy, bound, stats), and the second identical
 // request is a cache hit.
 func TestServeSolveMatchesDirect(t *testing.T) {

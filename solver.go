@@ -4,20 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// ErrUnknownSolver reports a solver name absent from the registry.
+// ErrUnknownSolver reports a name that is not one of the built-in solver
+// families (SolverNames).
 var ErrUnknownSolver = errors.New("dcnflow: unknown solver")
 
-// Solution is the common outcome every registered Solver returns, so
+// Solution is the common outcome every solver family returns, so
 // algorithms and baselines are compared uniformly: one schedule, one energy
 // figure, the solver's own lower bound when it produces one, and a flat bag
 // of per-solver diagnostics.
 type Solution struct {
-	// Solver is the registered name that produced this solution.
+	// Solver is the name of the family that produced this solution.
 	Solver string
 	// Schedule is the complete per-flow schedule (paths + rate functions).
 	Schedule *Schedule
@@ -33,24 +34,7 @@ type Solution struct {
 	Stats map[string]float64
 }
 
-// Solver is one algorithm of the unified Scenario/Solver API: it consumes a
-// validated Instance under a context and produces a Solution. Solvers are
-// configured at construction (Registry.New + functional options) and must
-// be safe to call Solve on repeatedly.
-//
-// Cancellation contract: when ctx ends mid-solve, Solve returns an error
-// wrapping ctx.Err() — never a partial Solution — within one unit of
-// algorithm-specific work (one Frank–Wolfe iteration for the relaxation
-// solvers, one epoch re-solve for rolling, one admission for the greedy,
-// one path assignment for exact).
-type Solver interface {
-	// Name returns the registered solver name.
-	Name() string
-	// Solve runs the algorithm on one instance.
-	Solve(ctx context.Context, in *Instance) (*Solution, error)
-}
-
-// SolverConfig is the resolved configuration a SolverFactory receives; it
+// SolverConfig is the resolved configuration a solver family runs with; it
 // is assembled by applying SolveOptions in order (later options win).
 type SolverConfig struct {
 	// Seed drives randomized rounding and randomized routing (ECMP).
@@ -68,15 +52,14 @@ type SolverConfig struct {
 	// Exact bounds the brute-force enumeration ("exact").
 	Exact ExactOptions
 
-	// scratch is the Engine's pooled per-solver scratch registry, set only
-	// by engine-dispatched solves (see withScratch). The built-in
-	// relaxation factories draw reusable F-MCF solvers from it per solve;
-	// nil (every non-engine construction) keeps the historical per-call
-	// construction. Never affects results.
+	// scratch is the Engine's pooled per-solver scratch, set only by
+	// Engine.Solve. The relaxation families draw reusable F-MCF solvers
+	// from it per solve; nil (a direct Solve) keeps per-call construction.
+	// Never affects results.
 	scratch *enginePools
 }
 
-// SolveOption configures a solver at construction.
+// SolveOption configures one solve.
 type SolveOption func(*SolverConfig)
 
 // WithSeed sets the randomization seed (rounding draws, ECMP path picks).
@@ -128,97 +111,69 @@ func WithProgress(fn ProgressFunc) SolveOption {
 	return func(c *SolverConfig) { c.DCFSR.Progress = fn }
 }
 
-// SolverFactory builds a configured Solver from a resolved SolverConfig.
-type SolverFactory func(cfg SolverConfig) (Solver, error)
-
-// Registry maps solver names to factories. The package-level registry
-// (Register/NewSolver/SolverNames/Solve) ships with the eight built-in
-// families; construct a private Registry to curate a different set.
-// A Registry is safe for concurrent use.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]SolverFactory
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{factories: make(map[string]SolverFactory)}
-}
-
-// Register adds a named factory; empty names, nil factories and duplicates
-// are rejected.
-func (r *Registry) Register(name string, f SolverFactory) error {
-	if strings.TrimSpace(name) == "" || name != strings.TrimSpace(name) {
-		return fmt.Errorf("dcnflow: invalid solver name %q", name)
-	}
-	if f == nil {
-		return fmt.Errorf("dcnflow: nil factory for solver %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("dcnflow: solver %q already registered", name)
-	}
-	r.factories[name] = f
-	return nil
-}
-
-// Names returns the registered solver names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.factories))
-	for name := range r.factories {
+// SolverNames lists the built-in solver families, sorted.
+func SolverNames() []string {
+	names := make([]string, 0, len(solvers))
+	for name := range solvers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// New constructs a configured solver by name.
-func (r *Registry) New(name string, opts ...SolveOption) (Solver, error) {
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownSolver, name, strings.Join(r.Names(), ", "))
-	}
+// Solve runs the named built-in solver on one instance — the one-call entry
+// point of the Scenario/Solver API:
+//
+//	inst, _ := dcnflow.NewInstance(g, flows, model)
+//	sol, err := dcnflow.Solve(ctx, "dcfsr", inst, dcnflow.WithSeed(1))
+//
+// Options apply in order (later ones win). An unknown name fails with
+// ErrUnknownSolver; a nil instance, and an instance whose sizes overflow
+// the energy accounting, fail with ErrBadInstance — never with a
+// non-finite Energy or LowerBound. A nil ctx is treated as
+// context.Background().
+//
+// Cancellation contract: when ctx ends mid-solve, Solve returns an error
+// wrapping ctx.Err() — never a partial Solution — within one unit of
+// algorithm-specific work (one Frank–Wolfe iteration for the relaxation
+// solvers, one epoch re-solve for rolling, one admission for the greedy,
+// one Most-Critical-First round for exact and the fixed-routing
+// families).
+func Solve(ctx context.Context, solver string, in *Instance, opts ...SolveOption) (*Solution, error) {
+	return solve(ctx, solver, newSolverConfig(opts), in)
+}
+
+// newSolverConfig applies opts in order to the zero configuration.
+func newSolverConfig(opts []SolveOption) SolverConfig {
 	var cfg SolverConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return f(cfg)
+	return cfg
 }
 
-// Solve constructs the named solver and runs it on one instance — the
-// one-call entry point of the Scenario/Solver API.
-func (r *Registry) Solve(ctx context.Context, name string, in *Instance, opts ...SolveOption) (*Solution, error) {
-	s, err := r.New(name, opts...)
+// solve is the one path from a solver name to its table entry, shared by
+// Solve and Engine.Solve: it holds the checks every family shares.
+func solve(ctx context.Context, name string, cfg SolverConfig, in *Instance) (*Solution, error) {
+	run, ok := solvers[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownSolver, name, strings.Join(SolverNames(), ", "))
+	}
+	if in == nil {
+		return nil, fmt.Errorf("%w: nil instance", ErrBadInstance)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sol, err := run(ctx, cfg, in)
 	if err != nil {
 		return nil, err
 	}
-	return s.Solve(ctx, in)
+	if !finite(sol.Energy) || !finite(sol.LowerBound) {
+		return nil, fmt.Errorf("%w: %s energy %v, lower bound %v: the instance overflows float64",
+			ErrBadInstance, name, sol.Energy, sol.LowerBound)
+	}
+	return sol, nil
 }
 
-// defaultRegistry holds the built-in solver families (populated by
-// registerBuiltins in solvers.go).
-var defaultRegistry = NewRegistry()
-
-// Register adds a solver factory to the package-level registry.
-func Register(name string, f SolverFactory) error { return defaultRegistry.Register(name, f) }
-
-// SolverNames lists the package-level registry, sorted.
-func SolverNames() []string { return defaultRegistry.Names() }
-
-// NewSolver constructs a configured solver from the package-level registry.
-func NewSolver(name string, opts ...SolveOption) (Solver, error) {
-	return defaultRegistry.New(name, opts...)
-}
-
-// Solve runs a package-level registered solver on one instance:
-//
-//	inst, _ := dcnflow.NewInstance(g, flows, model)
-//	sol, err := dcnflow.Solve(ctx, "dcfsr", inst, dcnflow.WithSeed(1))
-func Solve(ctx context.Context, solver string, in *Instance, opts ...SolveOption) (*Solution, error) {
-	return defaultRegistry.Solve(ctx, solver, in, opts...)
-}
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -67,8 +67,8 @@ func TestRegistryListsAllFamilies(t *testing.T) {
 	}
 }
 
-// TestAllSolversRunViaRegistry runs every registered family on one tiny
-// instance through Registry + Solve(ctx, instance).
+// TestAllSolversRunViaRegistry runs every built-in family on one tiny
+// instance through Solve(ctx, name, instance).
 func TestAllSolversRunViaRegistry(t *testing.T) {
 	inst := tinyInstance(t)
 	for _, name := range dcnflow.SolverNames() {
@@ -102,25 +102,22 @@ func TestAllSolversRunViaRegistry(t *testing.T) {
 	}
 }
 
-// TestNamedSolverIsReusable constructs one solver and solves twice —
-// Solver values must be reusable and deterministic per configuration.
+// TestNamedSolverIsReusable solves twice with one configuration — a
+// solver family must be deterministic per configuration across calls.
 func TestNamedSolverIsReusable(t *testing.T) {
 	inst := tinyInstance(t)
-	s, err := dcnflow.NewSolver(dcnflow.SolverDCFSR, dcnflow.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
+	solve := func() *dcnflow.Solution {
+		t.Helper()
+		sol, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Solver != dcnflow.SolverDCFSR {
+			t.Errorf("Solution.Solver = %q", sol.Solver)
+		}
+		return sol
 	}
-	if s.Name() != dcnflow.SolverDCFSR {
-		t.Errorf("Name() = %q", s.Name())
-	}
-	a, err := s.Solve(context.Background(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Solve(context.Background(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := solve(), solve()
 	if a.Energy != b.Energy || a.LowerBound != b.LowerBound {
 		t.Errorf("repeat solve diverged: %v/%v vs %v/%v", a.Energy, a.LowerBound, b.Energy, b.LowerBound)
 	}
@@ -263,7 +260,7 @@ func TestHorizonOverrideReachesOnlineSolvers(t *testing.T) {
 	}
 }
 
-// TestUnknownSolver pins the registry's error surface.
+// TestUnknownSolver pins the solver table's error surface.
 func TestUnknownSolver(t *testing.T) {
 	_, err := dcnflow.Solve(context.Background(), "simulated-annealing", tinyInstance(t))
 	if !errors.Is(err, dcnflow.ErrUnknownSolver) {
@@ -309,30 +306,5 @@ func TestInstanceValidation(t *testing.T) {
 	// Nil instance through a solver.
 	if _, err := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, nil); !errors.Is(err, dcnflow.ErrBadInstance) {
 		t.Errorf("nil instance error: %v", err)
-	}
-}
-
-// TestCustomRegistry exercises a private registry and custom registration.
-func TestCustomRegistry(t *testing.T) {
-	reg := dcnflow.NewRegistry()
-	if err := reg.Register("", nil); err == nil {
-		t.Error("empty name accepted")
-	}
-	called := false
-	err := reg.Register("custom", func(cfg dcnflow.SolverConfig) (dcnflow.Solver, error) {
-		called = true
-		return nil, errors.New("constructed")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("custom", func(cfg dcnflow.SolverConfig) (dcnflow.Solver, error) { return nil, nil }); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if _, err := reg.New("custom"); err == nil || !called {
-		t.Errorf("factory not invoked: called=%v err=%v", called, err)
-	}
-	if got := reg.Names(); len(got) != 1 || got[0] != "custom" {
-		t.Errorf("Names() = %v", got)
 	}
 }

@@ -2,17 +2,15 @@ package dcnflow
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"dcnflow/internal/baseline"
 	"dcnflow/internal/core"
 	"dcnflow/internal/online"
 )
 
-// Built-in solver names, as registered in the package-level registry. The
-// constants exist so callers and the CLI can reference families without
-// string literals; SolverNames() returns the same set.
+// Built-in solver names, the keys of the solver table. The constants exist
+// so callers and the CLI can reference families without string literals;
+// SolverNames() returns the same set.
 const (
 	// SolverDCFSR is the Random-Schedule relaxation/rounding approximation
 	// for joint routing and scheduling (Algorithm 2).
@@ -43,38 +41,20 @@ const (
 // takes one of the minimum-hop paths among its ecmpWidth shortest.
 const ecmpWidth = 8
 
-// solverFunc adapts a closure to the Solver interface with the shared
-// entry checks (nil instance, nil context) and the shared exit check: an
-// instance whose sizes overflow the energy accounting yields an error
-// wrapping ErrBadInstance, never a non-finite Energy or LowerBound.
-type solverFunc struct {
-	name string
-	run  func(ctx context.Context, in *Instance) (*Solution, error)
+// solvers is the fixed table of the eight built-in solver families. Each
+// entry runs one algorithm on a non-nil instance under a non-nil context;
+// solve holds the checks they share. Solve, Engine.Solve and the
+// ServeRequest and SweepSpec validators all read it.
+var solvers = map[string]func(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error){
+	SolverDCFSR:         solveDCFSR,
+	SolverDCFSMCF:       solveDCFSMCF,
+	SolverSPMCF:         solveSPMCF,
+	SolverECMPMCF:       solveECMPMCF,
+	SolverAlwaysOn:      solveAlwaysOn,
+	SolverExact:         solveExact,
+	SolverGreedyOnline:  solveGreedyOnline,
+	SolverRollingOnline: solveRollingOnline,
 }
-
-// Name implements Solver.
-func (s *solverFunc) Name() string { return s.name }
-
-// Solve implements Solver.
-func (s *solverFunc) Solve(ctx context.Context, in *Instance) (*Solution, error) {
-	if in == nil {
-		return nil, fmt.Errorf("%w: nil instance", ErrBadInstance)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sol, err := s.run(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	if !finite(sol.Energy) || !finite(sol.LowerBound) {
-		return nil, fmt.Errorf("%w: %s energy %v, lower bound %v: the instance overflows float64",
-			ErrBadInstance, s.name, sol.Energy, sol.LowerBound)
-	}
-	return sol, nil
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func boolStat(b bool) float64 {
 	if b {
@@ -83,8 +63,45 @@ func boolStat(b bool) float64 {
 	return 0
 }
 
-// mcfSolution packages a Most-Critical-First result uniformly.
-func mcfSolution(name string, in *Instance, res *core.DCFSResult) *Solution {
+func solveDCFSR(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error) {
+	opts := cfg.DCFSR
+	if cfg.scratch != nil {
+		// Engine-dispatched solve: draw the per-interval fan-out's solvers
+		// from the pooled scratch bound to this instance's compiled graph.
+		// Reuse never affects results.
+		opts.Solvers = cfg.scratch.poolFor(in.graph, in.model, opts.Solver)
+	}
+	res, err := core.SolveDCFSRCtx(ctx, core.DCFSRInput{
+		Graph: in.graph, Flows: in.flows, Model: in.model, Opts: opts,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Solver:     SolverDCFSR,
+		Schedule:   res.Schedule,
+		Energy:     res.Schedule.EnergyTotal(in.model),
+		LowerBound: res.LowerBound,
+		Stats: map[string]float64{
+			"attempts":          float64(res.Attempts),
+			"intervals":         float64(res.Intervals),
+			"lambda":            res.Lambda,
+			"max_rate":          res.MaxRate,
+			"capacity_feasible": boolStat(res.CapacityFeasible),
+			"links_on":          float64(len(res.Schedule.ActiveLinks())),
+		},
+	}, nil
+}
+
+// solveMCF schedules in's flows on paths with Most-Critical-First: the
+// shared tail of the three fixed-routing families.
+func solveMCF(ctx context.Context, name string, in *Instance, paths map[FlowID]Path) (*Solution, error) {
+	res, err := core.SolveDCFSCtx(ctx, core.DCFSInput{
+		Graph: in.graph, Flows: in.flows, Paths: paths, Model: in.model,
+	})
+	if err != nil {
+		return nil, err
+	}
 	return &Solution{
 		Solver:   name,
 		Schedule: res.Schedule,
@@ -94,198 +111,122 @@ func mcfSolution(name string, in *Instance, res *core.DCFSResult) *Solution {
 			"conflicts": float64(res.Conflicts),
 			"links_on":  float64(len(res.Schedule.ActiveLinks())),
 		},
-	}
+	}, nil
 }
 
-// registerBuiltins populates the package-level registry with the eight
-// solver families. It runs once at init; a registration failure here is a
-// programming error, hence the panic.
-func registerBuiltins() {
-	mustRegister := func(name string, f SolverFactory) {
-		if err := Register(name, f); err != nil {
-			panic(err)
+func solveDCFSMCF(ctx context.Context, _ SolverConfig, in *Instance) (*Solution, error) {
+	paths := in.paths
+	if paths == nil {
+		var err error
+		if paths, err = baseline.ShortestPaths(in.graph, in.flows); err != nil {
+			return nil, err
 		}
 	}
-
-	mustRegister(SolverDCFSR, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverDCFSR, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			opts := cfg.DCFSR
-			if cfg.scratch != nil {
-				// Engine-dispatched solve: draw the per-interval fan-out's
-				// solvers from the pooled scratch bound to this instance's
-				// compiled graph. Reuse never affects results.
-				opts.Solvers = cfg.scratch.poolFor(in.graph, in.model, opts.Solver)
-			}
-			res, err := core.SolveDCFSRCtx(ctx, core.DCFSRInput{
-				Graph: in.graph, Flows: in.flows, Model: in.model, Opts: opts,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Solver:     SolverDCFSR,
-				Schedule:   res.Schedule,
-				Energy:     res.Schedule.EnergyTotal(in.model),
-				LowerBound: res.LowerBound,
-				Stats: map[string]float64{
-					"attempts":          float64(res.Attempts),
-					"intervals":         float64(res.Intervals),
-					"lambda":            res.Lambda,
-					"max_rate":          res.MaxRate,
-					"capacity_feasible": boolStat(res.CapacityFeasible),
-					"links_on":          float64(len(res.Schedule.ActiveLinks())),
-				},
-			}, nil
-		}}, nil
-	})
-
-	mustRegister(SolverDCFSMCF, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverDCFSMCF, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			paths := in.paths
-			if paths == nil {
-				var err error
-				if paths, err = baseline.ShortestPaths(in.graph, in.flows); err != nil {
-					return nil, err
-				}
-			}
-			res, err := core.SolveDCFSCtx(ctx, core.DCFSInput{
-				Graph: in.graph, Flows: in.flows, Paths: paths, Model: in.model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return mcfSolution(SolverDCFSMCF, in, res), nil
-		}}, nil
-	})
-
-	mustRegister(SolverSPMCF, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverSPMCF, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			paths, err := baseline.ShortestPaths(in.graph, in.flows)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.SolveDCFSCtx(ctx, core.DCFSInput{
-				Graph: in.graph, Flows: in.flows, Paths: paths, Model: in.model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return mcfSolution(SolverSPMCF, in, res), nil
-		}}, nil
-	})
-
-	mustRegister(SolverECMPMCF, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverECMPMCF, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			paths, err := baseline.ECMPPaths(in.graph, in.flows, ecmpWidth, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.SolveDCFSCtx(ctx, core.DCFSInput{
-				Graph: in.graph, Flows: in.flows, Paths: paths, Model: in.model,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sol := mcfSolution(SolverECMPMCF, in, res)
-			sol.Stats["ecmp_width"] = ecmpWidth
-			return sol, nil
-		}}, nil
-	})
-
-	mustRegister(SolverAlwaysOn, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverAlwaysOn, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			res, err := baseline.AlwaysOnFullRate(in.graph, in.flows, in.model)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Solver:   SolverAlwaysOn,
-				Schedule: res.Schedule,
-				Energy:   res.Energy,
-				Stats: map[string]float64{
-					"links_on": float64(in.graph.NumEdges()),
-				},
-			}, nil
-		}}, nil
-	})
-
-	mustRegister(SolverExact, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverExact, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			res, err := core.SolveDCFSRExactCtx(ctx, core.DCFSRInput{
-				Graph: in.graph, Flows: in.flows, Model: in.model,
-			}, cfg.Exact)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Solver:   SolverExact,
-				Schedule: res.Result.Schedule,
-				Energy:   res.Energy,
-				Stats: map[string]float64{
-					"assignments": float64(res.Assignments),
-					"links_on":    float64(len(res.Result.Schedule.ActiveLinks())),
-				},
-			}, nil
-		}}, nil
-	})
-
-	mustRegister(SolverGreedyOnline, func(cfg SolverConfig) (Solver, error) {
-		return &solverFunc{name: SolverGreedyOnline, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			horizon := in.horizon
-			res, err := online.RunCtx(ctx, in.graph, in.flows, in.model, &horizon, cfg.Online)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Solver:   SolverGreedyOnline,
-				Schedule: res.Schedule,
-				Energy:   res.Schedule.EnergyTotal(in.model),
-				Stats: map[string]float64{
-					"admitted":  float64(res.Admitted),
-					"rejected":  float64(in.flows.Len() - res.Admitted),
-					"peak_rate": res.PeakRate,
-					"links_on":  float64(len(res.Schedule.ActiveLinks())),
-				},
-			}, nil
-		}}, nil
-	})
-
-	mustRegister(SolverRollingOnline, func(cfg SolverConfig) (Solver, error) {
-		ropts := cfg.Rolling
-		ropts.DCFSR = cfg.DCFSR
-		return &solverFunc{name: SolverRollingOnline, run: func(ctx context.Context, in *Instance) (*Solution, error) {
-			horizon := in.horizon
-			opts := ropts
-			if cfg.scratch != nil {
-				// Engine-dispatched solve: hand the rolling scheduler the
-				// engine's shared solver pool so epoch re-solves of repeated
-				// requests on one topology recycle scratch across requests,
-				// not just across epochs.
-				opts.DCFSR.Solvers = cfg.scratch.poolFor(in.graph, in.model, opts.DCFSR.Solver)
-			}
-			res, rep, err := online.RunRollingCtx(ctx, in.graph, in.flows, in.model, &horizon, opts)
-			if err != nil {
-				return nil, err
-			}
-			return &Solution{
-				Solver:   SolverRollingOnline,
-				Schedule: res.Schedule,
-				Energy:   res.Schedule.EnergyTotal(in.model),
-				Stats: map[string]float64{
-					"epochs":              float64(res.Stats.Epochs),
-					"fw_iters":            float64(res.Stats.FWIters),
-					"seeded_intervals":    float64(res.Stats.SeededIntervals),
-					"solved_intervals":    float64(res.Stats.SolvedIntervals),
-					"admitted":            float64(rep.Admitted),
-					"rejected":            float64(rep.Rejected),
-					"deadline_violations": float64(rep.DeadlineViolations),
-					"capacity_violations": float64(rep.CapacityViolations),
-					"first_residual_lb":   res.Stats.FirstResidualLB,
-					"links_on":            float64(len(res.Schedule.ActiveLinks())),
-				},
-			}, nil
-		}}, nil
-	})
+	return solveMCF(ctx, SolverDCFSMCF, in, paths)
 }
 
-func init() { registerBuiltins() }
+func solveSPMCF(ctx context.Context, _ SolverConfig, in *Instance) (*Solution, error) {
+	paths, err := baseline.ShortestPaths(in.graph, in.flows)
+	if err != nil {
+		return nil, err
+	}
+	return solveMCF(ctx, SolverSPMCF, in, paths)
+}
+
+func solveECMPMCF(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error) {
+	paths, err := baseline.ECMPPaths(in.graph, in.flows, ecmpWidth, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := solveMCF(ctx, SolverECMPMCF, in, paths)
+	if err != nil {
+		return nil, err
+	}
+	sol.Stats["ecmp_width"] = ecmpWidth
+	return sol, nil
+}
+
+func solveAlwaysOn(_ context.Context, _ SolverConfig, in *Instance) (*Solution, error) {
+	res, err := baseline.AlwaysOnFullRate(in.graph, in.flows, in.model)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Solver:   SolverAlwaysOn,
+		Schedule: res.Schedule,
+		Energy:   res.Energy,
+		Stats: map[string]float64{
+			"links_on": float64(in.graph.NumEdges()),
+		},
+	}, nil
+}
+
+func solveExact(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error) {
+	res, err := core.SolveDCFSRExactCtx(ctx, core.DCFSRInput{
+		Graph: in.graph, Flows: in.flows, Model: in.model,
+	}, cfg.Exact)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Solver:   SolverExact,
+		Schedule: res.Result.Schedule,
+		Energy:   res.Energy,
+		Stats: map[string]float64{
+			"assignments": float64(res.Assignments),
+			"links_on":    float64(len(res.Result.Schedule.ActiveLinks())),
+		},
+	}, nil
+}
+
+func solveGreedyOnline(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error) {
+	horizon := in.horizon
+	res, err := online.RunCtx(ctx, in.graph, in.flows, in.model, &horizon, cfg.Online)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Solver:   SolverGreedyOnline,
+		Schedule: res.Schedule,
+		Energy:   res.Schedule.EnergyTotal(in.model),
+		Stats: map[string]float64{
+			"admitted":  float64(res.Admitted),
+			"rejected":  float64(in.flows.Len() - res.Admitted),
+			"peak_rate": res.PeakRate,
+			"links_on":  float64(len(res.Schedule.ActiveLinks())),
+		},
+	}, nil
+}
+
+func solveRollingOnline(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution, error) {
+	horizon := in.horizon
+	opts := cfg.Rolling
+	opts.DCFSR = cfg.DCFSR
+	if cfg.scratch != nil {
+		// Engine-dispatched solve: hand the rolling scheduler the engine's
+		// shared solver pool so epoch re-solves of repeated requests on one
+		// topology recycle scratch across requests, not just across epochs.
+		opts.DCFSR.Solvers = cfg.scratch.poolFor(in.graph, in.model, opts.DCFSR.Solver)
+	}
+	res, rep, err := online.RunRollingCtx(ctx, in.graph, in.flows, in.model, &horizon, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		Solver:   SolverRollingOnline,
+		Schedule: res.Schedule,
+		Energy:   res.Schedule.EnergyTotal(in.model),
+		Stats: map[string]float64{
+			"epochs":              float64(res.Stats.Epochs),
+			"fw_iters":            float64(res.Stats.FWIters),
+			"seeded_intervals":    float64(res.Stats.SeededIntervals),
+			"solved_intervals":    float64(res.Stats.SolvedIntervals),
+			"admitted":            float64(rep.Admitted),
+			"rejected":            float64(rep.Rejected),
+			"deadline_violations": float64(rep.DeadlineViolations),
+			"capacity_violations": float64(rep.CapacityViolations),
+			"first_residual_lb":   res.Stats.FirstResidualLB,
+			"links_on":            float64(len(res.Schedule.ActiveLinks())),
+		},
+	}, nil
+}

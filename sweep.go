@@ -53,7 +53,7 @@ type SweepSpec struct {
 	// workload generation and its solver (rounding draws, ECMP picks).
 	// Empty means {1}.
 	Seeds []int64 `json:"seeds,omitempty"`
-	// Solvers lists registered solver names, each run on every scenario.
+	// Solvers lists solver names (SolverNames), each run on every scenario.
 	Solvers []string `json:"solvers"`
 }
 
@@ -74,8 +74,8 @@ func (s *SweepSpec) seedAxis() []int64 {
 }
 
 // Validate checks the spec without generating anything expensive: every
-// axis entry validates, every solver is registered in the package-level
-// registry, and the expanded grid stays below MaxSweepCells.
+// axis entry validates, every solver is a built-in family, and the
+// expanded grid stays below MaxSweepCells.
 func (s *SweepSpec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("%w: nil spec", ErrBadSweep)
@@ -107,12 +107,8 @@ func (s *SweepSpec) Validate() error {
 	if len(s.Solvers) == 0 {
 		return fmt.Errorf("%w: solvers must list at least one registered solver", ErrBadSweep)
 	}
-	registered := make(map[string]bool)
-	for _, name := range SolverNames() {
-		registered[name] = true
-	}
 	for i, name := range s.Solvers {
-		if !registered[name] {
+		if _, ok := solvers[name]; !ok {
 			return fmt.Errorf("%w: solvers[%d]: unknown solver %q (registered: %s)",
 				ErrBadSweep, i, name, strings.Join(SolverNames(), ", "))
 		}
@@ -141,7 +137,7 @@ func (s *SweepSpec) CellCount() int {
 type SweepCell struct {
 	// Index is the cell's position in the fixed expansion order.
 	Index int
-	// Solver is the registered solver name this cell runs.
+	// Solver names the solver family this cell runs.
 	Solver string
 	// Tightness and Seed echo the axis values baked into Scenario.
 	Tightness float64
@@ -310,7 +306,7 @@ type SweepCellResult struct {
 	// Tightness and Seed are the remaining axis coordinates.
 	Tightness float64 `json:"tightness"`
 	Seed      int64   `json:"seed"`
-	// Solver is the registered solver name.
+	// Solver names the solver family (SolverNames).
 	Solver string `json:"solver"`
 	// Energy is the solver's accounted total energy.
 	Energy float64 `json:"energy,omitempty"`
@@ -348,8 +344,7 @@ type SweepCellResult struct {
 }
 
 // SweepOptions configures a Sweep run. The zero value runs the grid on
-// GOMAXPROCS workers with a private Engine over the package-level registry
-// and per-scenario lower bounds.
+// GOMAXPROCS workers with a private Engine and per-scenario lower bounds.
 type SweepOptions struct {
 	// Workers bounds concurrent cell solves; <= 0 selects GOMAXPROCS. The
 	// worker count is purely a wall-clock lever: results, JSONL bodies and
@@ -394,7 +389,7 @@ type SweepResult struct {
 
 // SweepAggregate is one per-solver row of the aggregate table.
 type SweepAggregate struct {
-	// Solver is the registered solver name.
+	// Solver names the solver family (SolverNames).
 	Solver string
 	// Cells and Errors count the solver's grid cells and failed cells.
 	Cells, Errors int
