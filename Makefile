@@ -109,9 +109,12 @@ bench-smoke:
 
 # dcnbench-smoke runs the repository benchmark (bench/, see BENCHMARK.json)
 # briefly: all four workloads for 3 s each, exiting non-zero unless every
-# output check passes, then a traced paper-k8 run, whose layer replays
-# call the graph and solver layers directly. large-k32 is not traced here:
-# one of its solves takes about 2 s, too long for a short traced run.
+# output check passes, then traced paper-k8 and large-k32 runs, whose layer
+# replays call the graph and solver layers directly. large-k32's replay
+# requires bit-equal Frank–Wolfe objectives at 1 and 2 oracle workers on a
+# 9,472-node fat-tree, which runs the goal-directed oracle search in the
+# parallel sweep.
 dcnbench-smoke:
 	bash bench/run.sh -seed 1 -seconds 3
 	bash bench/run.sh -workload paper-k8 -seed 1 -seconds 2 -trace 1
+	bash bench/run.sh -workload large-k32 -seed 1 -seconds 2 -trace 1

@@ -326,9 +326,11 @@ var (
 
 // LowerBound computes the fractional relaxation bound used to normalise the
 // paper's Fig. 2. It is the LowerBound field of the "dcfsr" solver's
-// Solution, computable without the rounding step.
-func LowerBound(g *Graph, flows *FlowSet, m PowerModel, opts DCFSROptions) (float64, error) {
-	return core.LowerBoundCtx(context.Background(), g, flows, m, opts)
+// Solution, computable without the rounding step. Cancellation follows
+// Solve: the relaxation checks ctx at every Frank–Wolfe iteration, and a
+// cancelled ctx returns the wrapped context error and no bound.
+func LowerBound(ctx context.Context, g *Graph, flows *FlowSet, m PowerModel, opts DCFSROptions) (float64, error) {
+	return core.LowerBoundCtx(ctx, g, flows, m, opts)
 }
 
 // ShortestPathRouting assigns every flow its deterministic minimum-hop

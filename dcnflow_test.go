@@ -2,6 +2,7 @@ package dcnflow_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestFacadeLowerBoundAndAlwaysOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := dcnflow.PowerModel{Sigma: 1, Mu: 1, Alpha: 2, C: 100}
-	lb, err := dcnflow.LowerBound(ft.Graph, flows, model, dcnflow.DCFSROptions{})
+	lb, err := dcnflow.LowerBound(context.Background(), ft.Graph, flows, model, dcnflow.DCFSROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,31 @@ func TestFacadeLowerBoundAndAlwaysOn(t *testing.T) {
 	}
 	if ao.Energy <= lb {
 		t.Fatalf("always-on energy %v should exceed the lower bound %v", ao.Energy, lb)
+	}
+}
+
+// TestFacadeLowerBoundCancelled: a cancelled context ends the bound's
+// relaxation with an error wrapping context.Canceled and no bound.
+func TestFacadeLowerBoundCancelled(t *testing.T) {
+	ft, err := dcnflow.FatTree(4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := dcnflow.UniformWorkload(dcnflow.WorkloadConfig{
+		N: 10, T0: 1, T1: 100, SizeMean: 5, SizeStddev: 1,
+		Hosts: ft.Hosts, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	lb, err := dcnflow.LowerBound(ctx, ft.Graph, flows, dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 100}, dcnflow.DCFSROptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("LowerBound on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if lb != 0 {
+		t.Fatalf("LowerBound on a cancelled context returned bound %v, want none", lb)
 	}
 }
 

@@ -433,7 +433,7 @@ func TestEngineLowerBoundMemoised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dcnflow.LowerBound(inst.Graph(), inst.Flows(), inst.Model(),
+	want, err := dcnflow.LowerBound(context.Background(), inst.Graph(), inst.Flows(), inst.Model(),
 		dcnflow.DCFSROptions{Solver: dcnflow.SolverOptions{MaxIters: 20}})
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func ExampleLowerBound() {
 	})
 	model := dcnflow.PowerModel{Mu: 1, Alpha: 2, C: 1000}
 
-	lb, _ := dcnflow.LowerBound(ft.Graph, flows, model, dcnflow.DCFSROptions{})
+	lb, _ := dcnflow.LowerBound(context.Background(), ft.Graph, flows, model, dcnflow.DCFSROptions{})
 	inst, _ := dcnflow.NewInstance(ft.Graph, flows, model)
 	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	fmt.Printf("no schedule can beat %.1f; Random-Schedule achieves %.1fx of it\n",

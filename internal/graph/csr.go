@@ -40,6 +40,12 @@ type CSR struct {
 	// edge switch. Tree finalises a stub when u relaxes it instead of
 	// pushing it (see stubFlags and Tree).
 	stub []bool
+
+	// The in-slot view: node v's in-edges occupy in-slots
+	// inStart[v]..inStart[v+1], in ascending out-slot order; inFrom holds
+	// each in-edge's tail and inSlot its out-slot (the index of its weight
+	// in SSSPScratch's slot order). Hops and TreeToward's bound walk it.
+	inStart, inFrom, inSlot []int32
 }
 
 // NumNodes returns the number of nodes of the underlying graph.
@@ -86,7 +92,69 @@ func buildCSR(g *Graph, perm, inv []int32) *CSR {
 		c.EdgeFrom[i] = NodeID(perm[g.edges[i].From])
 	}
 	c.stub = stubFlags(c)
+	c.inStart, c.inFrom, c.inSlot = inSlots(c)
 	return c
+}
+
+// inSlots builds c's in-slot view (see CSR.inStart) with one counting pass
+// and one placement pass over the out-slots.
+func inSlots(c *CSR) (start, from, slot []int32) {
+	n, e := c.NumNodes(), c.NumEdges()
+	start = make([]int32, n+1)
+	for _, v := range c.slotTo {
+		start[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	from, slot = make([]int32, e), make([]int32, e)
+	fill := append([]int32(nil), start[:n]...)
+	for u := 0; u < n; u++ {
+		for k := c.Start[u]; k < c.Start[u+1]; k++ {
+			v := c.slotTo[k]
+			from[fill[v]], slot[fill[v]] = int32(u), k
+			fill[v]++
+		}
+	}
+	return start, from, slot
+}
+
+// HopNone marks, in a hop array filled by Hops, a node from which no path
+// leads to the destination set.
+const HopNone uint8 = 255
+
+// hopCap is the largest hop count Hops records; a longer distance is
+// recorded as hopCap, which keeps every value a lower bound.
+const hopCap uint8 = HopNone - 1
+
+// Hops fills hop (length NumNodes) with each node's hop distance to the
+// nearest node of dsts: 0 on dsts, the number of edges on a fewest-edge
+// path to dsts elsewhere, capped at 254, and HopNone where no path leads to
+// dsts. It is one multi-source breadth-first search over the in-slots;
+// queue is its scratch, returned grown for reuse. TreeToward takes the
+// result as its hop argument.
+func (c *CSR) Hops(dsts []NodeID, hop []uint8, queue []int32) []int32 {
+	for i := range hop {
+		hop[i] = HopNone
+	}
+	q := queue[:0]
+	for _, t := range dsts {
+		if hop[t] != 0 {
+			hop[t] = 0
+			q = append(q, int32(t))
+		}
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		next := min(hop[v]+1, hopCap)
+		for _, a := range c.inFrom[c.inStart[v]:c.inStart[v+1]] {
+			if hop[a] == HopNone {
+				hop[a] = next
+				q = append(q, a)
+			}
+		}
+	}
+	return q[:0]
 }
 
 // stubFlags classifies the stub nodes of c (see CSR.stub) in one pass over
@@ -152,13 +220,37 @@ type SSSPScratch struct {
 	// node id.
 	frontier, nextFrontier []int32
 
+	// bound is TreeToward's bound for the current call (its lb1 buffer is
+	// allocated on first use and kept), and near lists the nodes at hop 1.
+	bound goalBound
+	near  []int32
+
 	pathBuf []EdgeID // reversal scratch for AppendPathTo
 }
 
-// ssspItem is one (distance, node) heap entry; a single packed array keeps
-// sift operations to one swap per level.
+// goalBound is TreeToward's bound for one search: the destination set's hop
+// array, lb1 on the nodes at hop 1, and c0 and c1 = m − δ for the nodes
+// beyond (see TreeToward).
+type goalBound struct {
+	hop    []uint8
+	lb1    []float64
+	c0, c1 float64
+}
+
+// key returns the heap key of node v at distance nd and hop hv ≥ 1: nd plus
+// its bound.
+func (g *goalBound) key(nd float64, v int32, hv uint8) float64 {
+	if hv == 1 {
+		return nd + g.lb1[v]
+	}
+	return nd + (g.c0 + g.c1*float64(hv-2))
+}
+
+// ssspItem is one (key, node) heap entry; a single packed array keeps sift
+// operations to one swap per level. The key is the tentative distance, plus
+// the node's lower bound in TreeToward's goal search.
 type ssspItem struct {
-	dist float64
+	key  float64
 	node int32
 }
 
@@ -258,23 +350,40 @@ func (s *SSSPScratch) SlotWeights() []float64 {
 }
 
 // ScanWeights records the lower bound of the slot weights that Tree's
-// no-absorption guard needs, after the caller filled SlotWeights directly
-// (SetWeights records it itself). Without it Tree runs only the historical
-// search, with the same results.
-func (s *SSSPScratch) ScanWeights() {
-	// A plain comparison is about 3x faster than the builtin min, whose
-	// NaN and signed-zero handling the guard does not need: a zero of
-	// either sign fails minW > 0 alike, and a NaN still ends the scan.
-	m := math.Inf(1)
-	for _, wt := range s.wSlot {
-		if wt < m {
-			m = wt
+// no-absorption guard and TreeToward's bound need, after the caller filled
+// SlotWeights directly (SetWeights records it itself); without it Tree runs
+// only the historical search, with the same results. It returns that least
+// weight and whether every weight equals it, positive and finite — exactly
+// when QuantizeWeights(SlotWeights(), 1) succeeds, with the quantum minW —
+// so one pass over the slots both selects TreeDial and arms the heap
+// searches.
+func (s *SSSPScratch) ScanWeights() (minW float64, uniform bool) {
+	// One pass in two parts: the leading run of weights equal to the first
+	// (all of them when uniform, a few slots for Frank–Wolfe weights), then
+	// the minimum over the rest. Plain comparisons are about 3x faster than
+	// the builtin min, whose NaN and signed-zero handling the guard does not
+	// need: a zero of either sign fails minW > 0 alike, and a NaN still ends
+	// the scan (a NaN first weight ends the run and stays the minimum).
+	w := s.wSlot
+	if len(w) == 0 {
+		s.minW = math.Inf(1)
+		return s.minW, false
+	}
+	lo, i := w[0], 1
+	for i < len(w) && w[i] == lo {
+		i++
+	}
+	uniform = i == len(w) && lo > 0 && lo <= math.MaxFloat64
+	for _, wt := range w[i:] {
+		if wt < lo {
+			lo = wt
 		} else if wt != wt {
-			m = wt
+			lo = wt
 			break
 		}
 	}
-	s.minW = m
+	s.minW = lo
+	return lo, uniform
 }
 
 // beginEpoch advances the stamp epoch for one Tree/TreeDial call and
@@ -339,6 +448,140 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 	s.heapTree(src, dsts, false)
 }
 
+// TreeToward is Tree with the search directed at dsts (A*, Hart, Nilsson &
+// Raphael, 1968): it pops nodes by distance plus a lower bound on the
+// distance still to go, so it finalises few nodes off the way to dsts, and
+// every destination gets exactly the distance bits and predecessor edge
+// Tree gives it. hop must be the array Hops computed for dsts on this
+// scratch's CSR. It reports whether the goal search answered; when the
+// guard below fails, or hop is nil, or dsts is empty, it runs Tree instead
+// and reports false. Only dsts may be queried afterwards, as after an
+// early-exiting Tree.
+//
+// The bound. Let T be dsts, h(v) = hop[v], m = minW (Tree's weight lower
+// bound), δ = m/16, m1(v) the least weight of v's out-edges into T, and B2
+// the least w(a→b) + w(b→t) over t in T and b outside T, where a is not a
+// stub unless a is src. With c0 = B2 − 2δ:
+//
+//	lb(v) = 0                        h(v) = 0 (v in T)
+//	lb(v) = min(m1(v) − δ, c0)       h(v) = 1
+//	lb(v) = c0 + (m − δ)·(h(v) − 2)  h(v) ≥ 2
+//
+// Why it is exact. The search relaxes an edge u→v only when u was popped,
+// so u is src or not a stub (a stub outside T is never pushed, one in T is
+// finalised at relaxation and never scanned), and only when h(v) is not
+// HopNone, so h(u) ≤ h(v) + 1. On every such edge with u ≠ src (src is
+// popped first whatever its key), lb(u) ≤ w + lb(v) − δ, w = w(u→v) ≥ m:
+//
+//   - h(u) = 0: lb(u) = 0 ≤ w − δ.
+//   - h(u) = 1, h(v) = 0: lb(u) ≤ m1(u) − δ ≤ w − δ, since v is in T.
+//   - h(u) in {1, 2}, h(v) = 1: lb(u) ≤ c0, and w + lb(v) − δ is
+//     min(w + m1(v) − 2δ, w + c0 − δ). u→v→t is one of B2's 2-paths (u is
+//     not a stub, v is outside T), so B2 ≤ w + m1(v); and w ≥ δ.
+//   - h(u) = h(v) + 1 ≥ 3: lb(u) − lb(v) = m − δ ≤ w − δ.
+//   - otherwise h(u) ≤ h(v), and lb does not decrease with h: lb(u) ≤ lb(v).
+//
+// src's exception in B2 is not needed for exactness, as src's own edges
+// need no bound; it keeps B2 finite when a stub src is the only tail into
+// its destinations' neighbours (a star), where the search would otherwise
+// hand over to Tree.
+//
+// Keys are computed in float64. While B2 and every popped key stay below
+// m·2^45, every label, bound and key the argument involves is below about
+// m·2^45 (a label or a bound is at most its key), so each rounding errs by
+// at most ε = m·2^-8 (half an ulp; 2ε where B2's sum w + m1(v) reaches up
+// to twice that). The computed lb values keep the inequalities above to
+// within 4ε (B2's sums, c0 and m1(v) − δ are one rounding each, c0 + (m −
+// δ)·j rounds once more), the label fl(d(u) + w) is at least d(u) + w − ε,
+// and each key fl(d + lb) is within ε of d + lb: so along a predecessor
+// edge u→v, key(u) < key(v) − (δ − 7ε) with δ = 16ε. An in-neighbour whose
+// offer achieves v's final label, and by induction every node of its
+// predecessor chain, therefore pops strictly before v, whatever order equal
+// keys pop in; so when v pops its label is final and its min-edge-id
+// predecessor has offered. Every label the search finalises is then the
+// order-independent fixpoint that Tree computes under its no-absorption
+// guard (every finalised distance is far below minW·2^52). A skipped head
+// never matters: a node that cannot reach T is on no path to it, and a
+// stub is inside no path (its exits lead back to its one in-neighbour).
+//
+// The guard. The goal search hands over to Tree when minW is not > 0, when
+// B2 or a popped key (or a destination stub's label) reaches m·2^45, or
+// when it ran out of nodes before finalising every destination.
+func (s *SSSPScratch) TreeToward(src NodeID, dsts []NodeID, hop []uint8) bool {
+	if s.goalSearch(src, dsts, hop) {
+		return true
+	}
+	s.Tree(src, dsts)
+	return false
+}
+
+// goalSearch computes TreeToward's bound and runs its goal search. It
+// reports false, leaving the labels unspecified, whenever the guard fails.
+func (s *SSSPScratch) goalSearch(src NodeID, dsts []NodeID, hop []uint8) bool {
+	c, m := s.csr, s.minW
+	if len(dsts) == 0 || len(hop) != c.NumNodes() || !(m > 0) {
+		return false
+	}
+	limit, delta := m*0x1p45, m/16
+	gb := &s.bound
+	if gb.lb1 == nil {
+		gb.lb1 = make([]float64, c.NumNodes())
+	}
+	lb1, w, stub := gb.lb1, s.wSlot, c.stub
+	inStart, inFrom, inSlot := c.inStart, c.inFrom, c.inSlot
+	// m1 over T's in-neighbours outside T (exactly the nodes at hop 1),
+	// listed once each in near; -1 marks a node not yet listed.
+	for _, t := range dsts {
+		if hop[t] != 0 {
+			return false // hop was not computed for dsts
+		}
+		for _, b := range inFrom[inStart[t]:inStart[t+1]] {
+			lb1[b] = -1
+		}
+	}
+	near := s.near[:0]
+	for _, t := range dsts {
+		for i := inStart[t]; i < inStart[t+1]; i++ {
+			b := inFrom[i]
+			if hop[b] == 0 {
+				continue
+			}
+			if wt := w[inSlot[i]]; lb1[b] < 0 {
+				lb1[b] = wt
+				near = append(near, b)
+			} else if wt < lb1[b] {
+				lb1[b] = wt
+			}
+		}
+	}
+	s.near = near
+	// B2 = min over b of m1(b) + the least weight into b from src or a
+	// node that is not a stub.
+	b2 := math.Inf(1)
+	for _, b := range near {
+		in := math.Inf(1)
+		for i := inStart[b]; i < inStart[b+1]; i++ {
+			if a := inFrom[i]; (!stub[a] || a == int32(src)) && w[inSlot[i]] < in {
+				in = w[inSlot[i]]
+			}
+		}
+		if sum := lb1[b] + in; sum < b2 {
+			b2 = sum
+		}
+	}
+	if !(b2 < limit) {
+		return false
+	}
+	c0 := b2 - 2*delta
+	for _, b := range near {
+		lb1[b] = min(lb1[b]-delta, c0)
+	}
+	gb.hop, gb.c0, gb.c1 = hop, c0, m-delta
+	maxKey, remaining := s.goalTree(src, dsts, gb)
+	gb.hop = nil
+	return remaining == 0 && maxKey < limit
+}
+
 // heapTree is Tree's binary-heap search. With fast set it finalises stubs
 // at relaxation and skips tie-break-only pushes, which is exact only under
 // Tree's no-absorption guard; unset, it is the historical search. It
@@ -365,7 +608,7 @@ func (s *SSSPScratch) heapTree(src NodeID, dsts []NodeID, fast bool) (maxDist fl
 	}
 	nodes[src] = nodeState{dist: 0, pred: int32(unreachedPred), stamp: ep | fSeen | keep}
 
-	h := append(s.heap[:0], ssspItem{node: int32(src), dist: 0})
+	h := append(s.heap[:0], ssspItem{node: int32(src), key: 0})
 search:
 	for len(h) > 0 {
 		// Inline heapPop (hole sift-down of the former last entry). Indices
@@ -375,7 +618,7 @@ search:
 		siftv := h[last]
 		h = h[:last]
 		i := uint(0)
-		sd := siftv.dist
+		sd := siftv.key
 		for {
 			l, r := 2*i+1, 2*i+2
 			// Pick the smaller child first (left wins ties), then compare it
@@ -384,7 +627,7 @@ search:
 			// loads are independent, which shortens the serial load chain.
 			var m uint
 			if r < last {
-				if h[l].dist <= h[r].dist {
+				if h[l].key <= h[r].key {
 					m = l
 				} else {
 					m = r
@@ -394,7 +637,7 @@ search:
 			} else {
 				break
 			}
-			if h[m].dist >= sd {
+			if h[m].key >= sd {
 				break
 			}
 			h[i] = h[m]
@@ -404,7 +647,7 @@ search:
 			h[i] = siftv
 		}
 
-		u, d := top.node, top.dist
+		u, d := top.node, top.key
 		su := &nodes[u]
 		// Every heap entry was pushed this call, so su's stamp is current:
 		// the flag bits are exactly su.stamp-ep.
@@ -485,12 +728,12 @@ search:
 				continue
 			}
 			// Inline heapPush (hole sift-up).
-			it := ssspItem{node: v, dist: nd}
+			it := ssspItem{node: v, key: nd}
 			h = append(h, it)
 			j := uint(len(h)) - 1
 			for j > 0 {
 				p := (j - 1) / 2
-				if h[p].dist <= nd {
+				if h[p].key <= nd {
 					break
 				}
 				h[j] = h[p]
@@ -501,6 +744,151 @@ search:
 	}
 	s.heap = h
 	return maxDist
+}
+
+// goalTree is TreeToward's heap search: heapTree's fast search, with every
+// head looked up in the hop array (a HopNone head is never pushed, nor a
+// stub outside the destination set) and every key raised by the node's
+// bound (goalBound.key; 0 at hop 0). Each push carries the label at that
+// moment, labels only fall and the key rises with the label, so a node's
+// latest entry carries its least key and the first of its entries to pop
+// finalises its current label: no staleness test is needed. It returns the
+// largest key popped or stub label written, and how many destinations were
+// left unfinalised. It is a second copy of the heap loop because folding
+// the goal mode into heapTree slowed the plain Tree that greedy admission
+// runs (see DESIGN.md, "Goal-directed oracle search").
+func (s *SSSPScratch) goalTree(src NodeID, dsts []NodeID, gb *goalBound) (maxKey float64, remaining int) {
+	ep, remaining := s.beginEpoch(dsts)
+	nodes := s.node
+	wSlot := s.wSlot
+	eids, tos, starts, stub := s.csr.slotEid, s.csr.slotTo, s.csr.Start, s.csr.stub
+	hop := gb.hop
+
+	keep := uint32(0)
+	if st := nodes[src].stamp; st-ep < epochStride {
+		keep = st & fNeed
+	}
+	nodes[src] = nodeState{dist: 0, pred: int32(unreachedPred), stamp: ep | fSeen | keep}
+
+	h := append(s.heap[:0], ssspItem{node: int32(src), key: 0})
+search:
+	for len(h) > 0 {
+		// Inline heapPop, as in heapTree.
+		top := h[0]
+		last := uint(len(h)) - 1
+		siftv := h[last]
+		h = h[:last]
+		i := uint(0)
+		sk := siftv.key
+		for {
+			l, r := 2*i+1, 2*i+2
+			var m uint
+			if r < last {
+				if h[l].key <= h[r].key {
+					m = l
+				} else {
+					m = r
+				}
+			} else if l < last {
+				m = l
+			} else {
+				break
+			}
+			if h[m].key >= sk {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		if last > 0 {
+			h[i] = siftv
+		}
+
+		su := &nodes[top.node]
+		if su.stamp&fDone != 0 {
+			continue
+		}
+		su.stamp |= fDone
+		if top.key > maxKey {
+			maxKey = top.key
+		}
+		if su.stamp&fNeed != 0 {
+			remaining--
+			if remaining == 0 {
+				break
+			}
+		}
+		d := su.dist
+		base := starts[top.node]
+		row := tos[base:starts[top.node+1]]
+		ws := wSlot[base : base+int32(len(row))]
+		for k := range row {
+			v := row[k]
+			st := &nodes[v]
+			sv := st.stamp - ep
+			if sv&^uint32(fSeen|fNeed) == fDone {
+				continue // current and finalised, as in heapTree
+			}
+			hv := hop[v]
+			if hv == HopNone {
+				continue // no path from v leads to a destination
+			}
+			nd := d + ws[k]
+			if stub[v] {
+				if hv != 0 {
+					continue // a stub outside dsts is inside no path
+				}
+				// A destination stub: this offer is its final label, as in
+				// heapTree.
+				if sv >= epochStride {
+					sv = 0
+				}
+				*st = nodeState{dist: nd, pred: base + int32(k), stamp: ep | sv | fSeen | fDone}
+				if nd > maxKey {
+					maxKey = nd
+				}
+				if sv&fNeed != 0 {
+					remaining--
+					if remaining == 0 {
+						break search
+					}
+				}
+				continue
+			}
+			if sv >= epochStride {
+				st.stamp = ep | fSeen
+			} else if sv&fSeen == 0 {
+				st.stamp |= fSeen
+			} else if !(nd < st.dist) {
+				// No push for a tie-break-only update: v's entry is valid.
+				if nd == st.dist && st.pred != int32(unreachedPred) && eids[base+int32(k)] < eids[st.pred] {
+					st.pred = base + int32(k)
+				}
+				continue
+			}
+			st.dist = nd
+			st.pred = base + int32(k)
+			vk := nd
+			if hv != 0 {
+				vk = gb.key(nd, v, hv)
+			}
+			// Inline heapPush, as in heapTree.
+			it := ssspItem{node: v, key: vk}
+			h = append(h, it)
+			j := uint(len(h)) - 1
+			for j > 0 {
+				p := (j - 1) / 2
+				if h[p].key <= vk {
+					break
+				}
+				h[j] = h[p]
+				j = p
+			}
+			h[j] = it
+		}
+	}
+	s.heap = h
+	return maxKey, remaining
 }
 
 // Reached reports whether dst was finalised by the last Tree call.

@@ -6,34 +6,37 @@ import (
 	"testing"
 )
 
+// quantizeCases are TestQuantizeWeights' weight sets; TestScanWeights
+// reuses them.
+var quantizeCases = []struct {
+	name    string
+	w       []float64
+	maxSpan int
+	q       float64
+	span    int
+	ok      bool
+}{
+	{name: "unit", w: []float64{1, 1, 1}, maxSpan: 256, q: 1, span: 1, ok: true},
+	{name: "even multiples", w: []float64{2, 4, 6}, maxSpan: 256, q: 2, span: 3, ok: true},
+	{name: "power-of-two quantum", w: []float64{0.25, 0.5, 1, 2}, maxSpan: 256, q: 0.25, span: 8, ok: true},
+	{name: "tiny quantum", w: []float64{1e-12, 3 * 1e-12}, maxSpan: 256, q: 1e-12, span: 3, ok: true},
+	{name: "non-integer ratio", w: []float64{1, 1.5}, maxSpan: 256, ok: false},
+	{name: "inexact multiple", w: []float64{1, 1 + 1e-9}, maxSpan: 256, ok: false},
+	{name: "span exceeded", w: []float64{1, 300}, maxSpan: 256, ok: false},
+	{name: "span boundary", w: []float64{1, 256}, maxSpan: 256, q: 1, span: 256, ok: true},
+	{name: "zero weight", w: []float64{0, 1}, maxSpan: 256, ok: false},
+	{name: "negative weight", w: []float64{-1, 1}, maxSpan: 256, ok: false},
+	{name: "nan", w: []float64{1, math.NaN()}, maxSpan: 256, ok: false},
+	{name: "inf", w: []float64{1, math.Inf(1)}, maxSpan: 256, ok: false},
+	{name: "empty", w: nil, maxSpan: 256, ok: false},
+	// 0.3 is not exactly representable; 3*0.3 != 0.9 in float64, but
+	// QuantizeWeights only needs k*q to reproduce the stored bits, which
+	// the construction below guarantees.
+	{name: "decimal quantum", w: []float64{0.3, 2 * 0.3, 5 * 0.3}, maxSpan: 256, q: 0.3, span: 5, ok: true},
+}
+
 func TestQuantizeWeights(t *testing.T) {
-	cases := []struct {
-		name    string
-		w       []float64
-		maxSpan int
-		q       float64
-		span    int
-		ok      bool
-	}{
-		{name: "unit", w: []float64{1, 1, 1}, maxSpan: 256, q: 1, span: 1, ok: true},
-		{name: "even multiples", w: []float64{2, 4, 6}, maxSpan: 256, q: 2, span: 3, ok: true},
-		{name: "power-of-two quantum", w: []float64{0.25, 0.5, 1, 2}, maxSpan: 256, q: 0.25, span: 8, ok: true},
-		{name: "tiny quantum", w: []float64{1e-12, 3 * 1e-12}, maxSpan: 256, q: 1e-12, span: 3, ok: true},
-		{name: "non-integer ratio", w: []float64{1, 1.5}, maxSpan: 256, ok: false},
-		{name: "inexact multiple", w: []float64{1, 1 + 1e-9}, maxSpan: 256, ok: false},
-		{name: "span exceeded", w: []float64{1, 300}, maxSpan: 256, ok: false},
-		{name: "span boundary", w: []float64{1, 256}, maxSpan: 256, q: 1, span: 256, ok: true},
-		{name: "zero weight", w: []float64{0, 1}, maxSpan: 256, ok: false},
-		{name: "negative weight", w: []float64{-1, 1}, maxSpan: 256, ok: false},
-		{name: "nan", w: []float64{1, math.NaN()}, maxSpan: 256, ok: false},
-		{name: "inf", w: []float64{1, math.Inf(1)}, maxSpan: 256, ok: false},
-		{name: "empty", w: nil, maxSpan: 256, ok: false},
-		// 0.3 is not exactly representable; 3*0.3 != 0.9 in float64, but
-		// QuantizeWeights only needs k*q to reproduce the stored bits, which
-		// the construction below guarantees.
-		{name: "decimal quantum", w: []float64{0.3, 2 * 0.3, 5 * 0.3}, maxSpan: 256, q: 0.3, span: 5, ok: true},
-	}
-	for _, tc := range cases {
+	for _, tc := range quantizeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			q, span, ok := QuantizeWeights(tc.w, tc.maxSpan)
 			if ok != tc.ok {
@@ -43,6 +46,36 @@ func TestQuantizeWeights(t *testing.T) {
 				t.Fatalf("QuantizeWeights(%v) = (%v, %d), want (%v, %d)", tc.w, q, span, tc.q, tc.span)
 			}
 		})
+	}
+}
+
+// TestScanWeights requires ScanWeights' uniform answer to agree with
+// QuantizeWeights at span 1, and its minimum to be the quantum, on the
+// quantize test's weight sets plus single weights, NaN first and last,
+// zeros of either sign and +Inf — the oracle picks TreeDial from it.
+func TestScanWeights(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	sets := [][]float64{{1}, {0.5}, {nan}, {nan, 1}, {1, 1, nan}, {0, 0}, {math.Copysign(0, -1)},
+		{math.Copysign(0, -1), 0}, {inf}, {inf, inf}, {1, inf}, {2, 2, 2}, {2, 2, 3}, {3, 2, 2},
+		{math.SmallestNonzeroFloat64}, {math.MaxFloat64, math.MaxFloat64}}
+	for _, tc := range quantizeCases {
+		sets = append(sets, tc.w)
+	}
+	for i, w := range sets {
+		s := &SSSPScratch{wSlot: w}
+		minW, uniform := s.ScanWeights()
+		q, span, ok := QuantizeWeights(w, MaxDialSpan)
+		if uniform != ok || ok && (minW != q || span != 1) {
+			t.Fatalf("set %d %v: ScanWeights (%v, %v), QuantizeWeights (%v, %d, %v)", i, w, minW, uniform, q, span, ok)
+		}
+		if s.minW != minW && !(minW != minW && s.minW != s.minW) {
+			t.Fatalf("set %d %v: ScanWeights returned %v but recorded %v", i, w, minW, s.minW)
+		}
+		for _, wt := range w {
+			if math.IsNaN(wt) && minW > 0 {
+				t.Fatalf("set %d %v: a NaN weight left minW %v, want a value that disables the fast search", i, w, minW)
+			}
+		}
 	}
 }
 

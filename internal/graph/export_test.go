@@ -4,12 +4,20 @@ package graph
 
 // TreeHistorical runs Tree's heap search with every node pushed: the
 // comparison sequence Tree keeps only on its fallback path.
-func (s *SSSPScratch) TreeHistorical(src NodeID, dsts []NodeID) { s.heapTree(src, dsts, false) }
+func (s *SSSPScratch) TreeHistorical(src NodeID, dsts []NodeID) {
+	s.heapTree(src, dsts, false)
+}
 
 // TreeFastUnguarded runs Tree's fast search without the no-absorption
 // fallback and returns its largest finalised distance.
 func (s *SSSPScratch) TreeFastUnguarded(src NodeID, dsts []NodeID) float64 {
 	return s.heapTree(src, dsts, true)
+}
+
+// TreeTowardGoal runs only TreeToward's goal search and reports whether it
+// answered; when it did not, the labels are unspecified.
+func (s *SSSPScratch) TreeTowardGoal(src NodeID, dsts []NodeID, hop []uint8) bool {
+	return s.goalSearch(src, dsts, hop)
 }
 
 // MinWeight returns the weight lower bound Tree's guard uses (0: unknown).

@@ -13,7 +13,8 @@ import (
 // (first sweep), a full sweep — Dijkstra tree per distinct source plus path
 // extraction and interning for every commodity — must not allocate. Both
 // search branches are covered: uniform weights run the dial level queue,
-// non-uniform ones run ScanWeights and the heap Tree.
+// non-uniform ones the heap search directed at each group's destinations,
+// which must have answered every group itself (no hand-over to Tree).
 func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 	ft, err := topology.FatTree(4, 100)
 	if err != nil {
@@ -61,6 +62,11 @@ func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("oracle sweep allocates %.1f times per run after warm-up, want 0", allocs)
+			}
+			if want := len(s.orc.srcs); !tc.dial && s.orc.goal != want {
+				t.Fatalf("the goal search answered %d of %d source groups, want all", s.orc.goal, want)
+			} else if tc.dial && s.orc.goal != 0 {
+				t.Fatalf("the goal search answered %d groups of a dial sweep", s.orc.goal)
 			}
 		})
 	}

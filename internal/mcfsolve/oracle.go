@@ -48,9 +48,24 @@ type oracle struct {
 	cdst    []graph.NodeID   // per-commodity hot destination
 	seen    map[[2]graph.NodeID]struct{}
 
+	// hops[gi] is source group gi's hop array (graph.CSR.Hops of hdsts[gi])
+	// for the goal-directed heap search, nil past hopBudget bytes (always
+	// hopArenaBytes outside tests). The arrays live in one arena that a
+	// pooled Solver keeps across solves.
+	hops      [][]uint8
+	hopArena  []uint8
+	hopQueue  []int32
+	hopBudget int
+	goal      int // trees the goal search answered in the last sweep
+
 	pathBuf []graph.EdgeID // sequential extraction scratch
 	groups  []groupArena   // parallel extraction arenas, one per source group
 }
+
+// hopArenaBytes caps the hop arrays of one solve at one byte per node per
+// source group; the groups past it run the plain heap Tree. Fabrics up to
+// about 64 sources on 2^18 nodes stay inside it.
+const hopArenaBytes = 16 << 20
 
 // groupArena holds one source group's extracted paths between the parallel
 // extraction pass and the ordered merge: member j's path occupies
@@ -61,6 +76,7 @@ type groupArena struct {
 	edges []graph.EdgeID
 	offs  []int32
 	err   error
+	goal  bool // the goal search answered this group's tree
 }
 
 func newOracle(c *graph.Compiled, intern *graph.PathInterner, workers int) *oracle {
@@ -69,11 +85,12 @@ func newOracle(c *graph.Compiled, intern *graph.PathInterner, workers int) *orac
 	}
 	hot := c.Hot()
 	return &oracle{
-		hot:      hot,
-		compiled: c,
-		sssp:     graph.NewSSSPScratch(hot),
-		intern:   intern,
-		workers:  workers,
+		hot:       hot,
+		compiled:  c,
+		sssp:      graph.NewSSSPScratch(hot),
+		intern:    intern,
+		workers:   workers,
+		hopBudget: hopArenaBytes,
 	}
 }
 
@@ -139,6 +156,23 @@ func (o *oracle) bind(commodities []Commodity) {
 	for _, c := range commodities {
 		o.cdst = append(o.cdst, o.compiled.ToHot(c.Dst))
 	}
+
+	// One hop array per group: the weights change every sweep, the
+	// destination sets only here.
+	n := o.hot.NumNodes()
+	fit := min(len(o.srcs), o.hopBudget/max(n, 1))
+	if cap(o.hopArena) < fit*n {
+		o.hopArena = make([]uint8, fit*n)
+	}
+	o.hops = o.hops[:0]
+	for gi := range o.srcs {
+		var hop []uint8
+		if gi < fit {
+			hop = o.hopArena[gi*n : (gi+1)*n : (gi+1)*n]
+			o.hopQueue = o.hot.Hops(o.hdsts[gi], hop, o.hopQueue)
+		}
+		o.hops = append(o.hops, hop)
+	}
 }
 
 // slotWeights exposes the slot-ordered weight buffer (slot i carries edge
@@ -151,15 +185,17 @@ func (o *oracle) slotWeights() []float64 { return o.sssp.SlotWeights() }
 func (o *oracle) slotEdges() []int32 { return o.hot.SlotEdges() }
 
 // tree runs one source group's shortest-path tree on s: on the dial level
-// queue when quantum, the uniform weight QuantizeWeights found, is set, and
-// on the binary heap when it is 0. Both produce bit-identical trees (the
-// TreeDial contract), so the choice is invisible to everything downstream.
-func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64) {
+// queue when quantum, the uniform weight ScanWeights found, is set, and
+// otherwise on the heap, directed at the group's destinations. Every search
+// produces the tree Tree would (the TreeDial and TreeToward contracts), so
+// the choice is invisible to everything downstream. It reports whether the
+// goal search answered.
+func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64) bool {
 	if quantum > 0 {
 		s.TreeDial(o.hsrcs[gi], o.hdsts[gi], quantum, graph.MaxDialSpan)
-	} else {
-		s.Tree(o.hsrcs[gi], o.hdsts[gi])
+		return false
 	}
+	return s.TreeToward(o.hsrcs[gi], o.hdsts[gi], o.hops[gi])
 }
 
 // shortestPaths computes one weighted shortest path per bound commodity
@@ -167,14 +203,15 @@ func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64) {
 // interned handle in out (input order preserved). out must have
 // len(commodities).
 func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
-	// Probe the frozen weights once per sweep: hop-count cold starts (all
-	// ones) select the O(E) dial level queue, the marginal-cost weights of
-	// warm Frank–Wolfe iterations fall back to the heap, whose fast search
-	// needs the weights' lower bound (shared with the parallel workers).
-	quantum, _, dial := graph.QuantizeWeights(o.sssp.SlotWeights(), graph.MaxDialSpan)
-	if !dial {
-		o.sssp.ScanWeights()
+	// Probe the frozen weights once per sweep, in one pass: hop-count cold
+	// starts (all ones) select the O(E) dial level queue, the marginal-cost
+	// weights of warm Frank–Wolfe iterations run the heap, whose searches
+	// need the weights' lower bound (shared with the parallel workers).
+	quantum, uniform := o.sssp.ScanWeights()
+	if !uniform {
+		quantum = 0
 	}
+	o.goal = 0
 	if o.workers <= 1 || len(o.srcs) < 2 {
 		return o.shortestPathsSeq(commodities, out, quantum)
 	}
@@ -183,7 +220,9 @@ func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) 
 
 func (o *oracle) shortestPathsSeq(commodities []Commodity, out []graph.PathHandle, quantum float64) error {
 	for gi, src := range o.srcs {
-		o.tree(o.sssp, gi, quantum)
+		if o.tree(o.sssp, gi, quantum) {
+			o.goal++
+		}
 		for _, ci := range o.members[gi] {
 			o.pathBuf = o.pathBuf[:0]
 			buf, ok := o.sssp.AppendPathTo(o.cdst[ci], o.pathBuf)
@@ -245,6 +284,9 @@ func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandl
 	// the unroutable one before returning).
 	for gi := 0; gi < ng; gi++ {
 		g := &o.groups[gi]
+		if g.goal {
+			o.goal++
+		}
 		for j := 0; j+1 < len(g.offs); j++ {
 			out[o.members[gi][j]] = o.intern.Intern(g.edges[g.offs[j]:g.offs[j+1]])
 		}
@@ -264,7 +306,7 @@ func (o *oracle) extractGroup(s *graph.SSSPScratch, gi int, commodities []Commod
 	g.edges = g.edges[:0]
 	g.offs = append(g.offs[:0], 0)
 	g.err = nil
-	o.tree(s, gi, quantum)
+	g.goal = o.tree(s, gi, quantum)
 	src := o.srcs[gi]
 	for _, ci := range o.members[gi] {
 		buf, ok := s.AppendPathTo(o.cdst[ci], g.edges)
