@@ -209,8 +209,9 @@ type SSSPScratch struct {
 	epoch uint32
 
 	// minW is a lower bound on the slot weights, or 0 when unknown (see
-	// Tree's no-absorption guard). SetWeights and ScanWeights record it;
-	// SlotWeights hands out the buffer for writing and resets it.
+	// Tree's no-absorption guard and TreeToward's bound). ScanWeights
+	// records it, SetWeights through ScanWeights; SlotWeights hands out the
+	// buffer for writing and resets it.
 	minW float64
 
 	heap []ssspItem
@@ -322,20 +323,19 @@ func (s *SSSPScratch) UnshareWeights() {
 // scratch's slot-ordered buffer so the Dijkstra inner loop reads weights
 // sequentially, and validates them: weights must be nonnegative.
 // Validating here keeps the per-relaxation step branch-free. Weights are
-// always indexed by original edge id, on renumbered views too.
+// always indexed by original edge id, on renumbered views too. Once every
+// weight has validated it records their lower bound with ScanWeights.
 func (s *SSSPScratch) SetWeights(w []float64) error {
 	eids := s.csr.slotEid
 	s.minW = 0 // unknown until every weight has validated
-	m := math.Inf(1)
 	for i := range eids {
 		wt := w[eids[i]]
 		if wt < 0 {
 			return fmt.Errorf("graph: negative weight %v on edge %d", wt, eids[i])
 		}
-		m = min(m, wt) // NaN-propagating: a NaN weight disables the fast search
 		s.wSlot[i] = wt
 	}
-	s.minW = m
+	s.ScanWeights()
 	return nil
 }
 
@@ -350,31 +350,17 @@ func (s *SSSPScratch) SlotWeights() []float64 {
 }
 
 // ScanWeights records the lower bound of the slot weights that Tree's
-// no-absorption guard and TreeToward's bound need, after the caller filled
-// SlotWeights directly (SetWeights records it itself); without it Tree runs
-// only the historical search, with the same results. It returns that least
-// weight and whether every weight equals it, positive and finite — exactly
-// when QuantizeWeights(SlotWeights(), 1) succeeds, with the quantum minW —
-// so one pass over the slots both selects TreeDial and arms the heap
-// searches.
-func (s *SSSPScratch) ScanWeights() (minW float64, uniform bool) {
-	// One pass in two parts: the leading run of weights equal to the first
-	// (all of them when uniform, a few slots for Frank–Wolfe weights), then
-	// the minimum over the rest. Plain comparisons are about 3x faster than
-	// the builtin min, whose NaN and signed-zero handling the guard does not
-	// need: a zero of either sign fails minW > 0 alike, and a NaN still ends
-	// the scan (a NaN first weight ends the run and stays the minimum).
-	w := s.wSlot
-	if len(w) == 0 {
-		s.minW = math.Inf(1)
-		return s.minW, false
-	}
-	lo, i := w[0], 1
-	for i < len(w) && w[i] == lo {
-		i++
-	}
-	uniform = i == len(w) && lo > 0 && lo <= math.MaxFloat64
-	for _, wt := range w[i:] {
+// no-absorption guard and TreeToward's bound need, and returns it: the
+// least weight, NaN when any weight is NaN, +Inf when there are none.
+// SetWeights calls it; a caller that filled SlotWeights directly calls it
+// itself, or Tree runs only the historical search, with the same results.
+func (s *SSSPScratch) ScanWeights() float64 {
+	// Plain comparisons are about 3x faster than the builtin min, whose
+	// signed-zero handling the guard does not need: a zero of either sign
+	// fails minW > 0 alike. A NaN ends the scan and stays the minimum,
+	// which fails minW > 0 too.
+	lo := math.Inf(1)
+	for _, wt := range s.wSlot {
 		if wt < lo {
 			lo = wt
 		} else if wt != wt {
@@ -383,7 +369,7 @@ func (s *SSSPScratch) ScanWeights() (minW float64, uniform bool) {
 		}
 	}
 	s.minW = lo
-	return lo, uniform
+	return lo
 }
 
 // beginEpoch advances the stamp epoch for one Tree/TreeDial call and

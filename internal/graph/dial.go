@@ -3,9 +3,9 @@ package graph
 import "math"
 
 // MaxDialSpan is the weight span (largest weight divided by the quantum)
-// TreeDial's level queue handles: 1, every slot weight equal. The hop-count
-// cold start and unit-weight shortest paths produce such weights, and on
-// fat-trees the level queue beats the heap on them. Warm Frank–Wolfe
+// TreeDial's level queue handles: 1, every slot weight equal. Unit-weight
+// shortest paths (Compiled.ShortestPath, BatchShortestPaths) and the
+// benchmark's replay of a uniform sweep produce such weights. Frank–Wolfe
 // weights never quantize with a larger span in practice (an idle link
 // weighs 1e-12, a loaded one far more than 256 of those), so no general
 // bucket queue is kept.
@@ -15,12 +15,10 @@ const MaxDialSpan = 1
 // positive integer multiples of their minimum — w[i] == k_i * q for
 // integer k_i in [1, maxSpan], with q the smallest weight — and returns
 // the quantum q and the span max(k_i). This is the selection test for
-// TreeDial: the all-ones hop weights of cold-start sweeps and unit-weight
-// shortest paths quantize with span 1, while the Frank–Wolfe oracle's
-// marginal-cost weights (arbitrary floats) are rejected and fall back to
-// the heap. The multiples must hold under exact float64 equality, so a
-// positive answer certifies that level arithmetic reproduces heap
-// arithmetic bit for bit.
+// TreeDial: unit weights quantize with span 1, while marginal-cost weights
+// (arbitrary floats) are rejected and belong on the heap. The multiples
+// must hold under exact float64 equality, so a positive answer certifies
+// that level arithmetic reproduces heap arithmetic bit for bit.
 func QuantizeWeights(w []float64, maxSpan int) (q float64, span int, ok bool) {
 	if len(w) == 0 {
 		return 0, 0, false
@@ -55,8 +53,9 @@ func QuantizeWeights(w []float64, maxSpan int) (q float64, span int, ok bool) {
 // uniform weights QuantizeWeights certifies with span 1: every slot weight
 // is exactly quantum. Nodes are then settled level by level — distance
 // d, d+quantum, d+2·quantum, … — so a full tree build costs O(E) with no
-// per-node log factor, the win that makes hop-count sweeps over 10k-node
-// fabrics cheap. Any other span runs Tree.
+// per-node log factor. It is the unit-weight router behind
+// Compiled.ShortestPath and BatchShortestPaths, which have no per-solve
+// hop arrays to direct a search with. Any other span runs Tree.
 //
 // The result is bit-identical to Tree on the same weights: distances are
 // accumulated with the same float64 additions (nd = levelDist + quantum is

@@ -60,7 +60,8 @@ func TestHopsMatchesBFS(t *testing.T) {
 // towardWeights fills w (edge-indexed) with one of the weight shapes the
 // goal search must handle, all at least m and most exactly m:
 // Frank–Wolfe-shaped (a random subset loaded, with exact ties among the
-// loads), near-ties (m·(1 + k·2^-40)) and uniform random.
+// loads), near-ties (m·(1 + k·2^-40)), uniform random, and every weight
+// exactly m (the cold start's shape).
 func towardWeights(rng *rand.Rand, w []float64, kind int, m, load float64) {
 	for i := range w {
 		switch kind {
@@ -75,8 +76,10 @@ func towardWeights(rng *rand.Rand, w []float64, kind int, m, load float64) {
 			}
 		case 1:
 			w[i] = m * (1 + float64(rng.Intn(8))*0x1p-40)
-		default:
+		case 2:
 			w[i] = m + load*rng.Float64()
+		default:
+			w[i] = m
 		}
 	}
 }
@@ -142,7 +145,7 @@ func towardCase(rng *rand.Rand, hot *graph.CSR, island graph.NodeID, kind int) (
 
 // TestTreeTowardMatchesTree is TreeToward's differential test: on every
 // topology family, renumbered and identity layouts, under Frank–Wolfe-shaped,
-// near-tie and uniform random weights, TreeToward must give every
+// near-tie, uniform random and all-equal weights, TreeToward must give every
 // destination the distance bits and path Tree gives it. The goal search on
 // its own (no fallback) must agree whenever it answers, must answer most
 // trials, and must answer every trial where no guard can fail: minW > 0,
@@ -161,10 +164,10 @@ func TestTreeTowardMatchesTree(t *testing.T) {
 			w := make([]float64, g.NumEdges())
 			hop := make([]uint8, hot.NumNodes())
 			var queue []int32
-			for trial := 0; trial < 90; trial++ {
+			for trial := 0; trial < 120; trial++ {
 				m := []float64{1e-12, 1e-6, 0.5}[trial%3]
 				load := []float64{1e-9, 1e-3, 1}[(trial/3)%3]
-				towardWeights(rng, w, (trial/9)%3, m, load)
+				towardWeights(rng, w, (trial/9)%4, m, load)
 				for _, s := range []*graph.SSSPScratch{ref, tw, goal} {
 					if err := s.SetWeights(w); err != nil {
 						t.Fatal(err)
@@ -321,7 +324,7 @@ func FuzzTreeToward(f *testing.F) {
 		n := hot.NumNodes()
 		m := math.Ldexp(1, int(exp)%60)
 		w := make([]float64, g.NumEdges())
-		towardWeights(rng, w, int(kind)%3, m, m*math.Ldexp(1, rng.Intn(40)))
+		towardWeights(rng, w, int(kind)%4, m, m*math.Ldexp(1, rng.Intn(40)))
 		ref, tw, goal := graph.NewSSSPScratch(hot), graph.NewSSSPScratch(hot), graph.NewSSSPScratch(hot)
 		for _, s := range []*graph.SSSPScratch{ref, tw, goal} {
 			if err := s.SetWeights(w); err != nil {

@@ -10,23 +10,25 @@ import (
 )
 
 // oracle computes shortest paths for all commodities under changing edge
-// weights, deduplicating work by source node: one Dijkstra run serves every
-// commodity sharing a source, and the run stops early once all of that
-// source's destinations are finalised. All shortest-path state lives in
-// reusable graph.SSSPScratch and all produced paths are interned, so a full
-// sequential oracle sweep performs no allocations once every optimal path
-// has been seen.
+// weights, deduplicating work by source node: one search serves every
+// commodity sharing a source, directed at that source's destinations, and
+// stops once all of them are finalised. All shortest-path state lives in
+// reusable graph.SSSPScratch and all produced paths are interned, so a
+// one-worker sweep performs no allocations once every optimal path has
+// been seen.
 //
-// With workers > 1 the per-source runs of one sweep fan out across a
-// bounded worker pool. Edge weights are frozen for the duration of a sweep,
-// so source groups are independent: each worker borrows pooled scratch from
-// the compiled graph, aliases the canonical weight buffer read-only
-// (graph.SSSPScratch.ShareWeightsFrom), and extracts its groups' paths into
-// per-group arenas. Interning and output assembly then happen in a single
-// ascending-source merge pass, so the interner observes the exact call
-// sequence of the sequential sweep and outputs are byte-identical at any
-// worker count — the same order-fixed reduction contract the scenario-sweep
-// pool established (see DESIGN.md "Determinism under parallel reduction").
+// Every sweep runs one loop at any worker count. Edge weights are frozen
+// for the duration of a sweep, so source groups are independent:
+// min(workers, groups) workers claim them from an atomic cursor and
+// extract each group's paths into that group's arena. The calling
+// goroutine is worker 0, on the oracle's own scratch; the others borrow
+// pooled scratch from the compiled graph and alias the canonical weight
+// buffer read-only (graph.SSSPScratch.ShareWeightsFrom). Interning and
+// output assembly then happen in a single ascending-source merge pass, so
+// the interner observes the same call sequence and outputs are
+// byte-identical at any worker count — the same order-fixed reduction
+// contract the scenario-sweep pool established (see DESIGN.md "Determinism
+// under parallel reduction").
 type oracle struct {
 	hot      *graph.CSR // renumbered view; all trees run in hot node space
 	compiled *graph.Compiled
@@ -58,8 +60,13 @@ type oracle struct {
 	hopBudget int
 	goal      int // trees the goal search answered in the last sweep
 
-	pathBuf []graph.EdgeID // sequential extraction scratch
-	groups  []groupArena   // parallel extraction arenas, one per source group
+	groups []groupArena // extraction arenas, one per source group
+
+	// The sweep's group cursor and its workers past the first. They are
+	// fields so that a one-worker sweep, which starts no goroutine, does
+	// not move them to the heap.
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // hopArenaBytes caps the hop arrays of one solve at one byte per node per
@@ -67,11 +74,12 @@ type oracle struct {
 // about 64 sources on 2^18 nodes stay inside it.
 const hopArenaBytes = 16 << 20
 
-// groupArena holds one source group's extracted paths between the parallel
+// groupArena holds one source group's extracted paths between the
 // extraction pass and the ordered merge: member j's path occupies
 // edges[offs[j]:offs[j+1]]. err records the first unroutable member; the
-// members extracted before it (len(offs)-1 of them) are still interned by
-// the merge so the interner state matches the sequential sweep's exactly.
+// merge still interns the members extracted before it (len(offs)-1 of
+// them) before returning err, so the error leaves the same interner state
+// at any worker count.
 type groupArena struct {
 	edges []graph.EdgeID
 	offs  []int32
@@ -184,104 +192,36 @@ func (o *oracle) slotWeights() []float64 { return o.sssp.SlotWeights() }
 // lockstep with slotWeights.
 func (o *oracle) slotEdges() []int32 { return o.hot.SlotEdges() }
 
-// tree runs one source group's shortest-path tree on s: on the dial level
-// queue when quantum, the uniform weight ScanWeights found, is set, and
-// otherwise on the heap, directed at the group's destinations. Every search
-// produces the tree Tree would (the TreeDial and TreeToward contracts), so
-// the choice is invisible to everything downstream. It reports whether the
-// goal search answered.
-func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64) bool {
-	if quantum > 0 {
-		s.TreeDial(o.hsrcs[gi], o.hdsts[gi], quantum, graph.MaxDialSpan)
-		return false
-	}
-	return s.TreeToward(o.hsrcs[gi], o.hdsts[gi], o.hops[gi])
-}
-
 // shortestPaths computes one weighted shortest path per bound commodity
 // under the weights previously written into slotWeights and stores its
 // interned handle in out (input order preserved). out must have
 // len(commodities).
 func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
-	// Probe the frozen weights once per sweep, in one pass: hop-count cold
-	// starts (all ones) select the O(E) dial level queue, the marginal-cost
-	// weights of warm Frank–Wolfe iterations run the heap, whose searches
-	// need the weights' lower bound (shared with the parallel workers).
-	quantum, uniform := o.sssp.ScanWeights()
-	if !uniform {
-		quantum = 0
-	}
-	o.goal = 0
-	if o.workers <= 1 || len(o.srcs) < 2 {
-		return o.shortestPathsSeq(commodities, out, quantum)
-	}
-	return o.shortestPathsPar(commodities, out, quantum)
-}
-
-func (o *oracle) shortestPathsSeq(commodities []Commodity, out []graph.PathHandle, quantum float64) error {
-	for gi, src := range o.srcs {
-		if o.tree(o.sssp, gi, quantum) {
-			o.goal++
-		}
-		for _, ci := range o.members[gi] {
-			o.pathBuf = o.pathBuf[:0]
-			buf, ok := o.sssp.AppendPathTo(o.cdst[ci], o.pathBuf)
-			if !ok {
-				return fmt.Errorf("%w: %d -> %d", ErrNoRoute, src, commodities[ci].Dst)
-			}
-			o.pathBuf = buf
-			out[ci] = o.intern.Intern(buf)
-		}
-	}
-	return nil
-}
-
-// shortestPathsPar is the worker-pool sweep: extraction fans out over
-// source groups via a shared atomic cursor, then a sequential
-// ascending-source merge interns every path. The merge is where determinism
-// lives — see the type comment.
-func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandle, quantum float64) error {
+	// Every search needs the weights' lower bound: record it once per
+	// sweep, before the other workers copy it.
+	o.sssp.ScanWeights()
 	ng := len(o.srcs)
 	for len(o.groups) < ng {
 		o.groups = append(o.groups, groupArena{})
 	}
-	nw := o.workers
-	if nw > ng {
-		nw = ng
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
+	o.next.Store(0)
+	for w := 1; w < min(o.workers, ng); w++ {
+		o.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer o.wg.Done()
 			s := o.compiled.AcquireScratch()
 			s.ShareWeightsFrom(o.sssp)
 			defer o.compiled.ReleaseScratch(s)
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= ng {
-					return
-				}
-				o.extractGroup(s, gi, commodities, quantum)
-			}
+			o.extractGroups(s, commodities)
 		}()
 	}
-	// The calling goroutine is worker 0, on the oracle's own scratch.
-	for {
-		gi := int(next.Add(1)) - 1
-		if gi >= ng {
-			break
-		}
-		o.extractGroup(o.sssp, gi, commodities, quantum)
-	}
-	wg.Wait()
+	o.extractGroups(o.sssp, commodities)
+	o.wg.Wait()
 
-	// Ordered merge: ascending source groups, members in input order —
-	// exactly the sequential sweep's interner call sequence. A group's
-	// extracted members are interned before its error surfaces, again
-	// matching the sequential sweep (which interns the members preceding
-	// the unroutable one before returning).
+	// Ordered merge: ascending source groups, members in input order. A
+	// group's extracted members are interned before its error surfaces.
+	// The merge is where determinism lives — see the type comment.
+	o.goal = 0
 	for gi := 0; gi < ng; gi++ {
 		g := &o.groups[gi]
 		if g.goal {
@@ -297,16 +237,28 @@ func (o *oracle) shortestPathsPar(commodities []Commodity, out []graph.PathHandl
 	return nil
 }
 
-// extractGroup runs one source group's tree on s and copies every member's
-// path into the group's arena. Arena slices are reused across sweeps, so a
-// warm parallel sweep's only recurring allocations are the worker
-// goroutines themselves.
-func (o *oracle) extractGroup(s *graph.SSSPScratch, gi int, commodities []Commodity, quantum float64) {
+// extractGroups claims source groups from the sweep's cursor and extracts
+// each on s until none is left.
+func (o *oracle) extractGroups(s *graph.SSSPScratch, commodities []Commodity) {
+	for {
+		gi := int(o.next.Add(1)) - 1
+		if gi >= len(o.srcs) {
+			return
+		}
+		o.extractGroup(s, gi, commodities)
+	}
+}
+
+// extractGroup runs one source group's tree on s, directed at the group's
+// destinations, and copies every member's path into the group's arena.
+// Arena slices are reused across sweeps, so a warm sweep's only recurring
+// allocations are the goroutines of workers past the first.
+func (o *oracle) extractGroup(s *graph.SSSPScratch, gi int, commodities []Commodity) {
 	g := &o.groups[gi]
 	g.edges = g.edges[:0]
 	g.offs = append(g.offs[:0], 0)
 	g.err = nil
-	g.goal = o.tree(s, gi, quantum)
+	g.goal = s.TreeToward(o.hsrcs[gi], o.hdsts[gi], o.hops[gi])
 	src := o.srcs[gi]
 	for _, ci := range o.members[gi] {
 		buf, ok := s.AppendPathTo(o.cdst[ci], g.edges)

@@ -994,13 +994,6 @@ func (s *RollingScheduler) fits(p graph.Path, d, a, b float64) bool {
 // entry (candidates arrive weight-sorted, the safety net goes last), so
 // the choice is deterministic.
 func (s *RollingScheduler) bestPath(f flow.Flow, d float64, cands []core.CandidatePath, tau float64) graph.Path {
-	score := func(p graph.Path) float64 {
-		var sum float64
-		for _, eid := range p.Edges {
-			sum += s.res[eid].marginalEnergy(tau, f.Deadline, d, s.cost)
-		}
-		return sum
-	}
 	paths := make([]graph.Path, 0, len(cands)+1)
 	for _, c := range cands {
 		paths = append(paths, c.Path)
@@ -1028,7 +1021,7 @@ func (s *RollingScheduler) bestPath(f flow.Flow, d float64, cands []core.Candida
 		if checkCap && anyFits && !ok {
 			continue // never trade a fitting path for a rejected one
 		}
-		sc := score(p)
+		sc := s.pathMarginalEnergy(p, tau, f.Deadline, d)
 		if bestIdx == -1 || (ok && !anyFits) || sc < bestScore-1e-9*(1+bestScore) {
 			bestIdx, bestScore, anyFits = i, sc, ok || anyFits
 		}
