@@ -12,8 +12,13 @@
 //     Corollary 1) on an Instance's fixed routing.
 //   - DCFSR (joint routing + scheduling, strongly NP-hard): the "dcfsr"
 //     solver runs the Random-Schedule relaxation/rounding approximation
-//     (Algorithm 2 / Theorems 4, 6, 7), and LowerBound exposes the
-//     fractional bound its evaluation is normalised by.
+//     (Algorithm 2 / Theorems 4, 6, 7), rounding by conditional
+//     expectations, and its Solution.LowerBound is a certified bound for
+//     density-rate single-path schedules such as its own: per interval,
+//     the larger of the relaxation's Frank–Wolfe dual bound and the
+//     isolated-flow bound sum mu*D^alpha*hops. LowerBound exposes the
+//     paper's fractional value, the normaliser of its evaluation, which
+//     is not a certified bound.
 //
 // Beyond the paper, the library implements the online setting its authors
 // defer to future work: flows revealed at release time, scheduled by either
@@ -324,9 +329,12 @@ var (
 	SplitFlowSet = flow.SplitSet
 )
 
-// LowerBound computes the fractional relaxation bound used to normalise the
-// paper's Fig. 2. It is the LowerBound field of the "dcfsr" solver's
-// Solution, computable without the rounding step. Cancellation follows
+// LowerBound computes the fractional relaxation value used to normalise the
+// paper's Fig. 2: sum over intervals of |I_k| times the Frank–Wolfe primal
+// value of the interval's F-MCF, every interval solve running to Tol or
+// its iteration cap. A primal value bounds the relaxation optimum from
+// above, so it is not a certified bound; the "dcfsr" solver's
+// Solution.LowerBound is. Cancellation follows
 // Solve: the relaxation checks ctx at every Frank–Wolfe iteration, and a
 // cancelled ctx returns the wrapped context error and no bound.
 func LowerBound(ctx context.Context, g *Graph, flows *FlowSet, m PowerModel, opts DCFSROptions) (float64, error) {

@@ -29,7 +29,7 @@ func ExampleLoadScenario() {
 }
 
 // ExampleSolve runs two solver families on the same typed Instance and
-// compares them against the shared fractional lower bound — the uniform
+// compares them against Random-Schedule's lower bound — the uniform
 // comparison loop the Scenario/Solver API exists for.
 func ExampleSolve() {
 	ft, _ := dcnflow.FatTree(4, 1000)
@@ -46,8 +46,8 @@ func ExampleSolve() {
 	fmt.Printf("%s: %.2fx of the lower bound\n", rs.Solver, rs.Energy/rs.LowerBound)
 	fmt.Printf("%s: %.2fx of the lower bound\n", sp.Solver, sp.Energy/rs.LowerBound)
 	// Output:
-	// dcfsr: 1.60x of the lower bound
-	// sp-mcf: 1.82x of the lower bound
+	// dcfsr: 1.06x of the lower bound
+	// sp-mcf: 1.28x of the lower bound
 }
 
 // ExampleSaveScenario round-trips a spec through its canonical JSON form:

@@ -42,7 +42,7 @@ func ExampleSolve_dcfsr() {
 	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	fmt.Printf("deadlines guaranteed, ratio %.1fx of the lower bound\n",
 		sol.Energy/sol.LowerBound)
-	// Output: deadlines guaranteed, ratio 1.6x of the lower bound
+	// Output: deadlines guaranteed, ratio 1.1x of the lower bound
 }
 
 // ExampleLowerBound computes the fractional relaxation bound on its own —
@@ -61,7 +61,7 @@ func ExampleLowerBound() {
 	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
 	fmt.Printf("no schedule can beat %.1f; Random-Schedule achieves %.1fx of it\n",
 		lb, sol.Energy/lb)
-	// Output: no schedule can beat 510.4; Random-Schedule achieves 1.6x of it
+	// Output: no schedule can beat 510.4; Random-Schedule achieves 1.5x of it
 }
 
 // ExampleSolve_rollingOnline runs the rolling-horizon online scheduler on a

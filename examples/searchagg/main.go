@@ -79,7 +79,7 @@ func run() error {
 
 	lb := rs.LowerBound
 	fmt.Printf("%-28s %12s %10s %12s\n", "scheme", "energy", "vs LB", "links on")
-	fmt.Printf("%-28s %12.1f %10s %12d\n", "fractional lower bound", lb, "1.00x", 0)
+	fmt.Printf("%-28s %12.1f %10s %12d\n", "lower bound", lb, "1.00x", 0)
 	for _, row := range []struct {
 		name string
 		sol  *dcnflow.Solution

@@ -30,10 +30,10 @@ type goldenRelaxationRow struct {
 }
 
 // goldenRelaxationStats are the Solution.Stats keys each row pins: the
-// rounding outcome of "dcfsr", and the epoch and Frank–Wolfe counters of
-// "rolling-online".
+// rounding outcome and Frank–Wolfe counters of "dcfsr", and the epoch and
+// Frank–Wolfe counters of "rolling-online".
 var goldenRelaxationStats = map[string][]string{
-	dcnflow.SolverDCFSR:         {"attempts", "intervals", "max_rate", "capacity_feasible"},
+	dcnflow.SolverDCFSR:         {"attempts", "intervals", "max_rate", "capacity_feasible", "fw_iters", "bound_stops"},
 	dcnflow.SolverRollingOnline: {"epochs", "fw_iters", "seeded_intervals", "solved_intervals", "admitted"},
 }
 

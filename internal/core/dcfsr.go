@@ -43,12 +43,14 @@ type ProgressFunc func(ProgressEvent)
 
 // DCFSROptions tunes the Random-Schedule approximation.
 type DCFSROptions struct {
-	// Seed drives the randomized rounding; runs are deterministic per seed.
+	// Seed drives the randomized re-draws of the rounding, which run only
+	// when the derandomized assignment violates link capacities; runs are
+	// deterministic per seed.
 	Seed int64
-	// MaxRoundingAttempts bounds the re-rounding loop used when a sampled
-	// path assignment violates link capacities (Section V-A: "we can
-	// always repeat the randomized rounding process until we obtain a
-	// feasible solution"). Default 20.
+	// MaxRoundingAttempts bounds the rounding attempts: the derandomized
+	// assignment, then seeded random re-draws while the assignment violates
+	// link capacities (Section V-A: "we can always repeat the randomized
+	// rounding process until we obtain a feasible solution"). Default 20.
 	MaxRoundingAttempts int
 	// Solver configures the per-interval F-MCF relaxation, including the
 	// intra-solve shortest-path parallelism (Solver.OracleWorkers). The
@@ -136,17 +138,24 @@ type DCFSRResult struct {
 	// rate D_i across its span (the fluid equivalent of the per-interval
 	// EDF time-sharing at rate sum D_j; link rates and energy coincide).
 	Schedule *schedule.Schedule
-	// LowerBound is the fractional relaxation value: sum over intervals of
-	// |I_k| times the envelope-cost F-MCF Frank–Wolfe primal value at the
-	// last iterate. It is the LB series the paper's Fig. 2 normalises by,
-	// but not a certified bound: a primal value bounds the relaxation
-	// optimum from above, and with the iteration cap binding it sits
-	// slightly above that optimum.
+	// LowerBound is a certified lower bound on the energy of any schedule
+	// that, like this one, sends each flow on one path at its density D_j
+	// across its span: sum over intervals of |I_k| times the larger of the
+	// interval's certified Frank–Wolfe bound (mcfsolve.Result.Bound) and
+	// iso_k = sum over its flows of mu * D_j^alpha * h_j, h_j the flow's
+	// minimum hop count. It is not the paper's fractional value, which
+	// LowerBoundCtx computes; see DESIGN.md "Certified lower bound and
+	// derandomized rounding".
 	LowerBound float64
-	// FractionalObjective equals LowerBound (kept for clarity when callers
-	// log both): the Frank–Wolfe primal value, not a certified bound.
+	// FractionalObjective is sum over intervals of |I_k| times the
+	// envelope-cost F-MCF Frank–Wolfe primal value at the interval's last
+	// iterate. A primal value bounds the relaxation optimum from above, and
+	// an interval solve may stop once its primal is at or below iso_k, so
+	// this is not the value LowerBoundCtx reports.
 	FractionalObjective float64
-	// Attempts is the number of rounding attempts consumed.
+	// Attempts is the number of rounding attempts consumed: 1 when the
+	// derandomized assignment meets link capacities, which it always does
+	// in an uncapped model.
 	Attempts int
 	// CapacityFeasible reports whether the returned assignment satisfies
 	// all link capacities (always true for uncapped models).
@@ -157,6 +166,10 @@ type DCFSRResult struct {
 	Intervals int
 	// Lambda is (t_K - t_0) / min_k |I_k| (Theorem 6).
 	Lambda float64
+	// FWIters sums the Frank–Wolfe iterations of the interval solves, and
+	// BoundStops counts the interval solves that stopped because their
+	// primal value reached iso_k (mcfsolve.Result.TargetStop).
+	FWIters, BoundStops int
 }
 
 // candidate is one entry of a flow's rounded path distribution; the path
@@ -168,16 +181,21 @@ type candidate struct {
 
 // relaxation holds the solved multi-step F-MCF.
 type relaxation struct {
-	intervals  []timeline.Interval
-	comms      [][]mcfsolve.Commodity
-	results    []*mcfsolve.Result
-	lowerBound float64
+	intervals []timeline.Interval
+	comms     [][]mcfsolve.Commodity
+	// iso, when non-nil, holds iso_k per interval (see isoPower), and each
+	// interval solve stops once its primal value reaches iso_k.
+	iso     []float64
+	results []*mcfsolve.Result
+	// fractional is sum_k |I_k| times results[k].Objective.
+	fractional float64
 	lambda     float64
 }
 
 // solveRelaxation decomposes the horizon at flow release/deadline
-// breakpoints and solves one F-MCF per interval (concurrently).
-func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m power.Model, opts DCFSROptions) (*relaxation, error) {
+// breakpoints and solves one F-MCF per interval (concurrently). With stop
+// set, each interval solve may stop once its primal value reaches iso_k.
+func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m power.Model, opts DCFSROptions, stop bool) (*relaxation, error) {
 	var times []float64
 	for _, f := range flows.Flows() {
 		times = append(times, f.Release, f.Deadline)
@@ -201,15 +219,55 @@ func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m 
 		}
 	}
 
+	if stop {
+		rel.iso = isoPower(c, flows, rel.comms, m)
+	}
 	if err := solveIntervalRelaxation(ctx, c, m, opts, rel, nil); err != nil {
 		return nil, err
 	}
 	return rel, nil
 }
 
+// isoPower returns, per interval, iso_k = sum over the interval's
+// commodities of mu * D_j^alpha * h_j, where h_j is flow j's minimum hop
+// count: a lower bound on the dynamic power in interval k of any schedule
+// that sends each flow on one path at its density, because t^alpha is
+// superadditive for alpha >= 1 and every path has at least h_j hops. Hop
+// counts come from one breadth-first search per distinct destination
+// (graph.CSR.Hops). A flow with no route counts 0 hops (the relaxation
+// then fails on it), and one beyond Hops' cap counts the cap, so iso_k
+// stays a lower bound.
+func isoPower(c *graph.Compiled, flows *flow.Set, comms [][]mcfsolve.Commodity, m power.Model) []float64 {
+	fs := flows.Flows() // flow IDs are positions
+	byDst := make(map[graph.NodeID][]int)
+	for i, f := range fs {
+		byDst[f.Dst] = append(byDst[f.Dst], i)
+	}
+	hot := c.Hot()
+	hop := make([]uint8, hot.NumNodes())
+	var queue []int32
+	hops := make([]float64, len(fs))
+	for d, members := range byDst {
+		queue = hot.Hops([]graph.NodeID{c.ToHot(d)}, hop, queue)
+		for _, i := range members {
+			if h := hop[c.ToHot(fs[i].Src)]; h != graph.HopNone {
+				hops[i] = float64(h)
+			}
+		}
+	}
+	iso := make([]float64, len(comms))
+	for k, cs := range comms {
+		for _, cm := range cs {
+			iso[k] += m.G(cm.Demand) * hops[cm.ID]
+		}
+	}
+	return iso
+}
+
 // solveIntervalRelaxation runs one F-MCF per interval of rel (concurrently,
-// see solveIntervals) and fills rel.results and rel.lowerBound.
-// rel.intervals and rel.comms must already be populated.
+// see solveIntervals) and fills rel.results and rel.fractional.
+// rel.intervals and rel.comms must already be populated; rel.iso, when
+// set, gives each interval solve its stop target.
 //
 // seeds, when non-nil, supplies a warm start for interval k (the
 // rolling-horizon re-optimizer passes the previous epoch's time-aligned
@@ -229,7 +287,13 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 		if seeds != nil {
 			warm = seeds[k]
 		}
-		res, err := s.SolveBaseWarmCtx(ctx, rel.comms[k], nil, warm)
+		var res *mcfsolve.Result
+		var err error
+		if rel.iso != nil {
+			res, err = s.SolveTargetCtx(ctx, rel.comms[k], rel.iso[k])
+		} else {
+			res, err = s.SolveBaseWarmCtx(ctx, rel.comms[k], nil, warm)
+		}
 		if err != nil {
 			return fmt.Errorf("interval %d: %w", k, err)
 		}
@@ -248,7 +312,7 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 	}
 	for k, res := range rel.results {
 		if res != nil {
-			rel.lowerBound += res.Objective * rel.intervals[k].Length()
+			rel.fractional += res.Objective * rel.intervals[k].Length()
 		}
 	}
 	return nil
@@ -335,8 +399,13 @@ func solveIntervals(ctx context.Context, c *graph.Compiled, m power.Model, opts 
 	return nil
 }
 
-// LowerBoundCtx computes the fractional relaxation value on its own — the
-// normalisation denominator of Fig. 2 — without running the rounding. The
+// LowerBoundCtx computes the paper's fractional relaxation value on its own
+// — the normalisation denominator of Fig. 2 — without running the
+// rounding: sum over intervals of |I_k| times the envelope-cost F-MCF
+// Frank–Wolfe primal value at the last iterate, every interval solve
+// running to Tol or the iteration cap. A primal value bounds the
+// relaxation optimum from above, so this is not a certified bound (see
+// DCFSRResult.LowerBound). The
 // per-interval relaxation fan-out stops within one Frank–Wolfe iteration of
 // ctx ending and the wrapped context error is returned instead of a partial
 // bound.
@@ -347,23 +416,29 @@ func LowerBoundCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, m power
 	if err := m.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	rel, err := solveRelaxation(ctx, graph.Compile(g), flows, m, opts.withDefaults())
+	rel, err := solveRelaxation(ctx, graph.Compile(g), flows, m, opts.withDefaults(), false)
 	if err != nil {
 		return 0, err
 	}
-	return rel.lowerBound, nil
+	return rel.fractional, nil
 }
 
 // SolveDCFSRCtx runs the Random-Schedule approximation (Algorithm 2):
 //
 //  1. relax to a multi-step fractional MCF (one per interval I_k) and
-//     solve each by convex programming (Frank–Wolfe);
+//     solve each by convex programming (Frank–Wolfe), stopping an
+//     interval's solve after 10 iterations once its primal value is at or
+//     below iso_k, where the fractional bound no longer binds;
 //  2. extract candidate paths Q_i per flow with per-interval weights
 //     (Raghavan–Tompson decomposition, tracked natively by the solver);
 //  3. aggregate time-weighted path probabilities
 //     wbar_P = sum_k w_P(k) * |I_k| / (d_i - r_i);
-//  4. sample one path per flow; re-sample up to MaxRoundingAttempts times
-//     when link capacities are violated, keeping the best assignment;
+//  4. round by conditional expectations (see derandomize): in flow id
+//     order, fix each flow to the candidate that minimises the expected
+//     energy while the unfixed flows stay drawn from wbar, so the result
+//     is never above the expected energy of the paper's random rounding;
+//     when it violates link capacities, re-draw at random up to
+//     MaxRoundingAttempts in all, keeping the least violation;
 //  5. transmit each flow at its density D_i across its span on the chosen
 //     path (per-interval link rate sum_j D_j, EDF time-shared at the
 //     packet level — Theorem 4 guarantees every deadline is met).
@@ -390,25 +465,27 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 		return &DCFSRResult{Schedule: schedule.New(horizon), CapacityFeasible: true}, nil
 	}
 
-	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, opts)
+	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, opts, true)
 	if err != nil {
 		return nil, err
 	}
 
-	spans := make(map[flow.ID]float64, in.Flows.Len())
-	for _, f := range in.Flows.Flows() {
+	flows := in.Flows.Flows()
+	spans := make(map[flow.ID]float64, len(flows))
+	for _, f := range flows {
 		spans[f.ID] = f.Span()
 	}
 	interner := graph.NewPathInterner()
 	cands := aggregateCandidates(rel, spans, interner)
-	for _, f := range in.Flows.Flows() {
+	for _, f := range flows {
 		if len(cands[f.ID]) == 0 {
 			return nil, fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, f.ID)
 		}
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	pick := derandomize(flows, cands, interner, rel, in.Model, horizon.Length())
 	var (
+		rng           *rand.Rand
 		best          *schedule.Schedule
 		bestViolation = math.Inf(1)
 		bestMaxRate   float64
@@ -421,13 +498,21 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 	}
 
 	for attempts = 1; attempts <= opts.MaxRoundingAttempts; attempts++ {
+		if attempts > 1 {
+			// The derandomized assignment violated capacity: fall back to
+			// the paper's seeded re-draws.
+			if rng == nil {
+				rng = rand.New(rand.NewSource(opts.Seed))
+			}
+			for i, f := range flows {
+				pick[i] = samplePath(rng, cands[f.ID])
+			}
+		}
 		sched := schedule.New(horizon)
-		for _, f := range in.Flows.Flows() {
-			list := cands[f.ID]
-			chosen := samplePath(rng, list)
+		for i, f := range flows {
 			if err := sched.SetFlow(&schedule.FlowSchedule{
 				FlowID: f.ID,
-				Path:   interner.Path(chosen),
+				Path:   interner.Path(pick[i]),
 				Segments: []schedule.RateSegment{{
 					Interval: timeline.Interval{Start: f.Release, End: f.Deadline},
 					Rate:     f.Density(),
@@ -439,7 +524,7 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 		maxRate := sched.MaxLinkRate()
 		violation := math.Max(0, maxRate-capLimit)
 		if violation <= capLimit*1e-9 {
-			// A feasible draw is accepted immediately — matching the
+			// A feasible assignment is accepted immediately — matching the
 			// paper's "repeat until feasible" loop.
 			best, bestMaxRate, feasibleFound = sched, maxRate, true
 			break
@@ -458,16 +543,26 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 		attempts = opts.MaxRoundingAttempts
 	}
 	best.AssignPriorities()
-	return &DCFSRResult{
+	out := &DCFSRResult{
 		Schedule:            best,
-		LowerBound:          rel.lowerBound,
-		FractionalObjective: rel.lowerBound,
+		FractionalObjective: rel.fractional,
 		Attempts:            attempts,
 		CapacityFeasible:    feasibleFound,
 		MaxRate:             bestMaxRate,
 		Intervals:           len(rel.intervals),
 		Lambda:              rel.lambda,
-	}, nil
+	}
+	for k, res := range rel.results {
+		if res == nil {
+			continue
+		}
+		out.LowerBound += max(res.Bound, rel.iso[k]) * rel.intervals[k].Length()
+		out.FWIters += res.Iters
+		if res.TargetStop {
+			out.BoundStops++
+		}
+	}
+	return out, nil
 }
 
 // aggregateCandidates builds, per flow, the time-weighted candidate path

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dcnflow/internal/flow"
+	"dcnflow/internal/graph"
+	"dcnflow/internal/mcfsolve"
 	"dcnflow/internal/power"
 	"dcnflow/internal/schedule"
 	"dcnflow/internal/topology"
@@ -222,26 +224,60 @@ func TestDCFSRInputValidation(t *testing.T) {
 	}
 }
 
+// TestLowerBoundStandalone tests each bound against its own contract.
+// LowerBoundCtx is the paper's fractional value: the FractionalObjective
+// of a solve whose interval solves run to the iteration cap, which they do
+// whenever the cap is at most the stop rule's budget. The solve's
+// LowerBound is certified: at most its energy and at least LB_iso, the
+// isolated-flow bound computed here from plain minimum-hop paths.
 func TestLowerBoundStandalone(t *testing.T) {
 	ft, fs := fatTreeWorkload(t, 4, 10, 4)
 	m := power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}
-	lb, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, DCFSROptions{})
+	capped := DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}
+	lb, err := LowerBoundCtx(context.Background(), ft.Graph, fs, m, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lb <= 0 {
 		t.Fatalf("LowerBound = %v, want > 0", lb)
 	}
-	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m})
+	res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m, Opts: capped})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(lb, res.LowerBound, 1e-9) {
-		t.Fatalf("standalone LB %v != solver LB %v", lb, res.LowerBound)
+	if lb != res.FractionalObjective {
+		t.Fatalf("standalone LB %v != solver fractional objective %v at a 10-iteration cap", lb, res.FractionalObjective)
+	}
+
+	iso := isoLowerBound(t, ft.Graph, fs, m)
+	for _, sets := range []DCFSROptions{{}, capped} {
+		res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{Graph: ft.Graph, Flows: fs, Model: m, Opts: sets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		energy := res.Schedule.EnergyTotal(m)
+		if res.LowerBound > energy*(1+1e-9) || res.LowerBound < iso*(1-1e-12) {
+			t.Fatalf("%d iterations: certified bound %v outside [LB_iso %v, energy %v]", sets.Solver.MaxIters, res.LowerBound, iso, energy)
+		}
 	}
 	if _, err := LowerBoundCtx(context.Background(), nil, fs, m, DCFSROptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil graph err = %v, want ErrBadInput", err)
 	}
+}
+
+// isoLowerBound is LB_iso = sum over flows of mu * D_j^alpha * h_j * span_j,
+// with h_j the hop count of the graph's own minimum-hop path.
+func isoLowerBound(t *testing.T, g *graph.Graph, fs *flow.Set, m power.Model) float64 {
+	t.Helper()
+	var lb float64
+	for _, f := range fs.Flows() {
+		p, err := g.ShortestPath(f.Src, f.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb += m.G(f.Density()) * float64(p.Len()) * f.Span()
+	}
+	return lb
 }
 
 func TestDCFSRAttemptsSemantics(t *testing.T) {

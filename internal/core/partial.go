@@ -416,7 +416,7 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 			res.FWIters += r.Iters
 		}
 	}
-	res.ResidualLowerBound = rel.lowerBound
+	res.ResidualLowerBound = rel.fractional
 	res.Intervals = len(intervals)
 	res.State = &RelaxationState{
 		Intervals: rel.intervals,

@@ -40,14 +40,14 @@ func TestWarmStartDeterministicAcrossParallelism(t *testing.T) {
 			Solver:      mcfsolve.Options{MaxIters: 25},
 			Parallelism: par,
 		}.withDefaults()
-		rel, err := solveRelaxation(context.Background(), graph.Compile(ft.Graph), fs, m, opts)
+		rel, err := solveRelaxation(context.Background(), graph.Compile(ft.Graph), fs, m, opts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			ref = rel.lowerBound
-		} else if rel.lowerBound != ref {
-			t.Fatalf("LB depends on Parallelism: %v (par=1) vs %v (par=%d)", ref, rel.lowerBound, par)
+			ref = rel.fractional
+		} else if rel.fractional != ref {
+			t.Fatalf("LB depends on Parallelism: %v (par=1) vs %v (par=%d)", ref, rel.fractional, par)
 		}
 	}
 }

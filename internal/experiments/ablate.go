@@ -160,7 +160,10 @@ func (r *RoundingResult) Table() string {
 }
 
 // RunAblationRounding sweeps MaxRoundingAttempts on a deliberately tight
-// parallel-links instance where a single draw frequently violates C.
+// parallel-links instance where a single random draw frequently violates
+// C. The first attempt is the derandomized assignment, and the budget buys
+// the seeded re-draws after it; on this instance the derandomized
+// assignment is feasible in every run, so every budget reads the same.
 func RunAblationRounding(cfg AblateConfig, attempts []int) (*RoundingResult, error) {
 	cfg = cfg.withDefaults()
 	if len(attempts) == 0 {

@@ -19,8 +19,8 @@ type ExactPoint struct {
 	// optimum (brute-force over path assignments, optimal scheduling per
 	// assignment).
 	RSOverExact float64
-	// LBOverExact is the mean ratio of the fractional lower bound to the
-	// true optimum, measuring how loose the Fig. 2 normaliser is.
+	// LBOverExact is the mean ratio of Random-Schedule's lower bound to the
+	// true optimum, measuring how loose that bound is.
 	LBOverExact float64
 }
 

@@ -112,7 +112,7 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 	}
 	grid := newGrid(cfg.FlowCounts, cfg.Runs)
 	results, err := sweep.Map(context.Background(), grid.size(), gridWorkers(cfg.Workers),
-		func(_ context.Context, i, _ int) (cellResult, error) {
+		func(ctx context.Context, i, _ int) (cellResult, error) {
 			n, run := grid.cell(i)
 			seed := cfg.Seed + int64(1000*n+run)
 			fs, err := flow.Uniform(flow.GenConfig{
@@ -124,11 +124,8 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 				return cellResult{}, fmt.Errorf("experiments: workload n=%d run=%d: %w", n, run, err)
 			}
 			model := fig2Model(cfg, fs)
-			rs, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model,
-				dcnflow.WithDCFSROptions(core.DCFSROptions{
-					Seed:   seed,
-					Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
-				}))
+			opts := core.DCFSROptions{Seed: seed, Solver: mcfsolve.Options{MaxIters: cfg.SolverIters}}
+			rs, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model, dcnflow.WithDCFSROptions(opts))
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: RS n=%d run=%d: %w", n, run, err)
 			}
@@ -136,7 +133,12 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: SP+MCF n=%d run=%d: %w", n, run, err)
 			}
-			lb := rs.LowerBound
+			// The paper normalises by the fractional relaxation value, not
+			// by the certified bound the dcfsr solve reports.
+			lb, err := core.LowerBoundCtx(ctx, ft.Graph, fs, model, opts)
+			if err != nil {
+				return cellResult{}, fmt.Errorf("experiments: LB n=%d run=%d: %w", n, run, err)
+			}
 			if lb <= 0 {
 				return cellResult{}, fmt.Errorf("experiments: nonpositive lower bound n=%d run=%d", n, run)
 			}

@@ -62,7 +62,7 @@ type HardnessResult struct {
 	// RSRatio is RSEnergy / Optimal (>= 1; how close the approximation
 	// gets to the NP-hard optimum on its own worst-case family).
 	RSRatio float64
-	// LowerBound is the fractional bound (<= Optimal).
+	// LowerBound is Random-Schedule's certified lower bound (<= Optimal).
 	LowerBound float64
 	// ActiveLinksMean is the mean number of links RS powers on (optimum m).
 	ActiveLinksMean float64
@@ -78,7 +78,7 @@ func (r *HardnessResult) Table() string {
 	tb.AddRow("B (group sum)", r.Config.B)
 	tb.AddRow("alpha", r.Config.Alpha)
 	tb.AddRow("partition optimum", r.Optimal)
-	tb.AddRow("fractional LB", r.LowerBound)
+	tb.AddRow("RS lower bound", r.LowerBound)
 	tb.AddRow("RS energy (mean)", r.RSEnergy)
 	tb.AddRow("RS / optimum", r.RSRatio)
 	tb.AddRow("mean active links (opt m)", r.ActiveLinksMean)

@@ -134,7 +134,7 @@ func RunOnlineComparison(cfg OnlineConfig, flowCounts []int) (*OnlineResult, err
 	}
 	grid := newGrid(flowCounts, cfg.Runs)
 	results, err := sweep.Map(context.Background(), grid.size(), gridWorkers(cfg.Workers),
-		func(_ context.Context, i, _ int) (cellResult, error) {
+		func(ctx context.Context, i, _ int) (cellResult, error) {
 			n, run := grid.cell(i)
 			fs, err := OnlineWorkloadInstance(cfg, ft, n, cfg.Seed+int64(1000*n+run))
 			if err != nil {
@@ -142,11 +142,11 @@ func RunOnlineComparison(cfg OnlineConfig, flowCounts []int) (*OnlineResult, err
 			}
 			model := ablateModel(cfg.AblateConfig, fs)
 			model.Sigma = 0 // match the paper's evaluation power function
-			off, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model,
-				dcnflow.WithDCFSROptions(core.DCFSROptions{
-					Seed:   cfg.Seed + int64(run),
-					Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
-				}))
+			offOpts := core.DCFSROptions{
+				Seed:   cfg.Seed + int64(run),
+				Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
+			}
+			off, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model, dcnflow.WithDCFSROptions(offOpts))
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: online comparison offline leg: %w", err)
 			}
@@ -189,13 +189,19 @@ func RunOnlineComparison(cfg OnlineConfig, flowCounts []int) (*OnlineResult, err
 				return cellResult{}, fmt.Errorf("experiments: deadline miss (n=%d run=%d): greedy %d, offline %d",
 					n, run, gSim.DeadlinesMissed, oSim.DeadlinesMissed)
 			}
-			if off.LowerBound <= 0 {
+			// Every scheme is normalised by the paper's fractional
+			// relaxation value, as in Fig. 2.
+			lb, err := core.LowerBoundCtx(ctx, ft.Graph, fs, model, offOpts)
+			if err != nil {
+				return cellResult{}, fmt.Errorf("experiments: online comparison lower bound: %w", err)
+			}
+			if lb <= 0 {
 				return cellResult{}, nil
 			}
 			return cellResult{
-				greedy:  greedy.Energy / off.LowerBound,
-				rolling: roll.Energy / off.LowerBound,
-				offline: off.Energy / off.LowerBound,
+				greedy:  greedy.Energy / lb,
+				rolling: roll.Energy / lb,
+				offline: off.Energy / lb,
 				haveLB:  true,
 			}, nil
 		}, nil)

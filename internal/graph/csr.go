@@ -343,17 +343,26 @@ func (s *SSSPScratch) SetWeights(w []float64) error {
 // that can compute weights directly in slot order (slot i corresponds to
 // edge CSR.SlotEdges()[i]), skipping SetWeights' gather pass. The caller
 // must fill every entry with a nonnegative value before the next Tree
-// call, then call ScanWeights to let Tree use its fast search.
+// call, then call ScanWeights or SetMinWeight to let Tree use its fast
+// search.
 func (s *SSSPScratch) SlotWeights() []float64 {
 	s.minW = 0
 	return s.wSlot
 }
 
+// SetMinWeight records m as the lower bound of the slot weights, in place
+// of ScanWeights' pass, for a caller that filled SlotWeights and already
+// knows one: m must be at most every slot weight, and NaN when any weight
+// is NaN. Every search gives the same labels under any such m > 0 as under
+// the least weight; a smaller m only hands more searches to the fallbacks.
+func (s *SSSPScratch) SetMinWeight(m float64) { s.minW = m }
+
 // ScanWeights records the lower bound of the slot weights that Tree's
 // no-absorption guard and TreeToward's bound need, and returns it: the
 // least weight, NaN when any weight is NaN, +Inf when there are none.
 // SetWeights calls it; a caller that filled SlotWeights directly calls it
-// itself, or Tree runs only the historical search, with the same results.
+// or SetMinWeight itself, or Tree runs only the historical search, with
+// the same results.
 func (s *SSSPScratch) ScanWeights() float64 {
 	// Plain comparisons are about 3x faster than the builtin min, whose
 	// signed-zero handling the guard does not need: a zero of either sign

@@ -48,11 +48,12 @@ func TestOracleSweepZeroAllocsAfterWarmup(t *testing.T) {
 			for i := range w {
 				w[i] = tc.weight(i)
 			}
-			if err := s.orc.shortestPaths(comms, out); err != nil {
+			minW := s.orc.sssp.ScanWeights()
+			if err := s.orc.shortestPaths(comms, out, minW); err != nil {
 				t.Fatal(err) // warm-up: interns every path, sizes buffers
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := s.orc.shortestPaths(comms, out); err != nil {
+				if err := s.orc.shortestPaths(comms, out, minW); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -219,7 +219,7 @@ func (s *refSolver) SolveWarmCtx(ctx context.Context, commodities []Commodity, w
 		for i := range slotW {
 			slotW[i] = 1
 		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if err := s.orc.shortestPaths(commodities, s.handles, 1); err != nil {
 			return nil, err
 		}
 		for i := range commodities {
@@ -346,7 +346,7 @@ func (s *refSolver) SolveWarmCtx(ctx context.Context, commodities []Commodity, w
 				slotW[i] = cost.deriv(x[eid]) + 1e-12
 			}
 		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if err := s.orc.shortestPaths(commodities, s.handles, s.orc.sssp.ScanWeights()); err != nil {
 			return nil, err
 		}
 		// Direction point: all demand on the oracle paths.

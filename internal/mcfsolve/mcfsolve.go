@@ -116,16 +116,38 @@ type Result struct {
 	// PathsByCommodity holds, per input commodity (same order), its
 	// weighted path decomposition.
 	PathsByCommodity [][]WeightedPath
-	// Objective is the final cost value (per unit time).
+	// Objective is the final cost value (per unit time): the primal value
+	// f(x) of the last iterate, which bounds the optimum from above.
 	Objective float64
 	// Gap is the absolute duality gap grad f(x) . (x - xHat) at the last
 	// iterate the oracle ran on: the final iterate when the solve stopped
-	// on Tol, the one before the last step when MaxIters cut it off. It is
-	// not relative; the Tol test divides it by the objective.
+	// on Tol, the one before the last step when MaxIters or the target cut
+	// it off. It is not relative; the Tol test divides it by the objective.
 	Gap float64
+	// Bound is a certified lower bound on the optimum: the best
+	// f(x_t) - gap_t over the iterates the oracle ran on, less what the
+	// oracle's hop bias can hide (biasWeight * total demand * (nodes - 1)),
+	// clamped to [0, Objective] (NaN when Objective is). It holds up to the
+	// rounding of the sums that compute f and the gap.
+	Bound float64
 	// Iters is the number of Frank–Wolfe iterations performed.
 	Iters int
+	// TargetStop reports that the solve ended on its target (see
+	// SolveTargetCtx), not on Tol or MaxIters.
+	TargetStop bool
 }
+
+// stopBudget is the number of iterations a solve with a target runs before
+// the target may end it. The target is the point past which the solve's
+// bound no longer binds; the iterations are what the rounding of
+// Random-Schedule reads off the decomposition, and its energies at 10
+// iterations matched those at 60 and 300 within 0.2% on the paper's
+// Fig. 2 shape.
+const stopBudget = 10
+
+// biasWeight is the hop bias added to every oracle weight, which keeps
+// zero-gradient regions deterministic and hop-minimal.
+const biasWeight = 1e-12
 
 // Errors returned by the solver.
 var (
@@ -294,6 +316,10 @@ type Solver struct {
 	support []supportEdge // line-search delta support
 	handles []graph.PathHandle
 	decomps []decomp
+
+	// fillHook, set only by tests, sees every weight fill and the weight
+	// bound its sweep records.
+	fillHook func(slotW []float64, minW float64)
 }
 
 // NewSolverCompiled validates the model and prepares reusable state for
@@ -345,10 +371,28 @@ type WarmStart struct {
 	Result      *Result
 }
 
+// noTarget is the target of a solve that runs to Tol or MaxIters: no
+// primal value is at or below it.
+var noTarget = math.Inf(-1)
+
 // Solve is a cold-started SolveBaseWarmCtx with no background load and no
 // cancellation.
 func (s *Solver) Solve(commodities []Commodity) (*Result, error) {
-	return s.solve(context.Background(), commodities, nil, WarmStart{})
+	return s.solve(context.Background(), commodities, nil, WarmStart{}, noTarget)
+}
+
+// SolveTargetCtx is a cold-started SolveBaseWarmCtx with no background load
+// that may also stop on target: from iteration stopBudget (10) on, it
+// stops before the first iteration whose iterate's primal value is at or
+// below target, and reports TargetStop. Tol and MaxIters end it as
+// before, so with MaxIters at most stopBudget the target changes nothing.
+//
+// A caller passes the value past which the solve's Bound stops mattering
+// to it: with exact line search the primal never rises, so once it is at
+// or below target no later iterate could lift Bound above target either
+// (Bound <= optimum <= primal).
+func (s *Solver) SolveTargetCtx(ctx context.Context, commodities []Commodity, target float64) (*Result, error) {
+	return s.solve(ctx, commodities, nil, WarmStart{}, target)
 }
 
 // SolveBaseWarmCtx minimises sum_e cost(base_e + x_e) subject to routing
@@ -382,12 +426,12 @@ func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, 
 	if base != nil && len(base) != s.g.NumEdges() {
 		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
 	}
-	return s.solve(ctx, commodities, base, warm)
+	return s.solve(ctx, commodities, base, warm, noTarget)
 }
 
 // solve is the one Frank–Wolfe implementation behind every entry point;
 // base is nil or has length NumEdges.
-func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart) (*Result, error) {
+func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart, target float64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -465,7 +509,7 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		for i := range slotW {
 			slotW[i] = 1
 		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if err := s.orc.shortestPaths(commodities, s.handles, 1); err != nil {
 			return nil, err
 		}
 		for i := range commodities {
@@ -504,7 +548,8 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 	}
 
 	slotOf := s.orc.hot.EdgeSlots()
-	var gap float64
+	var gap, firstLeast float64
+	best := math.Inf(-1) // the best f(x_t) - gap_t so far
 	iters := 0
 	for iters = 0; iters < s.opts.MaxIters; iters++ {
 		// Cancellation boundary: one Frank–Wolfe iteration is the promised
@@ -513,17 +558,29 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mcfsolve: solve interrupted at iteration %d: %w", iters, err)
 		}
-		// Marginal-cost weights (tiny hop bias keeps zero-gradient regions
+		// The oracle marks only edges with no flow yet, whose terms are
+		// exact zeros, so this is also the objective over the edges after
+		// its sweep, bit for bit.
+		obj := objective(edges)
+		if iters >= stopBudget && obj <= target {
+			res.TargetStop = true
+			break
+		}
+		// Marginal-cost weights (the hop bias keeps zero-gradient regions
 		// deterministic and hop-minimal), computed straight into the
 		// oracle's slot-ordered buffer, where each edge owns exactly one
 		// slot. The first fill covers every edge, in slot order; it also
 		// overwrites the cold start's hop weights and whatever a previous
-		// solve left behind. Later fills refresh the solve's edges.
+		// solve left behind. Later fills refresh the solve's edges, and
+		// every other slot keeps its first-fill weight, so the least weight
+		// of the first fill and of this one bound every slot. A NaN stays
+		// the least, as in graph.SSSPScratch.ScanWeights.
 		slotW := s.orc.slotWeights()
 		fill := edges
 		if iters == 0 {
 			fill = s.orc.slotEdges()
 		}
+		least := math.Inf(1)
 		for _, eid := range fill {
 			w := base[eid] + x[eid]
 			var d float64
@@ -532,9 +589,20 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 			} else {
 				d = cost.deriv(w)
 			}
-			slotW[slotOf[eid]] = d + 1e-12
+			wt := d + biasWeight
+			slotW[slotOf[eid]] = wt
+			if wt < least || wt != wt {
+				least = wt
+			}
 		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if iters == 0 {
+			firstLeast = least
+		}
+		minW := min(firstLeast, least)
+		if s.fillHook != nil {
+			s.fillHook(slotW, minW)
+		}
+		if err := s.orc.shortestPaths(commodities, s.handles, minW); err != nil {
 			return nil, err
 		}
 		// Direction point: all demand on the oracle paths. The previous
@@ -562,7 +630,9 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 			}
 			gap += d * (xv - xNew[eid])
 		}
-		obj := objective(edges)
+		if v := obj - gap; v > best {
+			best = v
+		}
 		if obj > 0 && gap/obj < s.opts.Tol {
 			break
 		}
@@ -588,6 +658,14 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 	res.Objective = objective(edges)
 	res.Gap = gap
 	res.Iters = iters
+	// The oracle minimises grad f + biasWeight per edge, so its direction's
+	// linear value is within biasWeight times the flow volume of the true
+	// minimiser's, a simple path per commodity: at most nodes - 1 hops.
+	var demand float64
+	for _, c := range commodities {
+		demand += c.Demand
+	}
+	res.Bound = max(0, min(best-biasWeight*demand*float64(s.g.NumNodes()-1), res.Objective))
 	for i := range commodities {
 		res.PathsByCommodity[i] = s.emit(&s.decomps[i], commodities[i].Demand)
 	}
@@ -744,17 +822,17 @@ func (s *Solver) lineSearch(x, xHat, base []float64, edges []int32) float64 {
 }
 
 // bisect returns the minimiser of phi on [0, 1] for a non-empty delta
-// support, by 50 bisection steps on the sign of phi' after probing both
+// support, by 50 bisection steps on the sign of phi' after deciding both
 // ends, and how many times it evaluated phi'. penActive reports whether the
 // capacity penalty switches on anywhere on the segment.
 //
-// A step needs only the sign of phiDeriv(mid). For a lin model with the
-// penalty inactive, phi'(gamma) = a + gamma*b up to rounding, and
-// lineFilter bounds that rounding by tol: where |a + mid*b| > tol,
-// phiDeriv(mid) is non-zero with the same sign, so the step takes the same
-// branch without evaluating it. Every other model gets tol = +Inf and
-// evaluates every probe. Either way the search makes the decisions, and
-// returns the gamma, of the plain bisection.
+// A step needs only the sign of phiDeriv(mid), and so do the two ends. For
+// a lin model with the penalty inactive, phi'(gamma) = a + gamma*b up to
+// rounding, and lineFilter bounds that rounding by tol: where
+// |a + mid*b| > tol, phiDeriv(mid) is non-zero with the same sign, so the
+// search takes the same branch without evaluating it. Every other model
+// gets tol = +Inf and evaluates every probe. Either way the search makes
+// the decisions, and returns the gamma, of the plain bisection.
 func (s *Solver) bisect(support []supportEdge, penActive bool) (gamma float64, probes int) {
 	cost := &s.cost
 	// With the penalty inactive on the whole segment, a lin probe drops its
@@ -782,26 +860,28 @@ func (s *Solver) bisect(support []supportEdge, penActive bool) (gamma float64, p
 		}
 		return d
 	}
-	if phiDeriv(0) >= 0 {
-		return 0, probes
-	}
-	if phiDeriv(1) <= 0 {
-		return 1, probes
-	}
 	a, b, tol := 0.0, 0.0, math.Inf(1)
 	if lin && !penActive {
 		a, b, tol = lineFilter(support, dK)
 	}
+	// sign returns a value with the sign of phiDeriv(gamma), zero where it
+	// is zero.
+	sign := func(gamma float64) float64 {
+		if t := a + gamma*b; t > tol || t < -tol {
+			return t
+		}
+		return phiDeriv(gamma)
+	}
+	if sign(0) >= 0 {
+		return 0, probes
+	}
+	if sign(1) <= 0 {
+		return 1, probes
+	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		var neg bool
-		if t := a + mid*b; t > tol || t < -tol {
-			neg = t < 0
-		} else {
-			neg = phiDeriv(mid) < 0
-		}
-		if neg {
+		if sign(mid) < 0 {
 			lo = mid
 		} else {
 			hi = mid

@@ -195,11 +195,12 @@ func (o *oracle) slotEdges() []int32 { return o.hot.SlotEdges() }
 // shortestPaths computes one weighted shortest path per bound commodity
 // under the weights previously written into slotWeights and stores its
 // interned handle in out (input order preserved). out must have
-// len(commodities).
-func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
+// len(commodities). minW must be a lower bound on every slot weight, NaN
+// when any weight is NaN (see graph.SSSPScratch.SetMinWeight).
+func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle, minW float64) error {
 	// Every search needs the weights' lower bound: record it once per
 	// sweep, before the other workers copy it.
-	o.sssp.ScanWeights()
+	o.sssp.SetMinWeight(minW)
 	ng := len(o.srcs)
 	for len(o.groups) < ng {
 		o.groups = append(o.groups, groupArena{})

@@ -3,6 +3,7 @@ package mcfsolve
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // with and without a background load, a default Solver (every sweep
 // directed at each group's destinations), one whose hop budget covers only
 // two source groups, and one on two oracle workers must return exactly the
-// bits of a Solver whose every sweep runs the plain Tree.
+// bits of a Solver whose every sweep runs the plain Tree. After every
+// weight fill of every solve, the weight bound the sweep records must be
+// at most the least slot weight.
 func TestGoalOracleMatchesTree(t *testing.T) {
 	build := func(tp *topology.Topology, err error) *topology.Topology {
 		t.Helper()
@@ -35,7 +38,7 @@ func TestGoalOracleMatchesTree(t *testing.T) {
 	}
 	models := []power.Model{{Mu: 1, Alpha: 2}, {Mu: 0.5, Alpha: 3}, {Mu: 1, Alpha: 2, C: 4}}
 	rng := rand.New(rand.NewSource(41))
-	goal := 0
+	goal, fills := 0, 0
 	for _, tp := range tops {
 		c := graph.Compile(tp.Graph)
 		n := c.Hot().NumNodes()
@@ -50,6 +53,16 @@ func TestGoalOracleMatchesTree(t *testing.T) {
 						t.Fatal(err)
 					}
 					s.orc.hopBudget = budget
+					s.fillHook = func(slotW []float64, minW float64) {
+						fills++
+						least := math.Inf(1)
+						for _, w := range slotW {
+							least = min(least, w)
+						}
+						if !(minW <= least) {
+							t.Errorf("a sweep recorded weight bound %v, above the least slot weight %v", minW, least)
+						}
+					}
 					return s
 				}
 				plain := solver(1, 0)
@@ -87,6 +100,9 @@ func TestGoalOracleMatchesTree(t *testing.T) {
 	}
 	if goal == 0 {
 		t.Fatal("the goal search never answered a tree: the differential tested nothing")
+	}
+	if fills == 0 {
+		t.Fatal("no weight fill reached the hook")
 	}
 }
 
@@ -157,7 +173,7 @@ func TestColdStartMatchesUnitRouter(t *testing.T) {
 						w[i] = 1
 					}
 					out := make([]graph.PathHandle, len(comms))
-					if err := s.orc.shortestPaths(comms, out); err != nil {
+					if err := s.orc.shortestPaths(comms, out, 1); err != nil {
 						t.Fatal(err)
 					}
 					if s.orc.goal != len(s.orc.srcs) {

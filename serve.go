@@ -76,7 +76,8 @@ type ServeResponse struct {
 	Solver string `json:"solver"`
 	// Energy is the solver's accounted total energy.
 	Energy float64 `json:"energy,omitempty"`
-	// LowerBound is the solver's own fractional bound, when it reports one.
+	// LowerBound is the solver's own lower bound, when it reports one (see
+	// Solution.LowerBound).
 	LowerBound float64 `json:"lower_bound,omitempty"`
 	// Stats carries the solver's diagnostics (snake_case keys).
 	Stats map[string]float64 `json:"stats,omitempty"`

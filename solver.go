@@ -26,8 +26,10 @@ type Solution struct {
 	// equals Schedule.EnergyTotal(model) except "always-on", which charges
 	// idle power for every link in the network whether used or not.
 	Energy float64
-	// LowerBound is the fractional relaxation bound when the solver computes
-	// one (the DCFSR family); zero otherwise.
+	// LowerBound is the solver's own lower bound when it computes one (the
+	// "dcfsr" family); zero otherwise. "dcfsr" reports a certified bound on
+	// the energy of density-rate single-path schedules such as its own
+	// (see core.DCFSRResult.LowerBound).
 	LowerBound float64
 	// Stats holds per-solver diagnostics (iteration counts, rounding
 	// attempts, admission tallies, ...) under stable snake_case keys.

@@ -89,6 +89,8 @@ func solveDCFSR(ctx context.Context, cfg SolverConfig, in *Instance) (*Solution,
 			"max_rate":          res.MaxRate,
 			"capacity_feasible": boolStat(res.CapacityFeasible),
 			"links_on":          float64(len(res.Schedule.ActiveLinks())),
+			"fw_iters":          float64(res.FWIters),
+			"bound_stops":       float64(res.BoundStops),
 		},
 	}, nil
 }

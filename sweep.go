@@ -313,10 +313,10 @@ type SweepCellResult struct {
 	// LB is the scenario's shared normalizer (computed once per scenario
 	// group unless SweepOptions.SkipLB): the fractional relaxation value
 	// the paper's Fig. 2 divides by, in which every flow transmits at its
-	// density. It certifiably lower-bounds the Random-Schedule family's
-	// energies; scheduling-optimal solvers (the MCF family) may dip
-	// slightly below it on shared-path topologies, so LBRatio = Energy/LB
-	// is a comparison ratio, not a guaranteed >= 1 quantity — the
+	// density (dcnflow.LowerBound). It is a Frank–Wolfe primal value, not
+	// a certified bound; scheduling-optimal solvers (the MCF family) may
+	// dip slightly below it on shared-path topologies, so LBRatio =
+	// Energy/LB is a comparison ratio, not a guaranteed >= 1 quantity — the
 	// guaranteed inequality is Solution.Energy >= Solution.LowerBound for
 	// solvers that report their own bound, and the conformance suite
 	// asserts exactly that.
