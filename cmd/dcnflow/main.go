@@ -86,7 +86,7 @@ func commands() []command {
 		{"serve", "serve scenario solves over HTTP from a warm engine (POST /v1/solve, /v1/batch; GET /healthz)", "", func(args []string) error { return runServe(args, os.Stdout) }},
 		{"sweep", "run a JSON sweep spec: a scenario grid crossed with solvers, on a worker pool (see examples/sweeps/)", "", runSweep},
 		{"workload", "generate and print a random workload as CSV", "", runWorkload},
-		{"compare", "run every registered solver (and dcfsr's lower bound) on one workload", "", runCompare},
+		{"compare", "run every registered solver (and dcfsr's density-rate lower bound) on one workload", "", runCompare},
 		{"trace", "schedule a CSV flow trace (id,src,dst,release,deadline,size) on a chosen topology; for scheduler-level decision tracing use `dcnflow decisions`", "", runTrace},
 		{"topo", "emit a topology in Graphviz DOT", "", runTopo},
 	}
@@ -634,10 +634,13 @@ func solverList(value string) ([]string, error) {
 
 // solutionTable renders solutions uniformly: energy, the ratio against the
 // best lower bound any selected solver produced, and active link counts.
+// That bound is dcfsr's: it holds for schedules that send each flow on one
+// path at its density, so a family that shapes rates over a flow's span
+// is only compared against it and may fall below it.
 func solutionTable(sols []*dcnflow.Solution, lb float64) *stats.Table {
 	tb := stats.NewTable("solver", "energy", "vs LB", "links on")
 	if lb > 0 {
-		tb.AddRow("lower bound", lb, 1.0, "-")
+		tb.AddRow("density-rate LB", lb, 1.0, "-")
 	}
 	for _, sol := range sols {
 		ratio := "-"

@@ -13,7 +13,9 @@
 //   - DCFSR (joint routing + scheduling, strongly NP-hard): the "dcfsr"
 //     solver runs the Random-Schedule relaxation/rounding approximation
 //     (Algorithm 2 / Theorems 4, 6, 7), rounding by conditional
-//     expectations, and its Solution.LowerBound is a certified bound for
+//     expectations for integer alpha up to 8 (by the paper's seeded
+//     random draws otherwise, and after an assignment that violates link
+//     capacities), and its Solution.LowerBound is a certified bound for
 //     density-rate single-path schedules such as its own: per interval,
 //     the larger of the relaxation's Frank–Wolfe dual bound and the
 //     isolated-flow bound sum mu*D^alpha*hops. LowerBound exposes the

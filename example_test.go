@@ -29,7 +29,7 @@ func ExampleSolve_dcfsMCF() {
 
 // ExampleSolve_dcfsr jointly routes and schedules a small workload on a
 // fat-tree with Random-Schedule and reports the approximation ratio against
-// the fractional lower bound.
+// its certified lower bound.
 func ExampleSolve_dcfsr() {
 	ft, _ := dcnflow.FatTree(4, 1000)
 	flows, _ := dcnflow.UniformWorkload(dcnflow.WorkloadConfig{

@@ -10,8 +10,9 @@
 //     frozen commitments (pinned paths, transmitted data), re-balancing the
 //     future rate profiles of in-flight flows around newly arrived load;
 //   - the offline Random-Schedule, which sees the whole future — together
-//     with its lower bound, which no density-rate single-path schedule
-//     can beat.
+//     with its lower bound, which no schedule sending each flow on one
+//     path at its density can beat (the rolling re-optimizer shapes rates,
+//     so its ratio is a comparison, not a bound).
 //
 // Every schedule is validated by the discrete-event simulator: deadlines
 // and capacities are checked independently of the schedulers' own
@@ -81,7 +82,7 @@ func run() error {
 	offE, grE, roE := offline.Energy, greedy.Energy, rolling.Energy
 	fmt.Printf("workload: %d flows, diurnal arrivals over [0, 100]\n", flows.Len())
 	fmt.Printf("%-36s %12s %8s\n", "scheme", "energy", "vs LB")
-	fmt.Printf("%-36s %12.1f %8s\n", "lower bound", lb, "1.00x")
+	fmt.Printf("%-36s %12.1f %8s\n", "density-rate lower bound", lb, "1.00x")
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "offline Random-Schedule (paper)", offE, offE/lb)
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "online marginal-cost greedy", grE, grE/lb)
 	fmt.Printf("%-36s %12.1f %7.2fx\n", "online rolling-horizon", roE, roE/lb)

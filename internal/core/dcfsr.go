@@ -43,14 +43,16 @@ type ProgressFunc func(ProgressEvent)
 
 // DCFSROptions tunes the Random-Schedule approximation.
 type DCFSROptions struct {
-	// Seed drives the randomized re-draws of the rounding, which run only
-	// when the derandomized assignment violates link capacities; runs are
-	// deterministic per seed.
+	// Seed drives the random draws of the rounding; runs are deterministic
+	// per seed. For an integer alpha up to 8 the first assignment is
+	// derandomized and draws nothing, so the seed acts only when that
+	// assignment violates link capacities.
 	Seed int64
-	// MaxRoundingAttempts bounds the rounding attempts: the derandomized
-	// assignment, then seeded random re-draws while the assignment violates
-	// link capacities (Section V-A: "we can always repeat the randomized
-	// rounding process until we obtain a feasible solution"). Default 20.
+	// MaxRoundingAttempts bounds the random draws of the rounding, repeated
+	// while the assignment violates link capacities (Section V-A: "we can
+	// always repeat the randomized rounding process until we obtain a
+	// feasible solution"). A derandomized first assignment (integer alpha
+	// up to 8) comes before them and does not count. Default 20.
 	MaxRoundingAttempts int
 	// Solver configures the per-interval F-MCF relaxation, including the
 	// intra-solve shortest-path parallelism (Solver.OracleWorkers). The
@@ -153,9 +155,11 @@ type DCFSRResult struct {
 	// an interval solve may stop once its primal is at or below iso_k, so
 	// this is not the value LowerBoundCtx reports.
 	FractionalObjective float64
-	// Attempts is the number of rounding attempts consumed: 1 when the
-	// derandomized assignment meets link capacities, which it always does
-	// in an uncapped model.
+	// Attempts is the number of rounding attempts consumed: the
+	// derandomized assignment (integer alpha up to 8) and the random draws
+	// after it, at most MaxRoundingAttempts of those. It is 1 when the
+	// first assignment meets link capacities, which it always does in an
+	// uncapped model.
 	Attempts int
 	// CapacityFeasible reports whether the returned assignment satisfies
 	// all link capacities (always true for uncapped models).
@@ -184,18 +188,37 @@ type relaxation struct {
 	intervals []timeline.Interval
 	comms     [][]mcfsolve.Commodity
 	// iso, when non-nil, holds iso_k per interval (see isoPower), and each
-	// interval solve stops once its primal value reaches iso_k.
+	// interval's result is its solve stopped once the primal value reaches
+	// iso_k.
 	iso     []float64
 	results []*mcfsolve.Result
+	// full, when non-nil, receives per interval the primal value of the
+	// same solve run on to Tol or MaxIters.
+	full []float64
 	// fractional is sum_k |I_k| times results[k].Objective.
 	fractional float64
 	lambda     float64
 }
 
+// relaxMode selects what solveRelaxation's interval solves run to.
+type relaxMode int
+
+const (
+	// relaxFull runs every interval solve to Tol or MaxIters: the paper's
+	// fractional value (LowerBoundCtx).
+	relaxFull relaxMode = iota
+	// relaxStop stops each interval solve once its primal value reaches
+	// iso_k (SolveDCFSRCtx).
+	relaxStop
+	// relaxBoth keeps relaxStop's results and runs each solve on to Tol or
+	// MaxIters for rel.full (SolveDCFSRWithFractionalCtx).
+	relaxBoth
+)
+
 // solveRelaxation decomposes the horizon at flow release/deadline
-// breakpoints and solves one F-MCF per interval (concurrently). With stop
-// set, each interval solve may stop once its primal value reaches iso_k.
-func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m power.Model, opts DCFSROptions, stop bool) (*relaxation, error) {
+// breakpoints and solves one F-MCF per interval (concurrently), as far as
+// mode says.
+func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m power.Model, opts DCFSROptions, mode relaxMode) (*relaxation, error) {
 	var times []float64
 	for _, f := range flows.Flows() {
 		times = append(times, f.Release, f.Deadline)
@@ -219,8 +242,11 @@ func solveRelaxation(ctx context.Context, c *graph.Compiled, flows *flow.Set, m 
 		}
 	}
 
-	if stop {
+	if mode != relaxFull {
 		rel.iso = isoPower(c, flows, rel.comms, m)
+	}
+	if mode == relaxBoth {
+		rel.full = make([]float64, len(intervals))
 	}
 	if err := solveIntervalRelaxation(ctx, c, m, opts, rel, nil); err != nil {
 		return nil, err
@@ -267,7 +293,8 @@ func isoPower(c *graph.Compiled, flows *flow.Set, comms [][]mcfsolve.Commodity, 
 // solveIntervalRelaxation runs one F-MCF per interval of rel (concurrently,
 // see solveIntervals) and fills rel.results and rel.fractional.
 // rel.intervals and rel.comms must already be populated; rel.iso, when
-// set, gives each interval solve its stop target.
+// set, gives each interval solve its stop target, and rel.full, when set,
+// asks for the values of the solves run on past it.
 //
 // seeds, when non-nil, supplies a warm start for interval k (the
 // rolling-horizon re-optimizer passes the previous epoch's time-aligned
@@ -287,17 +314,23 @@ func solveIntervalRelaxation(ctx context.Context, c *graph.Compiled, m power.Mod
 		if seeds != nil {
 			warm = seeds[k]
 		}
-		var res *mcfsolve.Result
+		var res, full *mcfsolve.Result
 		var err error
-		if rel.iso != nil {
+		switch {
+		case rel.full != nil:
+			res, full, err = s.SolveTargetFullCtx(ctx, rel.comms[k], rel.iso[k])
+		case rel.iso != nil:
 			res, err = s.SolveTargetCtx(ctx, rel.comms[k], rel.iso[k])
-		} else {
+		default:
 			res, err = s.SolveBaseWarmCtx(ctx, rel.comms[k], nil, warm)
 		}
 		if err != nil {
 			return fmt.Errorf("interval %d: %w", k, err)
 		}
 		rel.results[k] = res
+		if full != nil {
+			rel.full[k] = full.Objective
+		}
 		if opts.Progress != nil {
 			progMu.Lock()
 			opts.Progress(ProgressEvent{
@@ -416,7 +449,7 @@ func LowerBoundCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, m power
 	if err := m.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	rel, err := solveRelaxation(ctx, graph.Compile(g), flows, m, opts.withDefaults(), false)
+	rel, err := solveRelaxation(ctx, graph.Compile(g), flows, m, opts.withDefaults(), relaxFull)
 	if err != nil {
 		return 0, err
 	}
@@ -433,12 +466,14 @@ func LowerBoundCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, m power
 //     (Raghavan–Tompson decomposition, tracked natively by the solver);
 //  3. aggregate time-weighted path probabilities
 //     wbar_P = sum_k w_P(k) * |I_k| / (d_i - r_i);
-//  4. round by conditional expectations (see derandomize): in flow id
-//     order, fix each flow to the candidate that minimises the expected
-//     energy while the unfixed flows stay drawn from wbar, so the result
-//     is never above the expected energy of the paper's random rounding;
-//     when it violates link capacities, re-draw at random up to
-//     MaxRoundingAttempts in all, keeping the least violation;
+//  4. for an integer alpha up to 8, round by conditional expectations
+//     (see derandomize): in flow id order, fix each flow to the candidate
+//     that minimises the expected energy while the unfixed flows stay
+//     drawn from wbar, so the result is never above the expected energy of
+//     the paper's random rounding; while the assignment violates link
+//     capacities (and from the start for other alphas), draw one path per
+//     flow from wbar, up to MaxRoundingAttempts draws, keeping the least
+//     violation;
 //  5. transmit each flow at its density D_i across its span on the chosen
 //     path (per-interval link rate sum_j D_j, EDF time-shared at the
 //     packet level — Theorem 4 guarantees every deadline is met).
@@ -447,27 +482,54 @@ func LowerBoundCtx(ctx context.Context, g *graph.Graph, flows *flow.Set, m power
 // per-interval relaxation solve, so the call returns the wrapped context
 // error within one iteration of ctx ending — never a partial result.
 func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
+	res, _, err := solveDCFSR(ctx, in, relaxStop)
+	return res, err
+}
+
+// SolveDCFSRWithFractionalCtx returns what SolveDCFSRCtx and LowerBoundCtx
+// return for in, bit for bit, from one relaxation: each interval's
+// Frank–Wolfe solve keeps its iterate where the stop rule would end it,
+// for the rounding and the certified bound, and runs on to Tol or the
+// iteration cap for the paper's fractional value. Fig. 2 and O1 report
+// both, at the cost of one relaxation run to the cap.
+func SolveDCFSRWithFractionalCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, float64, error) {
+	res, rel, err := solveDCFSR(ctx, in, relaxBoth)
+	if err != nil || rel == nil {
+		return res, 0, err
+	}
+	var frac float64 // summed as solveIntervalRelaxation sums fractional
+	for k, r := range rel.results {
+		if r != nil {
+			frac += rel.full[k] * rel.intervals[k].Length()
+		}
+	}
+	return res, frac, nil
+}
+
+// solveDCFSR is SolveDCFSRCtx with the relaxation run as mode says (not
+// relaxFull); it also returns the relaxation, nil for no flows.
+func solveDCFSR(ctx context.Context, in DCFSRInput, mode relaxMode) (*DCFSRResult, *relaxation, error) {
 	if in.Graph == nil || in.Flows == nil {
-		return nil, fmt.Errorf("%w: nil graph or flows", ErrBadInput)
+		return nil, nil, fmt.Errorf("%w: nil graph or flows", ErrBadInput)
 	}
 	if err := in.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	compiled, err := compiledView(in.Compiled, in.Graph)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := in.Opts.withDefaults()
 
 	t0, t1 := in.Flows.Horizon()
 	horizon := timeline.Interval{Start: t0, End: t1}
 	if in.Flows.Len() == 0 {
-		return &DCFSRResult{Schedule: schedule.New(horizon), CapacityFeasible: true}, nil
+		return &DCFSRResult{Schedule: schedule.New(horizon), CapacityFeasible: true}, nil, nil
 	}
 
-	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, opts, true)
+	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, opts, mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	flows := in.Flows.Flows()
@@ -479,11 +541,22 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 	cands := aggregateCandidates(rel, spans, interner)
 	for _, f := range flows {
 		if len(cands[f.ID]) == 0 {
-			return nil, fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, f.ID)
+			return nil, nil, fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, f.ID)
 		}
 	}
 
-	pick := derandomize(flows, cands, interner, rel, in.Model, horizon.Length())
+	// The derandomized assignment, where alpha allows it, is a first
+	// attempt that MaxRoundingAttempts does not count: that budget is the
+	// seeded random draws, which follow while the assignment violates link
+	// capacities.
+	var pick []graph.PathHandle
+	firstDraw := 1
+	if derandomizable(in.Model.Alpha) {
+		pick, firstDraw = derandomize(flows, cands, interner, rel, in.Model, horizon.Length()), 2
+	} else {
+		pick = make([]graph.PathHandle, len(flows))
+	}
+	last := firstDraw - 1 + opts.MaxRoundingAttempts
 	var (
 		rng           *rand.Rand
 		best          *schedule.Schedule
@@ -497,10 +570,8 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 		capLimit = in.Model.C
 	}
 
-	for attempts = 1; attempts <= opts.MaxRoundingAttempts; attempts++ {
-		if attempts > 1 {
-			// The derandomized assignment violated capacity: fall back to
-			// the paper's seeded re-draws.
+	for attempts = 1; attempts <= last; attempts++ {
+		if attempts >= firstDraw {
 			if rng == nil {
 				rng = rand.New(rand.NewSource(opts.Seed))
 			}
@@ -518,7 +589,7 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 					Rate:     f.Density(),
 				}},
 			}); err != nil {
-				return nil, fmt.Errorf("core: installing flow %d: %w", f.ID, err)
+				return nil, nil, fmt.Errorf("core: installing flow %d: %w", f.ID, err)
 			}
 		}
 		maxRate := sched.MaxLinkRate()
@@ -539,8 +610,8 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 			best, bestViolation, bestMaxRate = sched, violation, maxRate
 		}
 	}
-	if attempts > opts.MaxRoundingAttempts {
-		attempts = opts.MaxRoundingAttempts
+	if attempts > last {
+		attempts = last
 	}
 	best.AssignPriorities()
 	out := &DCFSRResult{
@@ -562,7 +633,7 @@ func SolveDCFSRCtx(ctx context.Context, in DCFSRInput) (*DCFSRResult, error) {
 			out.BoundStops++
 		}
 	}
-	return out, nil
+	return out, rel, nil
 }
 
 // aggregateCandidates builds, per flow, the time-weighted candidate path

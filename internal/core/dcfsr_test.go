@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"dcnflow/internal/flow"
@@ -156,7 +158,7 @@ func TestDCFSRHardnessGadgetConsolidates(t *testing.T) {
 
 func TestDCFSRCapacityRetries(t *testing.T) {
 	// Tight capacity forces spreading across the parallel links; the
-	// rounding loop must find a feasible draw.
+	// rounding loop must find a feasible assignment.
 	top, src, dst, err := topology.ParallelLinks(4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +267,69 @@ func TestLowerBoundStandalone(t *testing.T) {
 	}
 }
 
+func TestSolveDCFSRWithFractionalMatches(t *testing.T) {
+	// One relaxation run on past each stop must give SolveDCFSRCtx's result
+	// and LowerBoundCtx's value bit for bit, whether every interval solve,
+	// some or none stopped on iso_k.
+	ctx := context.Background()
+	var stopped, ran bool
+	for _, tc := range []struct {
+		n     int
+		m     power.Model
+		iters int
+		par   int
+	}{
+		{40, power.Model{Sigma: 0.5, Mu: 1, Alpha: 2, C: 1e9}, 0, 1},
+		{60, power.Model{Mu: 1, Alpha: 4}, 30, 3},
+		{60, power.Model{Mu: 1, Alpha: 3}, 12, 2},
+		{30, power.Model{Mu: 1, Alpha: 2}, 8, 1},
+		{0, power.Model{Mu: 1, Alpha: 2}, 0, 1},
+	} {
+		ft, fs := fatTreeWorkload(t, 4, max(tc.n, 1), int64(tc.n))
+		if tc.n == 0 {
+			fs, _ = flow.NewSet(nil)
+		}
+		opts := DCFSROptions{Seed: 3, Parallelism: tc.par, Solver: mcfsolve.Options{MaxIters: tc.iters}}
+		in := DCFSRInput{Graph: ft.Graph, Flows: fs, Model: tc.m, Opts: opts}
+		got, frac, err := SolveDCFSRWithFractionalCtx(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveDCFSRCtx(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := LowerBoundCtx(ctx, ft.Graph, fs, tc.m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("n=%d alpha=%v iters=%d", tc.n, tc.m.Alpha, tc.iters)
+		if math.Float64bits(frac) != math.Float64bits(lb) {
+			t.Fatalf("%s: fractional value %v, LowerBoundCtx %v", where, frac, lb)
+		}
+		ge, we := got.Schedule.EnergyTotal(tc.m), want.Schedule.EnergyTotal(tc.m)
+		if math.Float64bits(ge) != math.Float64bits(we) ||
+			math.Float64bits(got.LowerBound) != math.Float64bits(want.LowerBound) ||
+			math.Float64bits(got.FractionalObjective) != math.Float64bits(want.FractionalObjective) ||
+			got.Attempts != want.Attempts || got.FWIters != want.FWIters || got.BoundStops != want.BoundStops {
+			t.Fatalf("%s: got energy %v bound %v fractional %v attempts %d fw %d stops %d; SolveDCFSRCtx %v %v %v %d %d %d",
+				where, ge, got.LowerBound, got.FractionalObjective, got.Attempts, got.FWIters, got.BoundStops,
+				we, want.LowerBound, want.FractionalObjective, want.Attempts, want.FWIters, want.BoundStops)
+		}
+		for _, f := range fs.Flows() {
+			if graph.ComparePathKeys(got.Schedule.FlowSchedule(f.ID).Path.Edges, want.Schedule.FlowSchedule(f.ID).Path.Edges) != 0 {
+				t.Fatalf("%s: flow %d routed differently", where, f.ID)
+			}
+		}
+		t.Logf("%s: %d of %d interval solves stopped", where, got.BoundStops, got.Intervals)
+		stopped = stopped || got.BoundStops > 0
+		ran = ran || got.BoundStops < got.Intervals
+	}
+	if !stopped || !ran {
+		t.Fatalf("cases cover stopped interval solves %v and ones run to the cap %v; want both", stopped, ran)
+	}
+}
+
 // isoLowerBound is LB_iso = sum over flows of mu * D_j^alpha * h_j * span_j,
 // with h_j the hop count of the graph's own minimum-hop path.
 func isoLowerBound(t *testing.T, g *graph.Graph, fs *flow.Set, m power.Model) float64 {
@@ -366,5 +431,58 @@ func TestDCFSRLambdaAndIntervals(t *testing.T) {
 	}
 	if !almostEqual(res.Lambda, 10, 1e-9) {
 		t.Fatalf("lambda = %v, want 10", res.Lambda)
+	}
+}
+
+func TestDCFSRRedrawAfterInfeasibleDerandomized(t *testing.T) {
+	// Six density-0.9 flows over four C=2 links fit iff no link carries
+	// three. With idle power well above dynamic power the conditional
+	// expectation stacks three flows on a link, past C; the seeded draws
+	// after it must still find a spreading that fits, and the derandomized
+	// attempt must not count against their budget.
+	top, src, dst, err := topology.ParallelLinks(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]flow.Flow, 6)
+	for i := range raw {
+		raw[i] = flow.Flow{Src: src, Dst: dst, Release: 0, Deadline: 1, Size: 0.9}
+	}
+	fs, err := flow.NewSet(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := power.Model{Sigma: 10, Mu: 1, Alpha: 2, C: 2}
+	solve := func(budget int) *DCFSRResult {
+		t.Helper()
+		res, err := SolveDCFSRCtx(context.Background(), DCFSRInput{
+			Graph: top.Graph, Flows: fs, Model: m,
+			Opts: DCFSROptions{Seed: 1, MaxRoundingAttempts: budget},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	one := solve(1)
+	if one.Attempts != 2 || one.CapacityFeasible || one.MaxRate <= 2 {
+		t.Fatalf("budget 1: attempts %d, feasible %v, max rate %v; want the derandomized assignment past C and one draw after it",
+			one.Attempts, one.CapacityFeasible, one.MaxRate)
+	}
+	res := solve(50)
+	if res.Attempts <= 2 || !res.CapacityFeasible {
+		t.Fatalf("budget 50: attempts %d, feasible %v; want a later draw that fits", res.Attempts, res.CapacityFeasible)
+	}
+	if err := res.Schedule.Verify(top.Graph, fs, m, schedule.VerifyOptions{EnforceCapacity: true}); err != nil {
+		t.Fatal(err)
+	}
+	// The fitting draw was draw Attempts - 1: a budget of exactly that many
+	// draws reaches it, one fewer does not.
+	draws := res.Attempts - 1
+	if got := solve(draws); got.Attempts != res.Attempts || !got.CapacityFeasible || got.Schedule.EnergyTotal(m) != res.Schedule.EnergyTotal(m) {
+		t.Fatalf("budget %d: attempts %d, feasible %v; want attempts %d, feasible", draws, got.Attempts, got.CapacityFeasible, res.Attempts)
+	}
+	if got := solve(draws - 1); got.Attempts != draws || got.CapacityFeasible {
+		t.Fatalf("budget %d: attempts %d, feasible %v; want attempts %d, infeasible", draws-1, got.Attempts, got.CapacityFeasible, draws)
 	}
 }

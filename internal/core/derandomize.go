@@ -8,11 +8,16 @@ import (
 	"dcnflow/internal/power"
 )
 
-// maxExactAlpha is the largest integer alpha whose expected energy the
-// rounding computes exactly, from the raw moments 0..alpha of every link
-// load. Larger and non-integer alphas round by sequential least marginal
-// energy instead.
+// maxExactAlpha is the largest alpha the rounding derandomizes: for an
+// integer alpha up to it the expected energy is exact, from the raw
+// moments 0..alpha of every link load. Other alphas keep the paper's
+// seeded random draws.
 const maxExactAlpha = 8
+
+// derandomizable reports whether derandomize can round under alpha.
+func derandomizable(alpha float64) bool {
+	return alpha == math.Trunc(alpha) && alpha <= maxExactAlpha
+}
 
 // derandomize rounds the relaxation by the method of conditional
 // expectations (Raghavan, JCSS 1988): taking the flows in id order, it
@@ -21,11 +26,9 @@ const maxExactAlpha = 8
 // aggregated candidate weights, as the paper's random rounding draws it.
 // The expectation never rises from one flow to the next, so the
 // assignment's energy is at most the expected energy of the random
-// rounding. For non-integer alpha (or alpha above maxExactAlpha) the
-// unfixed flows count as absent: each flow takes the candidate of least
-// marginal energy over the flows fixed before it. flows[i] must have id i,
-// as a flow.Set's flows do, and candidates; the result is one path per
-// flow, in that order.
+// rounding. m.Alpha must be derandomizable; flows[i] must have id i, as a
+// flow.Set's flows do, and candidates. The result is one path per flow,
+// in that order.
 func derandomize(flows []flow.Flow, cands map[flow.ID][]candidate, interner *graph.PathInterner, rel *relaxation, m power.Model, horizon float64) []graph.PathHandle {
 	r := newRounding(flows, cands, interner, rel, m, horizon)
 	pick := make([]graph.PathHandle, len(flows))
@@ -42,19 +45,16 @@ func derandomize(flows []flow.Flow, cands map[flow.ID][]candidate, interner *gra
 // link are contiguous within it: the tables grow with the candidates, not
 // with the fabric, and need no map.
 //
-// With exact set, a cell holds the raw moments E[L^0..L^order] of its load
-// L, a sum of independent terms: D_j for a fixed flow j on the link, and
+// A cell holds the raw moments E[L^0..L^alpha] of its load L, a sum of
+// independent terms: D_j for a fixed flow j on the link, and
 // D_j * Bernoulli(q_j) for an unfixed one, q_j the probability that its
 // draw uses the link. A link's idle power is paid over the whole horizon
 // when any flow uses it at all, so each link keeps the probability that no
 // flow does, as a product of (1 - q_j) over the flows that may, with the
-// factors that are zero (flows certain to use it) counted apart. Without
-// exact, a cell holds the fixed flows' load in moment 1 and a link counts
-// the fixed flows on it.
+// factors that are zero (flows certain to use it) counted apart.
 type rounding struct {
 	m     power.Model
-	exact bool
-	order int         // highest moment kept: alpha when exact, else 1
+	order int         // highest moment kept: alpha
 	binom [][]float64 // binom[k][i] = C(k, i)
 	idle  float64     // sigma * horizon: the idle energy of a link in use
 	ivLen []float64   // per interval of the relaxation
@@ -82,10 +82,7 @@ type roundFlow struct {
 }
 
 func newRounding(flows []flow.Flow, cands map[flow.ID][]candidate, interner *graph.PathInterner, rel *relaxation, m power.Model, horizon float64) *rounding {
-	r := &rounding{m: m, order: 1, idle: m.Sigma * horizon}
-	if a := m.Alpha; a == math.Trunc(a) && a <= maxExactAlpha {
-		r.exact, r.order = true, int(a)
-	}
+	r := &rounding{m: m, order: int(m.Alpha), idle: m.Sigma * horizon}
 	r.binom = make([][]float64, r.order+1)
 	for k := range r.binom {
 		r.binom[k] = make([]float64, k+1)
@@ -166,15 +163,13 @@ func newRounding(flows []flow.Flow, cands map[flow.ID][]candidate, interner *gra
 	for l := range r.prod {
 		r.prod[l] = 1
 	}
-	if r.exact {
-		for fi := range r.flows {
-			rf := &r.flows[fi]
-			for i, l := range rf.link {
-				r.addFactor(l, rf.q[i])
-				lo, hi := r.cells(l, rf)
-				for c := lo; c < hi; c++ {
-					r.add(c, rf.pow, rf.q[i])
-				}
+	for fi := range r.flows {
+		rf := &r.flows[fi]
+		for i, l := range rf.link {
+			r.addFactor(l, rf.q[i])
+			lo, hi := r.cells(l, rf)
+			for c := lo; c < hi; c++ {
+				r.add(c, rf.pow, rf.q[i])
 			}
 		}
 	}
@@ -225,9 +220,6 @@ func (r *rounding) remove(c int, pow []float64, q float64) {
 // expected dynamic power.
 func (r *rounding) delta(c int, pow []float64) float64 {
 	m := r.moments(c)
-	if !r.exact {
-		return r.m.G(m[1]+pow[1]) - r.m.G(m[1])
-	}
 	a := r.order
 	var s float64
 	for i := 0; i < a; i++ {
@@ -266,7 +258,7 @@ func (r *rounding) unused(l int32) float64 {
 // its index; ties go to the earlier candidate, the heavier one.
 func (r *rounding) fix(fi int) int {
 	f := &r.flows[fi]
-	if r.exact && len(f.cands) == 1 {
+	if len(f.cands) == 1 {
 		return 0 // its draw is certain already
 	}
 	// Taking edge i changes the expected energy by w[i] against leaving it:
@@ -276,11 +268,9 @@ func (r *rounding) fix(fi int) int {
 	w := r.w[:0]
 	for i, l := range f.link {
 		lo, hi := r.cells(l, f)
-		if r.exact {
-			r.removeFactor(l, f.q[i])
-			for c := lo; c < hi; c++ {
-				r.remove(c, f.pow, f.q[i])
-			}
+		r.removeFactor(l, f.q[i])
+		for c := lo; c < hi; c++ {
+			r.remove(c, f.pow, f.q[i])
 		}
 		var dyn float64
 		for c, k := lo, f.lo; c < hi; c, k = c+1, k+1 {

@@ -82,17 +82,13 @@ func decodeRoundingCase(mode uint8, raw []byte) *roundingCase {
 }
 
 // expected returns the expected EnergyTotal of the rounding's current
-// state: exact when exact is set, the fixed flows' energy otherwise.
+// state.
 func (r *rounding) expected() float64 {
 	var e float64
 	for l, lk := range r.links {
 		for k := lk.lo; k < lk.hi; k++ {
 			m := r.moments(lk.base + k - lk.lo)
-			if r.exact {
-				e += r.ivLen[k] * r.m.Mu * m[r.order]
-			} else {
-				e += r.ivLen[k] * r.m.G(m[1])
-			}
+			e += r.ivLen[k] * r.m.Mu * m[r.order]
 		}
 		e += r.idle * (1 - r.unused(int32(l)))
 	}

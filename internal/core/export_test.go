@@ -16,7 +16,7 @@ func ExpectedRandomRounding(ctx context.Context, in DCFSRInput) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, in.Opts.withDefaults(), true)
+	rel, err := solveRelaxation(ctx, compiled, in.Flows, in.Model, in.Opts.withDefaults(), relaxStop)
 	if err != nil {
 		return 0, err
 	}

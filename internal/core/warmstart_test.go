@@ -40,7 +40,7 @@ func TestWarmStartDeterministicAcrossParallelism(t *testing.T) {
 			Solver:      mcfsolve.Options{MaxIters: 25},
 			Parallelism: par,
 		}.withDefaults()
-		rel, err := solveRelaxation(context.Background(), graph.Compile(ft.Graph), fs, m, opts, false)
+		rel, err := solveRelaxation(context.Background(), graph.Compile(ft.Graph), fs, m, opts, relaxFull)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,8 +162,9 @@ func (r *RoundingResult) Table() string {
 // RunAblationRounding sweeps MaxRoundingAttempts on a deliberately tight
 // parallel-links instance where a single random draw frequently violates
 // C. The first attempt is the derandomized assignment, and the budget buys
-// the seeded re-draws after it; on this instance the derandomized
-// assignment is feasible in every run, so every budget reads the same.
+// the seeded random draws after it. Idle power is high enough here that
+// the derandomized assignment stacks three flows on a link in every run,
+// so feasibility rests on the draws alone.
 func RunAblationRounding(cfg AblateConfig, attempts []int) (*RoundingResult, error) {
 	cfg = cfg.withDefaults()
 	if len(attempts) == 0 {
@@ -174,8 +175,10 @@ func RunAblationRounding(cfg AblateConfig, attempts []int) (*RoundingResult, err
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	// Six flows of density 0.9 over four C=2 links: feasible iff no link
-	// carries three flows, so a uniform draw violates capacity often but
-	// not always — exactly the regime where retries matter.
+	// carries three flows, so a draw violates capacity often but not
+	// always — exactly the regime where retries matter. With sigma = 10 a
+	// link's idle power is about twelve times the dynamic power of a
+	// flow on it, so consolidation pays right up to C and past it.
 	raw := make([]flow.Flow, 6)
 	for i := range raw {
 		raw[i] = flow.Flow{Src: src, Dst: dst, Release: 0, Deadline: 1, Size: 0.9}
@@ -184,7 +187,7 @@ func RunAblationRounding(cfg AblateConfig, attempts []int) (*RoundingResult, err
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	model := power.Model{Sigma: 1, Mu: 1, Alpha: cfg.Alpha, C: 2}
+	model := power.Model{Sigma: 10, Mu: 1, Alpha: cfg.Alpha, C: 2}
 	type cellResult struct {
 		energy   float64
 		feasible bool

@@ -20,7 +20,10 @@ type ExactPoint struct {
 	// assignment).
 	RSOverExact float64
 	// LBOverExact is the mean ratio of Random-Schedule's lower bound to the
-	// true optimum, measuring how loose that bound is.
+	// true optimum. That bound is certified for schedules that send each
+	// flow on one path at its density; the optimum schedules each
+	// assignment by Most-Critical-First, which may shape rates, so the
+	// bound need not hold for it.
 	LBOverExact float64
 }
 

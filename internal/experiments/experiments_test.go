@@ -119,9 +119,10 @@ func TestRunAblationRounding(t *testing.T) {
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(res.Points))
 	}
-	// More attempts cannot hurt feasibility.
-	if res.Points[1].FeasibleRate < res.Points[0].FeasibleRate {
-		t.Fatalf("feasibility decreased with attempts: %+v", res.Points)
+	// More attempts cannot hurt feasibility, and here they must help: the
+	// derandomized assignment violates C, so one draw rarely fits.
+	if res.Points[1].FeasibleRate <= res.Points[0].FeasibleRate {
+		t.Fatalf("feasibility did not rise with attempts: %+v", res.Points)
 	}
 	if res.Points[1].FeasibleRate <= 0 {
 		t.Fatal("50 attempts never found a feasible draw on the tight instance")

@@ -124,8 +124,13 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 				return cellResult{}, fmt.Errorf("experiments: workload n=%d run=%d: %w", n, run, err)
 			}
 			model := fig2Model(cfg, fs)
-			opts := core.DCFSROptions{Seed: seed, Solver: mcfsolve.Options{MaxIters: cfg.SolverIters}}
-			rs, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model, dcnflow.WithDCFSROptions(opts))
+			// The paper normalises by the fractional relaxation value
+			// (LowerBoundCtx's), not by the certified bound the dcfsr solve
+			// reports; one relaxation gives both.
+			rs, lb, err := core.SolveDCFSRWithFractionalCtx(ctx, core.DCFSRInput{
+				Graph: ft.Graph, Flows: fs, Model: model,
+				Opts: core.DCFSROptions{Seed: seed, Solver: mcfsolve.Options{MaxIters: cfg.SolverIters}},
+			})
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: RS n=%d run=%d: %w", n, run, err)
 			}
@@ -133,16 +138,10 @@ func RunFig2(cfg Fig2Config) (*Fig2Result, error) {
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: SP+MCF n=%d run=%d: %w", n, run, err)
 			}
-			// The paper normalises by the fractional relaxation value, not
-			// by the certified bound the dcfsr solve reports.
-			lb, err := core.LowerBoundCtx(ctx, ft.Graph, fs, model, opts)
-			if err != nil {
-				return cellResult{}, fmt.Errorf("experiments: LB n=%d run=%d: %w", n, run, err)
-			}
 			if lb <= 0 {
 				return cellResult{}, fmt.Errorf("experiments: nonpositive lower bound n=%d run=%d", n, run)
 			}
-			return cellResult{rs: rs.Energy / lb, sp: sp.Energy / lb, lb: lb}, nil
+			return cellResult{rs: rs.Schedule.EnergyTotal(model) / lb, sp: sp.Energy / lb, lb: lb}, nil
 		}, nil)
 	if err != nil {
 		return nil, err

@@ -142,11 +142,16 @@ func RunOnlineComparison(cfg OnlineConfig, flowCounts []int) (*OnlineResult, err
 			}
 			model := ablateModel(cfg.AblateConfig, fs)
 			model.Sigma = 0 // match the paper's evaluation power function
-			offOpts := core.DCFSROptions{
-				Seed:   cfg.Seed + int64(run),
-				Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
-			}
-			off, err := solve(dcnflow.SolverDCFSR, ft.Graph, fs, model, dcnflow.WithDCFSROptions(offOpts))
+			// Every scheme is normalised by the paper's fractional
+			// relaxation value (LowerBoundCtx's), as in Fig. 2; one
+			// relaxation gives it and the offline leg.
+			off, lb, err := core.SolveDCFSRWithFractionalCtx(ctx, core.DCFSRInput{
+				Graph: ft.Graph, Flows: fs, Model: model,
+				Opts: core.DCFSROptions{
+					Seed:   cfg.Seed + int64(run),
+					Solver: mcfsolve.Options{MaxIters: cfg.SolverIters},
+				},
+			})
 			if err != nil {
 				return cellResult{}, fmt.Errorf("experiments: online comparison offline leg: %w", err)
 			}
@@ -189,19 +194,13 @@ func RunOnlineComparison(cfg OnlineConfig, flowCounts []int) (*OnlineResult, err
 				return cellResult{}, fmt.Errorf("experiments: deadline miss (n=%d run=%d): greedy %d, offline %d",
 					n, run, gSim.DeadlinesMissed, oSim.DeadlinesMissed)
 			}
-			// Every scheme is normalised by the paper's fractional
-			// relaxation value, as in Fig. 2.
-			lb, err := core.LowerBoundCtx(ctx, ft.Graph, fs, model, offOpts)
-			if err != nil {
-				return cellResult{}, fmt.Errorf("experiments: online comparison lower bound: %w", err)
-			}
 			if lb <= 0 {
 				return cellResult{}, nil
 			}
 			return cellResult{
 				greedy:  greedy.Energy / lb,
 				rolling: roll.Energy / lb,
-				offline: off.Energy / lb,
+				offline: off.Schedule.EnergyTotal(model) / lb,
 				haveLB:  true,
 			}, nil
 		}, nil)

@@ -117,6 +117,7 @@ func TestSolveTarget(t *testing.T) {
 				break
 			}
 		}
+		full := capped(comms, 40)
 		for _, tc := range cases {
 			want := capped(comms, tc.iters)
 			for _, c := range layouts {
@@ -135,6 +136,28 @@ func TestSolveTarget(t *testing.T) {
 					}
 					if math.Float64bits(got.Bound) != math.Float64bits(want.Bound) {
 						t.Fatalf("%s: bound %v, capped solve %v", where, got.Bound, want.Bound)
+					}
+					// One solve that keeps the stopped iterate and runs on
+					// must give both results, on the same reused Solver.
+					at, on, err := s.SolveTargetFullCtx(context.Background(), comms, tc.target)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pair := range []struct {
+						name      string
+						got, want *Result
+					}{{"kept", at, got}, {"run on", on, full}} {
+						if err := sameResult(pair.got, pair.want); err != nil {
+							t.Fatalf("%s: SolveTargetFullCtx's %s result differs: %v", where, pair.name, err)
+						}
+						if pair.got.Iters != pair.want.Iters || pair.got.TargetStop != pair.want.TargetStop ||
+							math.Float64bits(pair.got.Bound) != math.Float64bits(pair.want.Bound) {
+							t.Fatalf("%s: SolveTargetFullCtx's %s result: %d iterations, stop %v, bound %v; want %d, %v, %v", where, pair.name,
+								pair.got.Iters, pair.got.TargetStop, pair.got.Bound, pair.want.Iters, pair.want.TargetStop, pair.want.Bound)
+						}
+					}
+					if (at == on) == tc.stop {
+						t.Fatalf("%s: kept and run-on results shared %v, want shared only without a stop", where, at == on)
 					}
 				}
 			}

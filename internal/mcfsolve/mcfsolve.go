@@ -378,7 +378,7 @@ var noTarget = math.Inf(-1)
 // Solve is a cold-started SolveBaseWarmCtx with no background load and no
 // cancellation.
 func (s *Solver) Solve(commodities []Commodity) (*Result, error) {
-	return s.solve(context.Background(), commodities, nil, WarmStart{}, noTarget)
+	return s.solve(context.Background(), commodities, nil, WarmStart{}, noTarget, nil)
 }
 
 // SolveTargetCtx is a cold-started SolveBaseWarmCtx with no background load
@@ -392,7 +392,24 @@ func (s *Solver) Solve(commodities []Commodity) (*Result, error) {
 // or below target no later iterate could lift Bound above target either
 // (Bound <= optimum <= primal).
 func (s *Solver) SolveTargetCtx(ctx context.Context, commodities []Commodity, target float64) (*Result, error) {
-	return s.solve(ctx, commodities, nil, WarmStart{}, target)
+	return s.solve(ctx, commodities, nil, WarmStart{}, target, nil)
+}
+
+// SolveTargetFullCtx runs one solve that answers both SolveTargetCtx and
+// a cold SolveBaseWarmCtx with no background load: where the target would
+// stop the solve, it keeps a copy of the Result there (at) and goes on to
+// Tol or MaxIters (full). Both equal what those entry points return, bit
+// for bit, because a target only ever ends a solve; when it never would,
+// at and full are the same Result.
+func (s *Solver) SolveTargetFullCtx(ctx context.Context, commodities []Commodity, target float64) (at, full *Result, err error) {
+	full, err = s.solve(ctx, commodities, nil, WarmStart{}, target, &at)
+	if err != nil {
+		return nil, nil, err
+	}
+	if at == nil {
+		at = full
+	}
+	return at, full, nil
 }
 
 // SolveBaseWarmCtx minimises sum_e cost(base_e + x_e) subject to routing
@@ -426,12 +443,14 @@ func (s *Solver) SolveBaseWarmCtx(ctx context.Context, commodities []Commodity, 
 	if base != nil && len(base) != s.g.NumEdges() {
 		return nil, fmt.Errorf("%w: base load has %d edges, graph has %d", ErrBadInput, len(base), s.g.NumEdges())
 	}
-	return s.solve(ctx, commodities, base, warm, noTarget)
+	return s.solve(ctx, commodities, base, warm, noTarget, nil)
 }
 
 // solve is the one Frank–Wolfe implementation behind every entry point;
-// base is nil or has length NumEdges.
-func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart, target float64) (*Result, error) {
+// base is nil or has length NumEdges. With at nil, reaching the target
+// ends the solve; otherwise the Result there goes to *at and the solve
+// runs on with no target.
+func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []float64, warm WarmStart, target float64, at **Result) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -563,8 +582,13 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		// its sweep, bit for bit.
 		obj := objective(edges)
 		if iters >= stopBudget && obj <= target {
-			res.TargetStop = true
-			break
+			if at == nil {
+				res.TargetStop = true
+				break
+			}
+			*at = s.result(commodities, x, obj, gap, best, iters)
+			(*at).TargetStop = true
+			target = noTarget
 		}
 		// Marginal-cost weights (the hop bias keeps zero-gradient regions
 		// deterministic and hop-minimal), computed straight into the
@@ -654,8 +678,26 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 		}
 	}
 
+	s.fill(res, commodities, x, objective(edges), gap, best, iters)
+	return res, nil
+}
+
+// result returns a new Result for the solve's state after iters
+// iterations (see fill).
+func (s *Solver) result(commodities []Commodity, x []float64, obj, gap, best float64, iters int) *Result {
+	res := &Result{
+		EdgeFlow:         make([]float64, len(x)),
+		PathsByCommodity: make([][]WeightedPath, len(commodities)),
+	}
+	s.fill(res, commodities, x, obj, gap, best, iters)
+	return res
+}
+
+// fill records the solve's state in res: the iterate x, its primal value
+// obj, the last gap, the best f(x_t) - gap_t and the decompositions.
+func (s *Solver) fill(res *Result, commodities []Commodity, x []float64, obj, gap, best float64, iters int) {
 	copy(res.EdgeFlow, x)
-	res.Objective = objective(edges)
+	res.Objective = obj
 	res.Gap = gap
 	res.Iters = iters
 	// The oracle minimises grad f + biasWeight per edge, so its direction's
@@ -669,7 +711,6 @@ func (s *Solver) solve(ctx context.Context, commodities []Commodity, base []floa
 	for i := range commodities {
 		res.PathsByCommodity[i] = s.emit(&s.decomps[i], commodities[i].Demand)
 	}
-	return res, nil
 }
 
 // seedWarm installs warm-start decompositions for every matchable commodity
