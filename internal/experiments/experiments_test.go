@@ -68,7 +68,7 @@ func TestRunHardness(t *testing.T) {
 		t.Fatalf("RS ratio %v below 1 — RS beat the proven optimum", res.RSRatio)
 	}
 	if res.LowerBound > res.Optimal*(1+1e-6) {
-		t.Fatalf("fractional LB %v above integral optimum %v", res.LowerBound, res.Optimal)
+		t.Fatalf("RS lower bound %v above integral optimum %v", res.LowerBound, res.Optimal)
 	}
 	if res.RSRatio > 3 {
 		t.Fatalf("RS ratio %v implausibly bad on the gadget", res.RSRatio)
