@@ -48,10 +48,13 @@ decisions-smoke:
 	$(GO) run ./cmd/dcnflow decisions -mode score -n 24 -seed 5 -iters 25 -max-decisions 3 -require-win
 
 # doccheck fails when an exported symbol of the public facade (root
-# package) is missing a doc comment, or when a registered solver name is
-# absent from README.md, DESIGN.md, `dcnflow run -h` or `dcnflow sweep -h`.
+# package) or of any internal package is missing a doc comment, or when a
+# registered solver name is absent from README.md, DESIGN.md, `dcnflow run
+# -h` or `dcnflow sweep -h`.
+DOCCHECK_PKGS := $(sort $(dir $(wildcard internal/*/*.go)))
 doccheck:
 	$(GO) run ./cmd/doccheck
+	for d in $(DOCCHECK_PKGS); do $(GO) run ./cmd/doccheck -dir $$d -solvers=false || exit 1; done
 
 # profile runs the smoke sweep under the new pprof hooks so perf work can
 # start from a flame graph: `make profile` then

@@ -45,9 +45,11 @@ func ExampleSolve_dcfsr() {
 	// Output: deadlines guaranteed, ratio 1.1x of the lower bound
 }
 
-// ExampleLowerBound computes the fractional relaxation bound on its own —
+// ExampleLowerBound computes the fractional relaxation value on its own:
 // the denominator every evaluation curve of the paper's Fig. 2 is
-// normalised by.
+// normalised by. It is a Frank–Wolfe primal value of the density-rate
+// relaxation, not a certified bound; dcfsr's Solution.LowerBound is the
+// certified one.
 func ExampleLowerBound() {
 	ft, _ := dcnflow.FatTree(4, 1000)
 	flows, _ := dcnflow.UniformWorkload(dcnflow.WorkloadConfig{
@@ -59,9 +61,9 @@ func ExampleLowerBound() {
 	lb, _ := dcnflow.LowerBound(context.Background(), ft.Graph, flows, model, dcnflow.DCFSROptions{})
 	inst, _ := dcnflow.NewInstance(ft.Graph, flows, model)
 	sol, _ := dcnflow.Solve(context.Background(), dcnflow.SolverDCFSR, inst, dcnflow.WithSeed(1))
-	fmt.Printf("no schedule can beat %.1f; Random-Schedule achieves %.1fx of it\n",
+	fmt.Printf("fractional relaxation value %.1f (Fig. 2's normaliser); Random-Schedule achieves %.1fx of it\n",
 		lb, sol.Energy/lb)
-	// Output: no schedule can beat 510.4; Random-Schedule achieves 1.5x of it
+	// Output: fractional relaxation value 510.4 (Fig. 2's normaliser); Random-Schedule achieves 1.5x of it
 }
 
 // ExampleSolve_rollingOnline runs the rolling-horizon online scheduler on a

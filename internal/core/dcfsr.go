@@ -43,16 +43,19 @@ type ProgressFunc func(ProgressEvent)
 
 // DCFSROptions tunes the Random-Schedule approximation.
 type DCFSROptions struct {
-	// Seed drives the random draws of the rounding; runs are deterministic
-	// per seed. For an integer alpha up to 8 the first assignment is
-	// derandomized and draws nothing, so the seed acts only when that
-	// assignment violates link capacities.
+	// Seed drives the random draws of the offline rounding (SolveDCFSRCtx);
+	// runs are deterministic per seed. For an integer alpha up to 8 the
+	// first assignment is derandomized and draws nothing, so the seed acts
+	// only when that assignment violates link capacities; other alphas
+	// draw from the start. The rolling epoch re-solve
+	// (SolveDCFSRPartialCtx) draws no path and never reads it.
 	Seed int64
-	// MaxRoundingAttempts bounds the random draws of the rounding, repeated
-	// while the assignment violates link capacities (Section V-A: "we can
-	// always repeat the randomized rounding process until we obtain a
-	// feasible solution"). A derandomized first assignment (integer alpha
-	// up to 8) comes before them and does not count. Default 20.
+	// MaxRoundingAttempts bounds the random draws of the offline rounding,
+	// repeated while the assignment violates link capacities (Section V-A:
+	// "we can always repeat the randomized rounding process until we
+	// obtain a feasible solution"). A derandomized first assignment
+	// (integer alpha up to 8) comes before them and does not count.
+	// Default 20. The rolling epoch re-solve never reads it.
 	MaxRoundingAttempts int
 	// Solver configures the per-interval F-MCF relaxation, including the
 	// intra-solve shortest-path parallelism (Solver.OracleWorkers). The

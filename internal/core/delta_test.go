@@ -82,7 +82,7 @@ func TestDeltaBaseLoadRejectsPinned(t *testing.T) {
 }
 
 // TestDeltaDeclinesWithoutPrev: a BaseLoad instance with no previous
-// fingerprinted state must come back unused (thin result, no plan) instead
+// fingerprinted state must come back unused (thin result, no candidates) instead
 // of silently planning the batch on an empty network.
 func TestDeltaDeclinesWithoutPrev(t *testing.T) {
 	top, src, dst, _, intervals := deltaFixture(t)
@@ -94,8 +94,8 @@ func TestDeltaDeclinesWithoutPrev(t *testing.T) {
 	if res.DeltaUsed {
 		t.Fatal("DeltaUsed = true without a previous state")
 	}
-	if len(res.Paths) != 0 {
-		t.Fatalf("declined delta carried a plan for %d flows", len(res.Paths))
+	if len(res.Candidates) != 0 {
+		t.Fatalf("declined delta carried candidates for %d flows", len(res.Candidates))
 	}
 }
 
@@ -146,8 +146,8 @@ func TestDeltaDeclinesOnStale(t *testing.T) {
 }
 
 // TestDeltaSolveLocalizes: with matching grids and unchanged loads the
-// delta path must run, reuse the uncovered interval verbatim, and plan the
-// batch flow.
+// delta path must run, reuse the uncovered interval verbatim, and give the
+// batch flow candidates.
 func TestDeltaSolveLocalizes(t *testing.T) {
 	top, src, dst, st, intervals := deltaFixture(t)
 	in := deltaInput(top, src, dst, st, intervals, func(iv timeline.Interval, out []float64) {
@@ -168,12 +168,14 @@ func TestDeltaSolveLocalizes(t *testing.T) {
 	if res.Drift != 0 {
 		t.Fatalf("Drift = %v, want 0 for identical loads", res.Drift)
 	}
-	p, ok := res.Paths[9]
-	if !ok {
-		t.Fatal("batch flow 9 has no planned path")
+	cands := res.Candidates[9]
+	if len(cands) == 0 {
+		t.Fatal("batch flow 9 has no candidate path")
 	}
-	if err := p.Validate(top.Graph, src, dst); err != nil {
-		t.Fatalf("planned path invalid: %v", err)
+	for _, c := range cands {
+		if err := c.Path.Validate(top.Graph, src, dst); err != nil {
+			t.Fatalf("candidate path invalid: %v", err)
+		}
 	}
 	if got, want := res.Rates[9], 1.0; got != want { // 10 data over span 10
 		t.Fatalf("rate = %v, want %v", got, want)

@@ -62,26 +62,25 @@ func TestDCFSROverflowingLinkRatesKeepFirstAttempt(t *testing.T) {
 	}
 }
 
-// TestPartialOverflowingLinkRatesKeepFirstAttempt: the epoch re-solve's
-// rounding keeps the first attempt too, so every free flow's path connects
-// its own endpoints instead of defaulting to path handle 0.
-func TestPartialOverflowingLinkRatesKeepFirstAttempt(t *testing.T) {
+// TestPartialOverflowingLinkRatesCandidatesConnect: under link rates that
+// overflow, every free flow still gets candidates, and each connects its
+// own endpoints.
+func TestPartialOverflowingLinkRatesCandidatesConnect(t *testing.T) {
 	line, flows := overflowFlows(t)
 	for _, m := range overflowModels {
 		res, err := SolveDCFSRPartialCtx(context.Background(), DCFSRPartialInput{Graph: line.Graph, Flows: flows, Model: m, Now: 1, Opts: DCFSROptions{Solver: mcfsolve.Options{MaxIters: 10}}})
 		if err != nil {
 			t.Fatalf("C=%v: %v", m.C, err)
 		}
-		if res.CapacityFeasible {
-			t.Fatalf("C=%v: overflowing assignment reported capacity-feasible", m.C)
-		}
 		for _, f := range flows {
-			p, ok := res.Paths[f.ID]
-			if !ok {
-				t.Fatalf("C=%v: flow %d has no path", m.C, f.ID)
+			cands := res.Candidates[f.ID]
+			if len(cands) == 0 {
+				t.Fatalf("C=%v: flow %d has no candidate path", m.C, f.ID)
 			}
-			if err := p.Validate(line.Graph, f.Src, f.Dst); err != nil {
-				t.Fatalf("C=%v: flow %d: %v", m.C, f.ID, err)
+			for _, c := range cands {
+				if err := c.Path.Validate(line.Graph, f.Src, f.Dst); err != nil {
+					t.Fatalf("C=%v: flow %d: %v", m.C, f.ID, err)
+				}
 			}
 		}
 	}

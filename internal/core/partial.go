@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"dcnflow/internal/flow"
@@ -15,11 +14,13 @@ import (
 )
 
 // PinnedCommitment is the frozen state of one in-flight flow at a re-plan
-// instant: the path fixed at admission and the data already delivered. Both
-// are constraints on the re-plan, never variables — a partial solve can
-// neither move the flow to another path nor un-send its transmitted prefix.
+// instant: the path fixed at admission and the data already delivered. The
+// re-plan changes neither: it returns no path for the flow, and only the
+// residual data enters the relaxation, which routes it fractionally like
+// any other commodity.
 type PinnedCommitment struct {
-	// Path is the routing path pinned when the flow was first admitted.
+	// Path is the routing path pinned when the flow was first admitted. The
+	// solve checks that it joins the flow's endpoints.
 	Path graph.Path
 	// Transmitted is the data delivered before the re-plan instant; only
 	// the residual Size - Transmitted remains to be scheduled.
@@ -174,40 +175,37 @@ type DCFSRPartialInput struct {
 	// Delta opts into the sensitivity-bounded delta re-solve; see
 	// DeltaOptions. The zero value changes nothing.
 	Delta DeltaOptions
-	// Argmax makes the first rounding attempt assign every free flow its
-	// modal (highest-weight) candidate path instead of sampling — the
-	// deterministic choice a model-predictive controller prefers; repair
-	// attempts after a capacity violation still sample.
-	Argmax bool
-	Opts   DCFSROptions
+	// Opts configures the interval solves. The partial solve draws no
+	// path, so it reads neither Seed nor MaxRoundingAttempts.
+	Opts DCFSROptions
 }
 
-// CandidatePath is one entry of a free flow's aggregated rounding
+// CandidatePath is one entry of a free flow's aggregated candidate
 // distribution: a path and its time-weighted fractional probability.
 type CandidatePath struct {
 	Path   graph.Path
 	Weight float64
 }
 
-// DCFSRPartialResult is the residual plan.
+// DCFSRPartialResult is the residual relaxation: what a caller needs to
+// place the free flows. It holds no path per flow; the caller picks one
+// from Candidates.
 type DCFSRPartialResult struct {
-	// Paths holds the planned path per active flow: the sampled candidate
-	// for free flows, the pinned path echoed back for pinned ones.
-	Paths map[flow.ID]graph.Path
 	// Candidates holds each free flow's aggregated candidate distribution
-	// in descending weight order (deterministic tie-break) — the basis of
-	// the rounding. Rolling-horizon callers re-score it against their own
-	// reservation state instead of trusting a single draw.
+	// in descending weight order (deterministic tie-break). The rolling
+	// scheduler scores every entry by exact marginal energy against its
+	// reservations and admits the cheapest.
 	Candidates map[flow.ID][]CandidatePath
-	// Rates holds each active flow's planning rate: the residual density —
+	// Rates holds each free flow's planning rate: the residual density,
 	// the constant rate that, sustained from max(Release, Now) to the
-	// deadline, exactly delivers the residual demand — or, for pinned
-	// flows, the PinnedCommitment.Demand override when one was supplied.
+	// deadline, exactly delivers the residual demand.
 	Rates map[flow.ID]float64
 	// ResidualLowerBound is the fractional relaxation value of the residual
-	// instance — a valid lower bound on the energy over [Now, …] of every
-	// feasible continuation (pinning only constrains, so the unpinned
-	// relaxation bounds the pinned continuation too).
+	// instance, Σ_k |I_k| times each interval solve's primal objective, on
+	// the full path; a delta solve leaves it zero. It is a diagnostic, not
+	// a certified bound: a Frank–Wolfe primal value sits above the
+	// relaxation optimum, and the relaxation holds each flow at one
+	// constant rate.
 	ResidualLowerBound float64
 	// State is this epoch's relaxation, to be passed as Prev next epoch.
 	State *RelaxationState
@@ -221,20 +219,11 @@ type DCFSRPartialResult struct {
 	SeededIntervals int
 	// Intervals is the number of residual decomposition intervals.
 	Intervals int
-	// Attempts is the number of rounding attempts consumed.
-	Attempts int
-	// CapacityFeasible reports whether the returned assignment satisfies
-	// link capacities (always true for uncapped models).
-	CapacityFeasible bool
-	// MaxRate is the maximum per-link per-interval aggregate planned rate.
-	// A delta solve checks (and reports) only the intervals it re-solved:
-	// untouched intervals' loads cannot have changed since their own check.
-	MaxRate float64
 	// DeltaUsed reports whether this result came from the localized delta
 	// path. When a delta attempt declines (drift beyond DriftBound, a
 	// stale-epoch cap hit, or no reusable previous state), the result
-	// carries DeltaUsed=false and no plan: the caller must re-issue a full
-	// solve with the complete flow set.
+	// carries DeltaUsed=false and no candidates: the caller must re-issue a
+	// full solve with the complete flow set.
 	DeltaUsed bool
 	// ReusedIntervals counts intervals whose stored solution the delta
 	// path reused verbatim.
@@ -265,15 +254,13 @@ type residual struct {
 //  2. the residual multi-interval F-MCF relaxation is solved exactly as in
 //     SolveDCFSRCtx, warm-seeded per interval from Prev when Opts.WarmStart
 //     is set (mcfsolve.WarmStart matches commodities by flow ID);
-//  3. free flows are rounded to candidate paths (modal-first under Argmax,
-//     sampled otherwise, re-sampled on capacity violations); pinned flows
-//     keep their pinned path — the rounding is where the frozen
-//     commitments bind.
+//  3. each free flow's fractional paths are aggregated, time-weighted over
+//     the intervals it covers, into its candidate distribution. Pinned
+//     flows take part in the relaxation only: their paths stay the
+//     caller's.
 //
-// The relaxation itself routes all active flows fractionally, so its value
-// is the residual lower bound of the unconstrained continuation; since
-// pinning only removes options, it also lower-bounds the pinned
-// continuation the caller will actually execute.
+// The solve draws no path: the caller picks each free flow's path from its
+// candidates (the rolling scheduler scores them by exact marginal energy).
 //
 // The residual relaxation's Frank–Wolfe solves observe cancellation at
 // every iteration boundary and the wrapped context error is returned
@@ -299,11 +286,7 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 		active []residual
 		seen   = make(map[flow.ID]bool, len(in.Flows))
 	)
-	res := &DCFSRPartialResult{
-		Paths:            make(map[flow.ID]graph.Path, len(in.Flows)),
-		Rates:            make(map[flow.ID]float64, len(in.Flows)),
-		CapacityFeasible: true,
-	}
+	res := &DCFSRPartialResult{}
 	for _, f := range in.Flows {
 		if err := f.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
@@ -431,51 +414,31 @@ func SolveDCFSRPartialCtx(ctx context.Context, in DCFSRPartialInput) (*DCFSRPart
 		res.State.Fingerprints = make([]IntervalFingerprint, len(intervals))
 	}
 
-	// Pinned flows keep their frozen path and contribute their load to
-	// every interval they cover; only the free flows are rounded.
-	var free []residual
-	for _, r := range active {
-		if !r.pinned {
-			free = append(free, r)
-			continue
-		}
-		res.Rates[r.f.ID] = r.density
-		res.Paths[r.f.ID] = in.Pinned[r.f.ID].Path
-	}
-	base := make([][]float64, len(intervals))
-	for k, iv := range intervals {
-		base[k] = make([]float64, in.Graph.NumEdges())
-		for _, r := range active {
-			if r.pinned && r.start <= iv.Start+timeline.Eps && r.f.Deadline >= iv.End-timeline.Eps {
-				for _, eid := range in.Pinned[r.f.ID].Path.Edges {
-					base[k][eid] += r.density
-				}
-			}
-		}
-	}
-	if err := roundPartial(rel, free, base, in, opts, res); err != nil {
+	if err := freeCandidates(rel, active, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// roundPartial is the candidate-and-rounding tail of both epoch paths. It
-// aggregates the free flows' candidate paths from rel, reports them in
-// res.Candidates, and rounds every free flow to one path against base,
-// where base[k] is the background load of rel.intervals[k]: the pinned
-// loads on the full path, the committed load of each touched interval on
-// the delta path. It fills res's per-flow Rates and Paths for the free
-// flows, and its Attempts, CapacityFeasible and MaxRate.
-func roundPartial(rel *relaxation, free []residual, base [][]float64, in DCFSRPartialInput, opts DCFSROptions, res *DCFSRPartialResult) error {
-	spans := make(map[flow.ID]float64, len(free))
-	for _, r := range free {
-		spans[r.f.ID] = r.f.Deadline - r.start
+// freeCandidates is the shared tail of both epoch paths. It aggregates the
+// free flows' candidate paths from rel into res.Candidates and records
+// their residual densities in res.Rates. A free flow without a candidate
+// makes the solve infeasible.
+func freeCandidates(rel *relaxation, active []residual, res *DCFSRPartialResult) error {
+	spans := make(map[flow.ID]float64, len(active))
+	for _, r := range active {
+		if !r.pinned {
+			spans[r.f.ID] = r.f.Deadline - r.start
+		}
 	}
 	interner := graph.NewPathInterner()
 	cands := aggregateCandidates(rel, spans, interner)
-	res.Candidates = make(map[flow.ID][]CandidatePath, len(free))
-	for _, r := range free {
-		res.Rates[r.f.ID] = r.density
+	res.Candidates = make(map[flow.ID][]CandidatePath, len(spans))
+	res.Rates = make(map[flow.ID]float64, len(spans))
+	for _, r := range active {
+		if r.pinned {
+			continue
+		}
 		list := cands[r.f.ID]
 		if len(list) == 0 {
 			return fmt.Errorf("%w: flow %d received no candidate paths", ErrInfeasible, r.f.ID)
@@ -485,85 +448,9 @@ func roundPartial(rel *relaxation, free []residual, base [][]float64, in DCFSRPa
 			out[i] = CandidatePath{Path: interner.Path(c.handle), Weight: c.weight}
 		}
 		res.Candidates[r.f.ID] = out
+		res.Rates[r.f.ID] = r.density
 	}
-	capLimit := math.Inf(1)
-	if in.Model.Capped() {
-		capLimit = in.Model.C
-	}
-	best, bestMaxRate, feasibleFound, attempts := roundFreeFlows(free, cands, rel.intervals, base, interner, opts, in.Argmax, capLimit, in.Graph.NumEdges())
-	for _, r := range free {
-		res.Paths[r.f.ID] = interner.Path(best[r.f.ID])
-	}
-	res.Attempts = attempts
-	res.CapacityFeasible = feasibleFound
-	res.MaxRate = bestMaxRate
 	return nil
-}
-
-// roundFreeFlows draws one candidate path per free flow — modal-first when
-// argmax is set — and re-samples on capacity violations, keeping the
-// least-violating assignment (Algorithm 2's repeat-until-feasible loop).
-// base[k] is the background load of intervals[k]. An attempt whose
-// violation does not compare (a link sum that overflowed to Inf - Inf)
-// counts as infinitely violating, so the first attempt is kept when no
-// other compares.
-func roundFreeFlows(free []residual, cands map[flow.ID][]candidate, intervals []timeline.Interval, base [][]float64, interner *graph.PathInterner, opts DCFSROptions, argmax bool, capLimit float64, nE int) (map[flow.ID]graph.PathHandle, float64, bool, int) {
-	load := make([]float64, nE)
-	maxAssignedRate := func(chosen map[flow.ID]graph.PathHandle) float64 {
-		var max float64
-		for k, iv := range intervals {
-			copy(load, base[k])
-			for _, r := range free {
-				if r.start <= iv.Start+timeline.Eps && r.f.Deadline >= iv.End-timeline.Eps {
-					for _, eid := range interner.Edges(chosen[r.f.ID]) {
-						load[eid] += r.density
-					}
-				}
-			}
-			for _, v := range load {
-				if v > max {
-					max = v
-				}
-			}
-		}
-		return max
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var (
-		best          map[flow.ID]graph.PathHandle
-		bestViolation = math.Inf(1)
-		bestMaxRate   float64
-		feasibleFound bool
-		attempts      int
-	)
-	for attempts = 1; attempts <= opts.MaxRoundingAttempts; attempts++ {
-		chosen := make(map[flow.ID]graph.PathHandle, len(free))
-		for _, r := range free {
-			list := cands[r.f.ID]
-			if argmax && attempts == 1 {
-				chosen[r.f.ID] = list[0].handle
-			} else {
-				chosen[r.f.ID] = samplePath(rng, list)
-			}
-		}
-		maxRate := maxAssignedRate(chosen)
-		violation := math.Max(0, maxRate-capLimit)
-		if violation <= capLimit*1e-9 {
-			best, bestMaxRate, feasibleFound = chosen, maxRate, true
-			break
-		}
-		if math.IsNaN(violation) {
-			violation = math.Inf(1)
-		}
-		if best == nil || violation < bestViolation {
-			best, bestViolation, bestMaxRate = chosen, violation, maxRate
-		}
-	}
-	if attempts > opts.MaxRoundingAttempts {
-		attempts = opts.MaxRoundingAttempts
-	}
-	return best, bestMaxRate, feasibleFound, attempts
 }
 
 // relLoadDev is the drift metric of the delta path: the largest per-edge
@@ -710,37 +597,16 @@ func solveDelta(ctx context.Context, compiled *graph.Compiled, in DCFSRPartialIn
 	for _, k := range todo {
 		res.FWIters += state.Results[k].Iters
 	}
-	// Touched intervals contribute the batch's MARGINAL objective on top of
-	// the background, reused intervals their stored absolute objective — the
-	// sum is a progress diagnostic, not a valid bound. It is summed in
-	// interval order.
-	var lower float64
-	for k, iv := range intervals {
-		if r := state.Results[k]; r != nil {
-			lower += r.Objective * iv.Length()
-		}
-	}
 	res.State = state
-	res.ResidualLowerBound = lower
 	res.Intervals = K
 	res.DeltaUsed = true
 	res.Drift = drift
 
-	// Candidate aggregation and rounding restricted to the touched
-	// intervals. This loses nothing: every batch flow starts at Now, so it
-	// covers an interval iff its deadline reaches the interval's end, and
-	// every interval it covers is touched by construction.
-	tRel := &relaxation{}
-	var tLoads [][]float64
-	for k := range intervals {
-		if touched[k] {
-			tRel.intervals = append(tRel.intervals, intervals[k])
-			tRel.comms = append(tRel.comms, rel.comms[k])
-			tRel.results = append(tRel.results, state.Results[k])
-			tLoads = append(tLoads, loads[k])
-		}
-	}
-	if err := roundPartial(tRel, free, tLoads, in, opts, res); err != nil {
+	// Candidates come from the touched solves only: an untouched interval
+	// holds no batch commodity (rel.comms[k] is empty there), and every
+	// interval a batch flow covers is touched by construction.
+	rel.results = state.Results
+	if err := freeCandidates(rel, free, res); err != nil {
 		return nil, false, err
 	}
 	return res, true, nil

@@ -65,8 +65,9 @@ type RollingOptions struct {
 	// Policy picks the re-plan trigger; default FixedPeriod with a period
 	// of 1/50 of the horizon.
 	Policy ReplanPolicy
-	// DCFSR configures the epoch re-solves (seed, solver options,
-	// WarmStart for cross-epoch Frank–Wolfe seeding, parallelism).
+	// DCFSR configures the epoch re-solves (solver options, WarmStart for
+	// cross-epoch Frank–Wolfe seeding, parallelism, progress). The epoch
+	// re-solve draws no path, so Seed and MaxRoundingAttempts are not read.
 	DCFSR core.DCFSROptions
 	// RejectOverCapacity enables admission control: a new flow whose
 	// density does not fit under the link capacity C on its planned path
@@ -131,8 +132,10 @@ type RollingStats struct {
 	// Admitted and Rejected count flows.
 	Admitted, Rejected int
 	// FirstResidualLB is the residual relaxation value of the first epoch
-	// (the full remaining horizon at that instant) — a diagnostic lower
-	// bound, not comparable to the offline clairvoyant LowerBound.
+	// (the full remaining horizon at that instant; the first epoch is
+	// always a full one) — a diagnostic, not a certified bound (see
+	// core.DCFSRPartialResult.ResidualLowerBound), and not comparable to
+	// the offline clairvoyant LowerBound.
 	FirstResidualLB float64
 }
 
@@ -287,8 +290,9 @@ func NewRollingCtx(ctx context.Context, g *graph.Graph, model power.Model, horiz
 		return nil, fmt.Errorf("%w: empty horizon %v", ErrBadInput, horizon)
 	}
 	opts = opts.withDefaults(horizon)
-	if nb := opts.Policy.NextBoundary(horizon.Start); !math.IsInf(nb, 1) && nb <= horizon.Start {
-		return nil, fmt.Errorf("%w: replan policy boundary %v does not advance past %v", ErrBadInput, nb, horizon.Start)
+	nextBoundary, err := checkBoundary(opts.Policy, horizon.Start)
+	if err != nil {
+		return nil, err
 	}
 	compiled := graph.Compile(g)
 	if opts.DCFSR.Solvers == nil || !opts.DCFSR.Solvers.Matches(g, model, opts.DCFSR.Solver) {
@@ -310,12 +314,24 @@ func NewRollingCtx(ctx context.Context, g *graph.Graph, model power.Model, horiz
 		opts:         opts,
 		ctx:          ctx,
 		now:          horizon.Start,
-		nextBoundary: opts.Policy.NextBoundary(horizon.Start),
+		nextBoundary: nextBoundary,
 		urgent:       math.Inf(1),
 		committed:    make(map[flow.ID]*commitment),
 		res:          make(map[graph.EdgeID]*reservation),
 		sched:        schedule.New(horizon),
 	}, nil
+}
+
+// checkBoundary returns the policy's next boundary after now. A boundary
+// that is neither +Inf nor more than timeline.Eps past now is ErrBadInput:
+// AdvanceTo would re-plan at it forever (NaN, or a non-advancing value) or
+// step forward by less than the time resolution per empty epoch.
+func checkBoundary(p ReplanPolicy, now float64) (float64, error) {
+	nb := p.NextBoundary(now)
+	if !math.IsInf(nb, 1) && !(nb > now+timeline.Eps) {
+		return 0, fmt.Errorf("%w: replan policy boundary %v does not advance past %v", ErrBadInput, nb, now)
+	}
+	return nb, nil
 }
 
 // Stats returns the accumulated epoch diagnostics.
@@ -458,12 +474,12 @@ func (s *RollingScheduler) replan(tau float64) error {
 		return fmt.Errorf("online: epoch re-solve at %v interrupted: %w", tau, err)
 	}
 	s.now = tau
-	s.nextBoundary = s.opts.Policy.NextBoundary(tau)
-	if !math.IsInf(s.nextBoundary, 1) && s.nextBoundary <= tau {
-		// A non-advancing boundary would loop AdvanceTo forever; the
-		// constructor can only vet the first one.
-		return fmt.Errorf("%w: replan policy boundary %v does not advance past %v", ErrBadInput, s.nextBoundary, tau)
+	nb, err := checkBoundary(s.opts.Policy, tau)
+	if err != nil {
+		// The constructor can only vet the first boundary.
+		return err
 	}
+	s.nextBoundary = nb
 	s.urgent = math.Inf(1)
 
 	// Reservation history wholly before tau can never affect a future
@@ -527,7 +543,6 @@ func (s *RollingScheduler) replan(tau float64) error {
 		Intervals: intervals,
 		Prev:      s.prev,
 		Delta:     s.opts.Delta,
-		Argmax:    true,
 		Opts:      s.opts.DCFSR,
 	})
 	if err != nil {
@@ -582,10 +597,11 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 	}
 	for _, f := range batch {
 		rate := res.Rates[f.ID]
-		if _, ok := res.Paths[f.ID]; !ok || rate <= 0 {
+		cands, ok := res.Candidates[f.ID]
+		if !ok || rate <= 0 {
 			return fmt.Errorf("%w: epoch at %v produced no plan for flow %d", ErrBadInput, tau, f.ID)
 		}
-		p := s.bestPath(f, rate, res.Candidates[f.ID], tau)
+		p := s.bestPath(f, rate, cands, tau)
 		reason := "marginal-cost"
 		if forced, fok := s.opts.Overrides.ForcedPath(f.ID); fok {
 			if err := forced.Validate(s.g, f.Src, f.Dst); err != nil {
@@ -622,7 +638,7 @@ func (s *RollingScheduler) admitBatch(tau float64, res *core.DCFSRPartialResult,
 				Flow: f.ID, Reason: reason, Path: p.Edges, Rate: rate,
 				MarginalEnergy: s.pathMarginalEnergy(p, tau, f.Deadline, rate),
 				Slack:          f.Deadline - tau,
-				Alternatives:   s.alternatives(p, res.Candidates[f.ID], tau, f.Deadline, rate),
+				Alternatives:   s.alternatives(p, cands, tau, f.Deadline, rate),
 			})
 		}
 		s.reserve(p, segs, 1)
@@ -656,7 +672,6 @@ func (s *RollingScheduler) replanDelta(tau float64) (bool, error) {
 		Prev:      s.prev,
 		BaseLoad:  s.baseLoadDuring,
 		Delta:     s.opts.Delta,
-		Argmax:    true,
 		Opts:      s.opts.DCFSR,
 	})
 	if err != nil {

@@ -213,11 +213,16 @@ func TestRollingMatchesGreedyThroughReplay(t *testing.T) {
 }
 
 // stuckPolicy advances once (passing the constructor's vet) and then
-// returns a frozen boundary.
-type stuckPolicy struct{}
+// returns now + step at every re-plan.
+type stuckPolicy struct{ step float64 }
 
-func (stuckPolicy) NextBoundary(float64) float64 { return 10 }
-func (stuckPolicy) BatchReady(int) bool          { return false }
+func (p stuckPolicy) NextBoundary(now float64) float64 {
+	if now < 10 {
+		return 10
+	}
+	return now + p.step
+}
+func (stuckPolicy) BatchReady(int) bool { return false }
 
 // TestRollingValidation covers constructor and sequencing errors.
 func TestRollingValidation(t *testing.T) {
@@ -229,17 +234,23 @@ func TestRollingValidation(t *testing.T) {
 	if _, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{}, RollingOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty horizon: %v", err)
 	}
-	if _, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{End: 10}, RollingOptions{Policy: FixedPeriod{}}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("non-advancing policy: %v", err)
+	// A period that is NaN or no more than timeline.Eps would keep
+	// AdvanceTo re-planning without reaching its target.
+	for _, period := range []float64{0, math.NaN(), 1e-300, timeline.Eps} {
+		if _, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{End: 10}, RollingOptions{Policy: FixedPeriod{Period: period}}); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("FixedPeriod{Period: %v}: %v", period, err)
+		}
 	}
 	// A policy whose boundary stops advancing after the first epoch must
 	// produce an error, not hang AdvanceTo.
-	stuck, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{Policy: stuckPolicy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stuck.AdvanceTo(50); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("non-advancing boundary: %v", err)
+	for _, step := range []float64{0, math.NaN(), 1e-12} {
+		stuck, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{Policy: stuckPolicy{step: step}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stuck.AdvanceTo(50); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("re-plan boundary step %v: %v", step, err)
+		}
 	}
 	rs, err := NewRollingCtx(context.Background(), ft.Graph, m, timeline.Interval{Start: 0, End: 100}, RollingOptions{})
 	if err != nil {

@@ -39,11 +39,17 @@ type Solution struct {
 // SolverConfig is the resolved configuration a solver family runs with; it
 // is assembled by applying SolveOptions in order (later options win).
 type SolverConfig struct {
-	// Seed drives randomized rounding and randomized routing (ECMP).
+	// Seed drives the seeded draws of the solvers that make any: "dcfsr"
+	// reads it only for its random rounding draws (alpha not an integer up
+	// to 8, or after a derandomized assignment violates C), and "ecmp-mcf"
+	// for its path picks. "rolling-online", "greedy-online" and the other
+	// families read no seed.
 	Seed int64
 	// DCFSR tunes the Random-Schedule pipeline (relaxation iterations,
 	// rounding attempts, warm starts, progress callback); used by the
-	// "dcfsr" and "rolling-online" solvers.
+	// "dcfsr" and "rolling-online" solvers. "rolling-online" reads neither
+	// its Seed nor its MaxRoundingAttempts: its epoch re-solves draw no
+	// path.
 	DCFSR DCFSROptions
 	// Online tunes the marginal-cost greedy ("greedy-online").
 	Online OnlineOptions
@@ -64,7 +70,9 @@ type SolverConfig struct {
 // SolveOption configures one solve.
 type SolveOption func(*SolverConfig)
 
-// WithSeed sets the randomization seed (rounding draws, ECMP path picks).
+// WithSeed sets the randomization seed: dcfsr's random rounding draws (see
+// SolverConfig.Seed for when it makes them) and ecmp-mcf's path picks.
+// "rolling-online" and "greedy-online" read no seed.
 func WithSeed(seed int64) SolveOption {
 	return func(c *SolverConfig) {
 		c.Seed = seed
